@@ -62,10 +62,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + shift, 0.0)
 
 
-def _objective(points: np.ndarray, order: QOrder) -> np.ndarray:
-    return hybrid_rows(points, order)
-
-
 def _ascend(
     x: np.ndarray,
     order: QOrder,
@@ -76,18 +72,18 @@ def _ascend(
     """Projected finite-difference ascent from one start; stays on the simplex."""
     n = x.size
     eye = np.eye(n)
-    value = float(_objective(x[None, :], order)[0])
+    value = float(hybrid_rows(x[None, :], order)[0])
     step = 0.1
     for _ in range(iterations):
         probes = np.vstack([x + fd_step * eye, x - fd_step * eye])
         probes = np.maximum(probes, 0.0)
         probes /= probes.sum(axis=1, keepdims=True)
-        probe_values = _objective(probes, order)
+        probe_values = hybrid_rows(probes, order)
         gradient = (probe_values[:n] - probe_values[n:]) / (2.0 * fd_step)
         moved = False
         while step > 1e-9:
             candidate = project_to_simplex(x + step * gradient)
-            candidate_value = float(_objective(candidate[None, :], order)[0])
+            candidate_value = float(hybrid_rows(candidate[None, :], order)[0])
             if candidate_value > value + improvement_tol:
                 x, value = candidate, candidate_value
                 step *= 1.5
@@ -117,7 +113,7 @@ def check_maximality(
     if n < 2:
         raise ValueError("maximality needs n >= 2")
     rng = np.random.default_rng(seed)
-    uniform_value = float(_objective(np.full((1, n), 1.0 / n), order)[0])
+    uniform_value = float(hybrid_rows(np.full((1, n), 1.0 / n), order)[0])
     starts = [rng.dirichlet(np.ones(n)) for _ in range(restarts)]
     for i in range(n):
         vertex = np.full(n, 1e-3 / (n - 1))

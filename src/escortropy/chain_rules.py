@@ -19,6 +19,11 @@ rule holds with the axiomatic conditional precisely when that gap vanishes
 equal power sums); otherwise the exponential tilt ``corrected_conditional``
 closes the residual exactly.
 
+``chain_rule_report`` is the only implementation: one pass over the joint
+computes p, r_{k|l}, ln r and the q-th powers once each and derives every
+field from them. The single-quantity functions are views of that report, so
+call ``chain_rule_report`` once when you need more than one field.
+
 All intermediate arithmetic is done in the additive scale and converted to the
 deformed scale only at the boundary, which avoids compounding exponentials.
 """
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import JointDistribution, QOrder, as_order, condition_on_a, marginal_a, nat_entropy
-from .escort import escort, joint_escort_naive
-from .entropies import aczel_daroczy_rows, cross_shannon, hybrid, hybrid_joint
+from .errors import ZeroMarginalColumnError
+from .entropies import _masked_log
+from .prob import JointDistribution, QOrder, as_order
 from .qcalc import kn_map_inv, q_add
 
 
@@ -57,22 +62,89 @@ class ChainRuleReport:
     corrected_residual: float
 
 
+def _tilted(axiomatic: float, gap: float, order: QOrder) -> float:
+    """The axiomatic conditional tilted by exp(-((1-q)/q) * gap), deformed scale."""
+    base = kn_map_inv(axiomatic, order)
+    if order.is_unit:
+        return base
+    one_m_q = 1.0 - order.value
+    exponent = -(one_m_q / order.value) * gap
+    # c*(x + 1/(1-q)) - 1/(1-q) rewritten as c*x + expm1(...)/(1-q) to avoid
+    # cancellation between the two 1/(1-q) terms for q near 1.
+    return math.exp(exponent) * base + math.expm1(exponent) / one_m_q
+
+
+def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
+    """Evaluate every quantity of the additivity analysis for (r, q) in one pass.
+
+    The two conditionals come from Aczel-Daroczy sums and ``s_gap`` from the
+    cross entropy of the two joint escorts, so ``gap = s_gap / q`` is checked
+    across independent routes. Raises ZeroMarginalColumnError when an A
+    outcome has zero probability, since conditioning on it is undefined.
+    """
+    order = as_order(q)
+    w = r.weights
+    p = w.sum(axis=0)
+    zero = np.flatnonzero(p == 0.0)
+    if zero.size:
+        raise ZeroMarginalColumnError(int(zero[0]))
+    cond = w / p
+    log_w = _masked_log(w)
+    log_p = np.log(p)
+    log_cond = np.where(w > 0, log_w - log_p, 0.0)
+    # The min-max sandwich uses the raw order even inside the q = 1 window.
+    cond_q = cond**order.value
+    col_sums = cond_q.sum(axis=0)
+    if order.is_unit:
+        # Every escort is the identity, so both joint escorts are r itself.
+        p_escort, naive, correct, log_naive = p, w, w, log_w
+    else:
+        w_q = w**order.value
+        p_q = p**order.value
+        p_escort = p_q / p_q.sum()
+        naive = w_q / w_q.sum()
+        correct = cond_q / col_sums * p_escort
+        log_naive = _masked_log(naive)
+
+    joint_ad = float(-(naive * log_w).sum())
+    marginal_ad = float(-(p_escort * log_p).sum())
+    chain = joint_ad - marginal_ad
+    axiomatic = float(-(correct * log_cond).sum())
+    naive_terms = naive * log_naive
+    gap_value = float(-(correct * log_naive).sum()) - float(-naive_terms.sum())
+
+    col_entropy = -naive_terms.sum(axis=0)
+    lower = float((((cond_q.min(axis=1).sum() - col_sums) / col_sums) * col_entropy).sum())
+    upper = float((((cond_q.max(axis=1).sum() - col_sums) / col_sums) * col_entropy).sum())
+
+    joint_value = kn_map_inv(joint_ad, order)
+    marginal_value = kn_map_inv(marginal_ad, order)
+    residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, order), order)
+    corrected = _tilted(axiomatic, gap_value, order)
+    return ChainRuleReport(
+        q=order,
+        joint_entropy=joint_ad,
+        marginal_entropy=marginal_ad,
+        conditional_chain=chain,
+        conditional_axiomatic=axiomatic,
+        gap=axiomatic - chain,
+        s_gap=gap_value,
+        lower_bound=lower,
+        upper_bound=upper,
+        residual=residual,
+        corrected_residual=joint_value - q_add(marginal_value, corrected, order),
+    )
+
+
 def conditional_chain(r: JointDistribution, q: float | QOrder) -> float:
     """Additive-scale conditional via subtraction: AD(A,B) - AD(A)."""
-    order = as_order(q)
-    joint_ad = float(aczel_daroczy_rows(r.weights.ravel()[None, :], order)[0])
-    marg_ad = float(aczel_daroczy_rows(marginal_a(r).weights[None, :], order)[0])
-    return joint_ad - marg_ad
+    return chain_rule_report(r, q).conditional_chain
 
 
 def conditional_axiomatic(r: JointDistribution, q: float | QOrder) -> float:
     """Additive-scale conditional as the escort-weighted mean of per-outcome
     Aczel-Daroczy entropies of B given each A outcome."""
-    order = as_order(q)
-    weights = escort(marginal_a(r), order).weights.weights
-    cond = condition_on_a(r)
-    per_column = aczel_daroczy_rows(cond.weights.T, order)
-    return float((weights * per_column).sum())
+    return chain_rule_report(r, q).conditional_axiomatic
 
 
 def s_gap(r: JointDistribution, q: float | QOrder) -> float:
@@ -82,8 +154,7 @@ def s_gap(r: JointDistribution, q: float | QOrder) -> float:
     Zero iff the two joint escort constructions coincide; sign-indefinite in
     general. Equals q times the difference between the two conditionals.
     """
-    order = as_order(q)
-    return cross_shannon(r, order).value - nat_entropy(joint_escort_naive(r, order))
+    return chain_rule_report(r, q).s_gap
 
 
 def minmax_bounds(r: JointDistribution, q: float | QOrder) -> tuple[float, float]:
@@ -94,19 +165,8 @@ def minmax_bounds(r: JointDistribution, q: float | QOrder) -> tuple[float, float
     bound is always <= 0 and the upper always >= 0; both collapse to zero iff
     the conditional rows are constant across columns.
     """
-    order = as_order(q)
-    cond = condition_on_a(r)
-    powers = np.where(cond.weights > 0, cond.weights**order.value, 0.0)
-    col_sums = powers.sum(axis=0)
-    row_min_total = powers.min(axis=1).sum()
-    row_max_total = powers.max(axis=1).sum()
-    naive = joint_escort_naive(r, order)
-    logs = np.zeros_like(naive)
-    np.log(naive, out=logs, where=naive > 0)
-    col_entropy = -(naive * logs).sum(axis=0)
-    lower = float((((row_min_total - col_sums) / col_sums) * col_entropy).sum())
-    upper = float((((row_max_total - col_sums) / col_sums) * col_entropy).sum())
-    return lower, upper
+    report = chain_rule_report(r, q)
+    return report.lower_bound, report.upper_bound
 
 
 def additivity_residual(r: JointDistribution, q: float | QOrder) -> float:
@@ -115,11 +175,7 @@ def additivity_residual(r: JointDistribution, q: float | QOrder) -> float:
     D_q(A,B) minus D_q(A) (+)_q D_q(B|A), in the deformed scale. Zero for
     product joints and at q = 1; nonzero for a generic dependent joint.
     """
-    order = as_order(q)
-    joint_value = hybrid_joint(r, order).value
-    marginal_value = hybrid(marginal_a(r), order).value
-    conditional_value = kn_map_inv(conditional_axiomatic(r, order), order)
-    return joint_value - q_add(marginal_value, conditional_value, order)
+    return chain_rule_report(r, q).residual
 
 
 def corrected_conditional(r: JointDistribution, q: float | QOrder) -> float:
@@ -131,41 +187,5 @@ def corrected_conditional(r: JointDistribution, q: float | QOrder) -> float:
     lands on the chain-route conditional. The tilt factor is 1 on product
     joints, and the map is the identity at q = 1.
     """
-    order = as_order(q)
-    base = kn_map_inv(conditional_axiomatic(r, order), order)
-    if order.is_unit:
-        return base
-    one_m_q = 1.0 - order.value
-    exponent = -(one_m_q / order.value) * s_gap(r, order)
-    # c*(x + 1/(1-q)) - 1/(1-q) rewritten as c*x + expm1(...)/(1-q) to avoid
-    # cancellation between the two 1/(1-q) terms for q near 1.
-    return math.exp(exponent) * base + math.expm1(exponent) / one_m_q
-
-
-def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
-    """Evaluate every quantity of the additivity analysis for (r, q)."""
-    order = as_order(q)
-    joint_ad = float(aczel_daroczy_rows(r.weights.ravel()[None, :], order)[0])
-    marg_ad = float(aczel_daroczy_rows(marginal_a(r).weights[None, :], order)[0])
-    chain = joint_ad - marg_ad
-    axiomatic = conditional_axiomatic(r, order)
-    gap_value = s_gap(r, order)
-    lower, upper = minmax_bounds(r, order)
-    joint_value = hybrid_joint(r, order).value
-    marginal_value = hybrid(marginal_a(r), order).value
-    residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, order), order)
-    corrected = corrected_conditional(r, order)
-    corrected_residual = joint_value - q_add(marginal_value, corrected, order)
-    return ChainRuleReport(
-        q=order,
-        joint_entropy=joint_ad,
-        marginal_entropy=marg_ad,
-        conditional_chain=chain,
-        conditional_axiomatic=axiomatic,
-        gap=axiomatic - chain,
-        s_gap=gap_value,
-        lower_bound=lower,
-        upper_bound=upper,
-        residual=residual,
-        corrected_residual=corrected_residual,
-    )
+    report = chain_rule_report(r, q)
+    return _tilted(report.conditional_axiomatic, report.s_gap, report.q)

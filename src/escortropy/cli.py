@@ -16,24 +16,24 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EscortropyError
 from .prob import (
     Distribution,
+    JointDistribution,
+    QOrder,
     as_order,
     drop_zero_columns,
     mutual_information,
     product_joint,
     random_joint,
-    validate_distribution,
-    validate_joint,
 )
 from .escort import escort, escort_inverse, escort_ratio, joint_escort_correct, joint_escort_naive
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
-from .chain_rules import chain_rule_report
+from .chain_rules import ChainRuleReport, chain_rule_report
 from .qcalc import kn_map, kn_map_inv, q_add, q_exp, q_log
 from .axioms import (
     check_additivity_dependent,
@@ -44,6 +44,8 @@ from .axioms import (
     sample_dependent_joint,
 )
 
+# The chain table prints the order as given, then every other report field.
+CHAIN_COLUMNS = [field.name for field in fields(ChainRuleReport)]
 SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upper_bound,corrected_residual"
 
 
@@ -62,12 +64,22 @@ def _default_seed() -> int:
 
 def _parse_q_list(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [QOrder(float(part)).value for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}: {exc}") from exc
     if not values:
         raise argparse.ArgumentTypeError("q list is empty")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -85,9 +97,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
-    if "p" not in data:
+    if not isinstance(data, dict) or "p" not in data:
         raise EscortropyError(f'{args.input}: expected a JSON object with a "p" array')
-    p = validate_distribution(data["p"])
+    p = Distribution(data["p"])
     rows = []
     for q in args.q:
         order = as_order(q)
@@ -114,46 +126,19 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_chain(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
-    if "r" not in data:
+    if not isinstance(data, dict) or "r" not in data:
         raise EscortropyError(f'{args.input}: expected a JSON object with an "r" matrix')
-    joint = validate_joint(data["r"])
+    joint = JointDistribution(data["r"])
     dropped: tuple[int, ...] = ()
     if args.lenient_zero_columns:
         reduced, kept = drop_zero_columns(joint)
         dropped = tuple(i for i in range(joint.n_a) if i not in kept)
         joint = reduced
     mi = mutual_information(joint)
-    columns = [
-        "q",
-        "joint_entropy",
-        "marginal_entropy",
-        "conditional_chain",
-        "conditional_axiomatic",
-        "gap",
-        "s_gap",
-        "lower_bound",
-        "upper_bound",
-        "residual",
-        "corrected_residual",
-    ]
     rows = []
     for q in args.q:
         report = chain_rule_report(joint, q)
-        rows.append(
-            {
-                "q": q,
-                "joint_entropy": report.joint_entropy,
-                "marginal_entropy": report.marginal_entropy,
-                "conditional_chain": report.conditional_chain,
-                "conditional_axiomatic": report.conditional_axiomatic,
-                "gap": report.gap,
-                "s_gap": report.s_gap,
-                "lower_bound": report.lower_bound,
-                "upper_bound": report.upper_bound,
-                "residual": report.residual,
-                "corrected_residual": report.corrected_residual,
-            }
-        )
+        rows.append({"q": q} | {c: getattr(report, c) for c in CHAIN_COLUMNS[1:]})
     if args.json:
         payload = {
             "input": {"r": data["r"]},
@@ -167,8 +152,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
         if dropped:
             lines.append("# dropped zero-marginal columns: " + ",".join(str(i) for i in dropped))
         lines.append("# mutual_information " + fmt(mi))
-        lines.append("\t".join(columns))
-        lines += ["\t".join(fmt(row[c]) for c in columns) for row in rows]
+        lines.append("\t".join(CHAIN_COLUMNS))
+        lines += ["\t".join(fmt(row[c]) for c in CHAIN_COLUMNS) for row in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -405,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all", choices=["qcalc", "escort", "axioms", "all"])
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--trials", type=int, default=200)
+    verify.add_argument("--trials", type=_positive_int, default=200)
     verify.add_argument("--mi-floor", type=float, default=0.05,
                         help="mutual-information floor for the dependent ensemble")
     verify.add_argument("--out", default=None)
@@ -413,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="emit a CSV ensemble sweep")
-    sweep.add_argument("--nb", type=int, required=True, help="B outcomes per joint")
-    sweep.add_argument("--na", type=int, required=True, help="A outcomes per joint")
+    sweep.add_argument("--nb", type=_positive_int, required=True, help="B outcomes per joint")
+    sweep.add_argument("--na", type=_positive_int, required=True, help="A outcomes per joint")
     sweep.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated q grid")
-    sweep.add_argument("--trials", type=int, default=100)
+    sweep.add_argument("--trials", type=_positive_int, default=100)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
@@ -426,14 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
+    if "seed" in args:  # verify and sweep
+        if args.seed is None:
+            args.seed = _default_seed()
+        if args.seed < 0:
+            parser.error(f"seed must be non-negative, got {args.seed}")
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EscortropyError as exc:

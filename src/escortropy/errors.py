@@ -5,6 +5,10 @@ class EscortropyError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MalformedWeightsError(EscortropyError, ValueError):
+    """Weights are not a non-empty, finite numeric array of the expected shape."""
+
+
 class NegativeWeightError(EscortropyError, ValueError):
     """A probability weight is negative."""
 

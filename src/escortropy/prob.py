@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeWeightError, NotNormalizedError, ZeroMarginalColumnError
+from .errors import (
+    MalformedWeightsError,
+    NegativeWeightError,
+    NotNormalizedError,
+    ZeroMarginalColumnError,
+)
 
 # Maximum |sum - 1| accepted before an input is rejected as unnormalized.
 EPS_NORM = 1e-9
@@ -24,15 +29,23 @@ EPS_NORM = 1e-9
 EPS_Q_ONE = 1e-8
 
 
-def _checked_weights(values, ndim: int) -> np.ndarray:
-    w = np.asarray(values, dtype=float)
+def _finite_nonnegative(values, ndim: int) -> np.ndarray:
+    try:
+        w = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedWeightsError(f"weights must be an array of numbers: {exc}") from exc
     if w.ndim != ndim or w.size == 0:
-        raise ValueError(f"expected a non-empty {ndim}-d array of weights, got shape {w.shape}")
+        raise MalformedWeightsError(f"expected a non-empty {ndim}-d array, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise MalformedWeightsError("weights must be finite")
     if np.any(w < 0):
         k = int(np.argmin(w))
         raise NegativeWeightError(f"negative weight {w.ravel()[k]!r} at flat index {k}")
+    return w
+
+
+def _checked_weights(values, ndim: int) -> np.ndarray:
+    w = _finite_nonnegative(values, ndim)
     total = float(w.sum())
     if abs(total - 1.0) > EPS_NORM:
         raise NotNormalizedError(total - 1.0)
@@ -78,10 +91,6 @@ class JointDistribution:
     def n_a(self) -> int:
         return self.weights.shape[1]
 
-    def flattened(self) -> Distribution:
-        """The joint read as a plain distribution over all (k, l) cells."""
-        return Distribution(self.weights.ravel())
-
     def __repr__(self) -> str:
         return f"JointDistribution({self.weights.tolist()!r})"
 
@@ -99,11 +108,7 @@ class ConditionalDistribution:
     columns_kept: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.size == 0:
-            raise ValueError(f"expected a non-empty matrix of conditionals, got shape {w.shape}")
-        if np.any(w < 0):
-            raise NegativeWeightError("negative conditional probability")
+        w = _finite_nonnegative(self.weights, 2)
         sums = w.sum(axis=0)
         bad = np.abs(sums - 1.0) > EPS_NORM
         if np.any(bad):
@@ -111,9 +116,6 @@ class ConditionalDistribution:
         w = w / sums[None, :]
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def column(self, l: int) -> Distribution:
-        return Distribution(self.weights[:, l])
 
 
 @dataclass(frozen=True)
@@ -141,20 +143,6 @@ class QOrder:
 def as_order(q: float | QOrder) -> QOrder:
     """Coerce a plain number to a validated QOrder."""
     return q if isinstance(q, QOrder) else QOrder(float(q))
-
-
-def validate_distribution(weights) -> Distribution:
-    """Build a Distribution from raw weights, rejecting bad input.
-
-    Raises NegativeWeightError for negative entries and NotNormalizedError
-    (carrying the deficit) when the sum is off by more than EPS_NORM.
-    """
-    return Distribution(weights)
-
-
-def validate_joint(weights) -> JointDistribution:
-    """Build a JointDistribution from a raw matrix, rejecting bad input."""
-    return JointDistribution(weights)
 
 
 def marginal_a(r: JointDistribution) -> Distribution:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from escortropy import (
+    ConditionalDistribution,
     Distribution,
     JointDistribution,
     additivity_residual,
@@ -28,6 +29,7 @@ from escortropy import (
     minmax_bounds,
     product_joint,
     q_add,
+    random_joint,
     renyi,
     s_gap,
     shannon,
@@ -260,6 +262,33 @@ def test_chain_rule_report_fields_are_consistent():
         assert report.lower_bound <= 1e-12 and report.upper_bound >= -1e-12
         assert report.residual == pytest.approx(additivity_residual(r, q), abs=1e-14)
         assert abs(report.corrected_residual) < 1e-9
+        assert report.conditional_chain == pytest.approx(
+            oracles.conditional_chain(r.weights, q), abs=1e-12
+        )
+        assert report.conditional_axiomatic == pytest.approx(
+            oracles.conditional_axiomatic(r.weights, q), abs=1e-12
+        )
+        assert report.residual == pytest.approx(
+            oracles.additivity_residual(r.weights, q), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_chain_rule_report_builds_no_validated_objects(monkeypatch, q):
+    # The joint is validated once at its constructor; the report works on
+    # its arrays and must not rebuild or revalidate probability objects.
+    joint = random_joint(4, 3, 0)
+    built = []
+    for cls in (Distribution, JointDistribution, ConditionalDistribution):
+        original = cls.__post_init__
+
+        def counted(self, original=original):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    chain_rule_report(joint, q)
+    assert built == []
 
 
 def test_report_on_zero_cell_joint():

@@ -123,6 +123,43 @@ def test_invalid_distribution_errors(capsys, tmp_path):
     assert "deficit" in err
 
 
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ({"p": [0.5, float("nan")]}, ["entropy", "--q", "2"]),
+        ({"r": [0.5, 0.5]}, ["chain", "--q", "2"]),
+        ({"p": [0.5, 0.5]}, ["entropy", "--q", "0"]),
+        ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "-1"]),
+        (None, ["sweep", "--nb", "0", "--na", "2", "--q", "2"]),
+        (None, ["verify", "--suite", "axioms", "--trials", "0"]),
+        (None, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--seed", "-1"]),
+        (b'\xff{"p": [1.0]}', ["entropy", "--q", "2"]),
+    ],
+    ids=[
+        "nan-weight",
+        "wrong-shape",
+        "q-zero",
+        "q-negative",
+        "sweep-nb-zero",
+        "verify-trials-zero",
+        "negative-seed",
+        "not-utf8",
+    ],
+)
+def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):
+    if payload is not None:
+        path = tmp_path / "in.json"
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        argv = argv + ["--input", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad options by exiting
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "nope"])

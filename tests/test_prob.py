@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escortropy import (
+    ConditionalDistribution,
     Distribution,
     JointDistribution,
+    MalformedWeightsError,
     NegativeWeightError,
     NotNormalizedError,
     QOrder,
@@ -18,37 +20,36 @@ from escortropy import (
     product_joint,
     random_distribution,
     random_joint,
-    validate_distribution,
 )
 
 import oracles
 
 
 def test_validate_accepts_symmetric_pair():
-    d = validate_distribution([0.5, 0.5])
+    d = Distribution([0.5, 0.5])
     assert d.size == 2
     assert np.allclose(d.weights, [0.5, 0.5])
 
 
 def test_validate_accepts_degenerate_singleton():
-    d = validate_distribution([1.0])
+    d = Distribution([1.0])
     assert d.size == 1
     assert d.weights[0] == 1.0
 
 
 def test_validate_rejects_unnormalized():
     with pytest.raises(NotNormalizedError) as info:
-        validate_distribution([0.5, 0.6])
+        Distribution([0.5, 0.6])
     assert info.value.deficit == pytest.approx(0.1, abs=1e-12)
 
 
 def test_validate_rejects_negative():
     with pytest.raises(NegativeWeightError):
-        validate_distribution([1.2, -0.2])
+        Distribution([1.2, -0.2])
 
 
 def test_weights_are_renormalized_exactly_and_frozen():
-    d = validate_distribution([0.3, 0.7 + 3e-10])
+    d = Distribution([0.3, 0.7 + 3e-10])
     assert d.weights.sum() == 1.0
     with pytest.raises(ValueError):
         d.weights[0] = 0.9
@@ -73,8 +74,8 @@ def test_marginals():
 
 
 def test_marginals_of_product_recover_inputs():
-    p_a = validate_distribution([0.3, 0.7])
-    q_b = validate_distribution([0.8, 0.2])
+    p_a = Distribution([0.3, 0.7])
+    q_b = Distribution([0.8, 0.2])
     r = product_joint(p_a, q_b)
     assert np.allclose(r.weights, [[0.24, 0.56], [0.06, 0.14]], atol=1e-15)
     assert np.allclose(marginal_a(r).weights, p_a.weights, atol=1e-15)
@@ -89,7 +90,7 @@ def test_condition_on_a_columns():
 
 
 def test_condition_on_product_gives_constant_columns():
-    r = product_joint(validate_distribution([0.3, 0.7]), validate_distribution([0.8, 0.2]))
+    r = product_joint(Distribution([0.3, 0.7]), Distribution([0.8, 0.2]))
     cond = condition_on_a(r)
     for l in range(r.n_a):
         assert np.allclose(cond.weights[:, l], [0.8, 0.2], atol=1e-14)
@@ -112,6 +113,12 @@ def test_condition_zero_column_lenient_records_reduction():
     assert np.allclose(reduced.weights, [[0.5], [0.5]])
 
 
+def test_conditional_distribution_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MalformedWeightsError, match="finite"):
+            ConditionalDistribution([[bad], [1.0]])
+
+
 def test_reconstruction_identity():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -123,7 +130,7 @@ def test_reconstruction_identity():
 
 
 def test_mutual_information_examples():
-    product = product_joint(validate_distribution([0.5, 0.5]), validate_distribution([0.5, 0.5]))
+    product = product_joint(Distribution([0.5, 0.5]), Distribution([0.5, 0.5]))
     assert abs(mutual_information(product)) < 1e-15
     correlated = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
     assert mutual_information(correlated) == pytest.approx(np.log(2), abs=1e-12)
@@ -175,6 +182,6 @@ def test_random_joint_shape_and_determinism():
     )
 )
 def test_any_normalized_vector_validates(w):
-    d = validate_distribution(w)
+    d = Distribution(w)
     assert abs(d.weights.sum() - 1.0) < 1e-12
     assert oracles.nat_entropy(d.weights) >= 0.0
