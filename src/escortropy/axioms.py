@@ -9,6 +9,7 @@ Lipschitz estimate and maximality a derivative-free multi-start search.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .prob import (
     product_joint,
 )
 from .chain_rules import additivity_residual
+from .errors import UnreachableFloorError
 from .entropies import hybrid, hybrid_rows
 
 log = logging.getLogger(__name__)
@@ -29,6 +31,7 @@ log = logging.getLogger(__name__)
 RESIDUAL_TOL = 1e-9       # independence / corrected-closure tolerance
 VIOLATION_FLOOR = 1e-6    # a dependent joint "violates" above this
 MAXIMALITY_SLACK = 1e-9   # allowed excess over the uniform value
+SAMPLER_ATTEMPTS = 10_000  # rejection-sampler draws per joint before giving up
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,15 +54,21 @@ class AxiomVerdict:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based).
+
+    A 2-d input is a stack of rows, each projected on its own; a 1-d input is
+    the one-row case and comes back 1-d.
+    """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
+    rows = np.atleast_2d(v)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    cumulative = np.cumsum(u, axis=1)
+    idx = np.arange(1, rows.shape[1] + 1)
     feasible = u + (1.0 - cumulative) / idx > 0
-    rho = idx[feasible][-1]
-    shift = (1.0 - cumulative[rho - 1]) / rho
-    return np.maximum(v + shift, 0.0)
+    rho = rows.shape[1] - np.argmax(feasible[:, ::-1], axis=1)
+    shift = (1.0 - cumulative[np.arange(rows.shape[0]), rho - 1]) / rho
+    projected = np.maximum(rows + shift[:, None], 0.0)
+    return projected if v.ndim == 2 else projected[0]
 
 
 def _ascend(
@@ -68,30 +77,47 @@ def _ascend(
     fd_step: float = 1e-6,
     iterations: int = 500,
     improvement_tol: float = 1e-12,
-) -> tuple[np.ndarray, float]:
-    """Projected finite-difference ascent from one start; stays on the simplex."""
-    n = x.size
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected finite-difference ascent from each row of an (S, n) stack of
+    starts; every point stays on the simplex.
+
+    The rows move in lockstep but independently: each keeps its own step,
+    backtracks on its own, and stops when no step above 1e-9 improves it.
+    One iteration makes one ``hybrid_rows`` call for the probes of all moving
+    rows and one per backtracking round for the rows still searching, so a
+    row's trajectory is the one it would follow alone. Returns the final
+    points and their values.
+    """
+    x = np.array(x, dtype=float)
+    count, n = x.shape
     eye = np.eye(n)
-    value = float(hybrid_rows(x[None, :], order)[0])
-    step = 0.1
+    value = hybrid_rows(x, order)
+    step = np.full(count, 0.1)
+    active = np.arange(count)
     for _ in range(iterations):
-        probes = np.vstack([x + fd_step * eye, x - fd_step * eye])
+        if active.size == 0:
+            break
+        probes = np.concatenate(
+            [x[active, None, :] + fd_step * eye, x[active, None, :] - fd_step * eye], axis=1
+        ).reshape(-1, n)
         probes = np.maximum(probes, 0.0)
         probes /= probes.sum(axis=1, keepdims=True)
-        probe_values = hybrid_rows(probes, order)
-        gradient = (probe_values[:n] - probe_values[n:]) / (2.0 * fd_step)
-        moved = False
-        while step > 1e-9:
-            candidate = project_to_simplex(x + step * gradient)
-            candidate_value = float(hybrid_rows(candidate[None, :], order)[0])
-            if candidate_value > value + improvement_tol:
-                x, value = candidate, candidate_value
-                step *= 1.5
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
+        probe_values = hybrid_rows(probes, order).reshape(active.size, 2 * n)
+        gradient = (probe_values[:, :n] - probe_values[:, n:]) / (2.0 * fd_step)
+        moved = np.zeros(active.size, dtype=bool)
+        searching = np.flatnonzero(step[active] > 1e-9)
+        while searching.size:
+            rows = active[searching]
+            candidates = project_to_simplex(x[rows] + step[rows, None] * gradient[searching])
+            candidate_values = hybrid_rows(candidates, order)
+            better = candidate_values > value[rows] + improvement_tol
+            won, lost = rows[better], rows[~better]
+            x[won], value[won] = candidates[better], candidate_values[better]
+            step[won] *= 1.5
+            step[lost] *= 0.5
+            moved[searching[better]] = True
+            searching = searching[~better][step[lost] > 1e-9]
+        active = active[moved]
     return x, value
 
 
@@ -105,7 +131,7 @@ def check_maximality(
     """Search the simplex for a point beating the uniform distribution.
 
     Runs projected finite-difference ascent from Dirichlet-sampled starts plus
-    one near-vertex start per coordinate. Passes when no point found exceeds
+    one near-vertex start per coordinate, all starts in one lockstep stack. Passes when no point found exceeds
     the uniform value by more than MAXIMALITY_SLACK; the best point found is
     always attached as the witness.
     """
@@ -119,19 +145,16 @@ def check_maximality(
         vertex = np.full(n, 1e-3 / (n - 1))
         vertex[i] = 1.0 - 1e-3
         starts.append(vertex / vertex.sum())
-    best_point, best_value = None, -np.inf
-    for start in starts:
-        point, value = _ascend(np.asarray(start, dtype=float), order, iterations=iterations)
-        if value > best_value:
-            best_point, best_value = point, value
-    margin = uniform_value + MAXIMALITY_SLACK - best_value
+    points, values = _ascend(np.array(starts), order, iterations=iterations)
+    best = int(np.argmax(values))  # the first of equal values, as a strict > scan keeps
+    margin = uniform_value + MAXIMALITY_SLACK - float(values[best])
     return AxiomVerdict(
         axiom="maximality",
         q=order,
         n=n,
         passed=margin >= 0.0,
         margin=margin,
-        witness=Distribution(best_point),
+        witness=Distribution(points[best]),
     )
 
 
@@ -273,16 +296,27 @@ def sample_dependent_joint(
 ) -> JointDistribution:
     """Deterministic rejection sampler for joints with mutual information above
     mi_floor. Each attempt reseeds from (seed, index, attempt), so the stream
-    for a given (seed, index) never depends on how other indices were consumed."""
-    attempt = 0
-    while True:
+    for a given (seed, index) never depends on how other indices were consumed.
+
+    Raises UnreachableFloorError when mi_floor is NaN or at least
+    ln(max_size), which no joint of at most max_size outcomes per side can
+    exceed, and when SAMPLER_ATTEMPTS draws all fall at or below the floor.
+    """
+    if math.isnan(mi_floor) or mi_floor >= math.log(max_size):
+        raise UnreachableFloorError(
+            mi_floor, f"is unreachable: no joint of at most {max_size} outcomes a side "
+            f"has mutual information above ln {max_size}"
+        )
+    for attempt in range(SAMPLER_ATTEMPTS):
         rng = np.random.default_rng((seed, index, attempt))
         n_b, n_a = _random_sizes(rng, max_size)
         flat = rng.dirichlet(np.full(n_b * n_a, float(concentration)))
         joint = JointDistribution(flat.reshape(n_b, n_a))
         if mutual_information(joint) > mi_floor:
             return joint
-        attempt += 1
+    raise UnreachableFloorError(
+        mi_floor, f"was not exceeded in {SAMPLER_ATTEMPTS} draws (seed {seed}, index {index})"
+    )
 
 
 def check_additivity_dependent(

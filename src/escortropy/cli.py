@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -79,6 +80,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _mi_floor(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
     return value
 
 
@@ -391,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all", choices=["qcalc", "escort", "axioms", "all"])
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--trials", type=_positive_int, default=200)
-    verify.add_argument("--mi-floor", type=float, default=0.05,
+    verify.add_argument("--mi-floor", type=_mi_floor, default=0.05,
                         help="mutual-information floor for the dependent ensemble")
     verify.add_argument("--out", default=None)
     verify.add_argument("--json", action="store_true")

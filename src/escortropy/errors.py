@@ -44,3 +44,12 @@ class DomainCutoffError(EscortropyError, ValueError):
 
 class NonpositiveArgumentError(EscortropyError, ValueError):
     """A logarithm-type argument must be strictly positive."""
+
+
+class UnreachableFloorError(EscortropyError, ValueError):
+    """A sampler's acceptance floor cannot be met, or was not met within its
+    attempt cap. The floor is kept on the ``floor`` attribute."""
+
+    def __init__(self, floor: float, reason: str):
+        self.floor = float(floor)
+        super().__init__(f"mutual-information floor {self.floor!r} {reason}")

@@ -3,6 +3,7 @@ import pytest
 
 from escortropy import (
     Distribution,
+    UnreachableFloorError,
     check_additivity_dependent,
     check_additivity_independent,
     check_continuity,
@@ -13,6 +14,8 @@ from escortropy import (
     project_to_simplex,
     sample_dependent_joint,
 )
+from escortropy import axioms
+from escortropy.prob import as_order
 
 
 def test_project_to_simplex_basics():
@@ -24,6 +27,53 @@ def test_project_to_simplex_basics():
         assert abs(x.sum() - 1.0) < 1e-12
     already = np.array([0.2, 0.3, 0.5])
     assert np.abs(project_to_simplex(already) - already).max() < 1e-12
+
+
+def test_project_to_simplex_stack_is_rowwise():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 8):
+        stack = rng.normal(size=(7, n)) * 3.0
+        stack[0] = 1.0 / n  # already on the simplex
+        projected = project_to_simplex(stack)
+        assert projected.shape == stack.shape
+        for row, out in zip(stack, projected):
+            assert np.array_equal(project_to_simplex(row), out)
+
+
+def test_lockstep_ascent_matches_each_row_alone():
+    rng = np.random.default_rng(6)
+    for q, n in ((0.5, 4), (2.0, 3), (0.3, 6)):
+        order = as_order(q)
+        starts = rng.dirichlet(np.ones(n), size=9)
+        starts[0] = 1.0 / n  # a start that stops at once
+        points, values = axioms._ascend(starts, order, iterations=60)
+        for start, point, value in zip(starts, points, values):
+            alone_point, alone_value = axioms._ascend(start[None, :], order, iterations=60)
+            assert np.array_equal(alone_point[0], point)
+            assert alone_value[0] == value
+
+
+@pytest.mark.parametrize(
+    "q, n, seed, margin, witness",
+    [
+        (
+            0.5, 4, 0, "-0.011730778300085731",
+            [0.12184909628796044, 0.6344522428635357, 0.12184925582361782, 0.12184940502488606],
+        ),
+        (
+            2.0, 5, 11, "1.0000082983907532e-09",
+            [
+                0.19999999027019474, 0.20000006605349105, 0.19999998063953076,
+                0.19999997830298846, 0.199999984733795,
+            ],
+        ),
+    ],
+)
+def test_maximality_margin_and_witness_are_pinned(q, n, seed, margin, witness):
+    # Values of the one-start-at-a-time search, which the lockstep ascent reproduces exactly.
+    verdict = check_maximality(q, n=n, seed=seed)
+    assert repr(verdict.margin) == margin
+    assert verdict.witness.weights.tolist() == witness
 
 
 def test_expansibility_examples():
@@ -144,3 +194,15 @@ def test_dependent_sampler_respects_floor_and_determinism():
     a = sample_dependent_joint(9, 7, mi_floor=0.05)
     b = sample_dependent_joint(9, 7, mi_floor=0.05)
     assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), np.log(8), 3.0, float("inf")])
+def test_dependent_sampler_rejects_unreachable_floor(floor):
+    with pytest.raises(UnreachableFloorError, match="floor"):
+        sample_dependent_joint(0, 0, mi_floor=floor)
+
+
+def test_dependent_sampler_stops_at_attempt_cap(monkeypatch):
+    monkeypatch.setattr(axioms, "SAMPLER_ATTEMPTS", 5)
+    with pytest.raises(UnreachableFloorError, match="1.5 was not exceeded in 5 draws"):
+        sample_dependent_joint(0, 0, mi_floor=1.5)

@@ -132,6 +132,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "-1"]),
         (None, ["sweep", "--nb", "0", "--na", "2", "--q", "2"]),
         (None, ["verify", "--suite", "axioms", "--trials", "0"]),
+        (None, ["verify", "--suite", "axioms", "--trials", "1", "--mi-floor", "nan"]),
+        (None, ["verify", "--suite", "axioms", "--trials", "1", "--mi-floor", "3"]),
         (None, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--seed", "-1"]),
         (b'\xff{"p": [1.0]}', ["entropy", "--q", "2"]),
     ],
@@ -142,6 +144,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "q-negative",
         "sweep-nb-zero",
         "verify-trials-zero",
+        "verify-mi-floor-nan",
+        "verify-mi-floor-unreachable",
         "negative-seed",
         "not-utf8",
     ],
