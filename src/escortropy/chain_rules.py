@@ -30,7 +30,6 @@ deformed scale only at the boundary, which avoids compounding exponentials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +61,13 @@ class ChainRuleReport:
     corrected_residual: float
 
 
-def _tilted(axiomatic: float, gap: float, order: QOrder) -> float:
-    """The axiomatic conditional tilted by exp(-((1-q)/q) * gap), deformed scale."""
-    base = kn_map_inv(axiomatic, order)
-    if order.is_unit:
-        return base
-    one_m_q = 1.0 - order.value
-    exponent = -(one_m_q / order.value) * gap
-    # c*(x + 1/(1-q)) - 1/(1-q) rewritten as c*x + expm1(...)/(1-q) to avoid
-    # cancellation between the two 1/(1-q) terms for q near 1.
-    return math.exp(exponent) * base + math.expm1(exponent) / one_m_q
+def _tilted(axiomatic: float, s_gap_value: float, order: QOrder) -> float:
+    """The axiomatic conditional tilted by exp(-((1-q)/q) * s_gap), deformed scale.
+
+    In the additive scale the tilt subtracts s_gap / q, so it is mapped back
+    once, with no cancellation between exponentially large terms.
+    """
+    return kn_map_inv(axiomatic - s_gap_value / order.value, order)
 
 
 def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
@@ -92,19 +88,16 @@ def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleRepor
     log_w = _masked_log(w)
     log_p = np.log(p)
     log_cond = np.where(w > 0, log_w - log_p, 0.0)
-    # The min-max sandwich uses the raw order even inside the q = 1 window.
+    # No branch at q = 1: there every power is the identity, so both joint
+    # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
     cond_q = cond**order.value
     col_sums = cond_q.sum(axis=0)
-    if order.is_unit:
-        # Every escort is the identity, so both joint escorts are r itself.
-        p_escort, naive, correct, log_naive = p, w, w, log_w
-    else:
-        w_q = w**order.value
-        p_q = p**order.value
-        p_escort = p_q / p_q.sum()
-        naive = w_q / w_q.sum()
-        correct = cond_q / col_sums * p_escort
-        log_naive = _masked_log(naive)
+    w_q = w**order.value
+    p_q = p**order.value
+    p_escort = p_q / p_q.sum()
+    naive = w_q / w_q.sum()
+    correct = cond_q / col_sums * p_escort
+    log_naive = _masked_log(naive)
 
     joint_ad = float(-(naive * log_w).sum())
     marginal_ad = float(-(p_escort * log_p).sum())

@@ -98,6 +98,16 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _finite_row(row: dict) -> dict:
+    bad = [key for key, value in row.items() if not math.isfinite(value)]
+    if bad:
+        raise EscortropyError(
+            f"order q={row['q']!r} gives non-finite {', '.join(bad)}; "
+            "the q-th powers of the weights underflow or overflow at this order"
+        )
+    return row
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -115,14 +125,16 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     for q in args.q:
         order = as_order(q)
         rows.append(
-            {
-                "q": q,
-                "shannon": shannon(p).value,
-                "renyi_1_over_q": renyi(p, 1.0 / order.value).value,
-                "tsallis": tsallis(p, order).value,
-                "hybrid": hybrid(p, order).value,
-                "aczel_daroczy": aczel_daroczy(p, order).value,
-            }
+            _finite_row(
+                {
+                    "q": q,
+                    "shannon": shannon(p).value,
+                    "renyi_1_over_q": renyi(p, 1.0 / order.value).value,
+                    "tsallis": tsallis(p, order).value,
+                    "hybrid": hybrid(p, order).value,
+                    "aczel_daroczy": aczel_daroczy(p, order).value,
+                }
+            )
         )
     if args.json:
         text = json.dumps({"input": {"p": data["p"]}, "rows": rows}, indent=2) + "\n"
@@ -149,7 +161,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     rows = []
     for q in args.q:
         report = chain_rule_report(joint, q)
-        rows.append({"q": q} | {c: getattr(report, c) for c in CHAIN_COLUMNS[1:]})
+        rows.append(_finite_row({"q": q} | {c: getattr(report, c) for c in CHAIN_COLUMNS[1:]}))
     if args.json:
         payload = {
             "input": {"r": data["r"]},

@@ -11,7 +11,10 @@ whose image under the additive-scale map is the Aczel-Daroczy entropy
 All sums use the 0^q ln 0 = 0 convention (q > 0), so appending zero-probability
 outcomes never changes a value. Vectorized row helpers back the simplex search
 in the axioms module; the scalar functions delegate to them so there is a
-single implementation of each formula.
+single implementation of each formula. No formula branches on q = 1: the
+powers p^q are continuous there, the Tsallis sum uses exprel(t) = expm1(t)/t,
+and every other division by 1 - q happens in ``kn_map`` / ``kn_map_inv``;
+each fills its removable singularity with the limit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from .prob import Distribution, JointDistribution, QOrder, as_order, nat_entropy
 from .escort import joint_escort_correct, joint_escort_naive
+from .qcalc import kn_map, kn_map_inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,33 +51,19 @@ def _masked_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def shannon_rows(w: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row of a matrix of normalized weights."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    return -(w * _masked_log(w)).sum(axis=1)
-
-
 def aczel_daroczy_rows(w: np.ndarray, q: float | QOrder) -> np.ndarray:
-    """Aczel-Daroczy entropy -sum p^q ln p / sum p^q of each row."""
+    """Aczel-Daroczy entropy of each row: the escort mean -sum P(q)_k ln p_k."""
     order = as_order(q)
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    if order.is_unit:
-        return shannon_rows(w)
     pw = np.where(w > 0, w**order.value, 0.0)
-    return -(pw * _masked_log(w)).sum(axis=1) / pw.sum(axis=1)
+    esc = pw / pw.sum(axis=1, keepdims=True)
+    return -(esc * _masked_log(w)).sum(axis=1)
 
 
 def hybrid_rows(w: np.ndarray, q: float | QOrder) -> np.ndarray:
-    """Hybrid entropy of each row, via escort weights then the exponential mean."""
+    """Hybrid entropy of each row: the deformed-scale image of its Aczel-Daroczy entropy."""
     order = as_order(q)
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if order.is_unit:
-        return shannon_rows(w)
-    pw = np.where(w > 0, w**order.value, 0.0)
-    esc = pw / pw.sum(axis=1, keepdims=True)
-    log_mean = -(esc * _masked_log(w)).sum(axis=1)
-    one_m_q = 1.0 - order.value
-    return np.expm1(one_m_q * log_mean) / one_m_q
+    return kn_map_inv(aczel_daroczy_rows(w, order), order)
 
 
 def shannon(p: Distribution) -> EntropyValue:
@@ -81,26 +71,49 @@ def shannon(p: Distribution) -> EntropyValue:
     return EntropyValue(nat_entropy(p.weights), "shannon")
 
 
+def _tsallis_value(w: np.ndarray, q: float) -> float:
+    # (sum p^q - 1)/(1-q) is the sum of the non-negative terms
+    # (p^q - p)/(1-q) = p (-ln p) exprel(t), t = (q-1) ln p, exprel(t) =
+    # expm1(t)/t, which is continuous through q = 1 (the Shannon term at t = 0).
+    # exprel keeps the digits that p^q - p cancels for |t| < 1; beyond, the
+    # difference loses at most two bits, and expm1(t) could overflow on
+    # subnormal p. The + 0.0 turns the -0.0 of a point mass into 0.0.
+    log_w = np.log(w)
+    t = (q - 1.0) * log_w
+    terms = -w * log_w
+    near = (np.abs(t) < 1.0) & (t != 0.0)
+    terms[near] *= np.expm1(t[near]) / t[near]
+    far = np.abs(t) >= 1.0
+    terms[far] = (w[far] ** q - w[far]) / (1.0 - q)
+    return float(terms.sum()) + 0.0
+
+
 def renyi(p: Distribution, alpha: float) -> EntropyValue:
-    """Renyi entropy ln(sum p^alpha)/(1-alpha); Shannon branch near alpha = 1."""
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError(f"Renyi order must be positive, got {alpha!r}")
-    order = QOrder(alpha)
-    if order.is_unit:
-        return EntropyValue(nat_entropy(p.weights), "renyi", alpha)
+    """Renyi entropy ln(sum p^alpha)/(1-alpha), continuous through alpha = 1.
+
+    Where sum p^alpha is within 1/2 of 1 it is kn_map of the Tsallis entropy,
+    which keeps full precision near alpha = 1 and equals Shannon there;
+    elsewhere the power sum is taken relative to the largest weight, in the
+    log domain, so it neither underflows nor overflows at extreme orders.
+    """
+    alpha = as_order(alpha).value
     w = p.weights[p.weights > 0]
-    value = float(np.log((w**alpha).sum()) / (1.0 - alpha))
+    one_m_a = 1.0 - alpha
+    tsallis_value = _tsallis_value(w, alpha)
+    if abs(one_m_a * tsallis_value) < 0.5:
+        value = kn_map(tsallis_value, alpha)
+    else:
+        log_w = np.log(w)
+        log_top = log_w.max()
+        power_sum = np.exp(alpha * (log_w - log_top)).sum()
+        value = float((alpha * log_top + np.log(power_sum)) / one_m_a)
     return EntropyValue(value, "renyi", alpha)
 
 
 def tsallis(p: Distribution, q: float | QOrder) -> EntropyValue:
-    """Tsallis entropy (sum p^q - 1)/(1-q); Shannon branch near q = 1."""
+    """Tsallis entropy (sum p^q - 1)/(1-q), continuous through q = 1 (Shannon)."""
     order = as_order(q)
-    if order.is_unit:
-        return EntropyValue(nat_entropy(p.weights), "tsallis", order.value)
-    w = p.weights[p.weights > 0]
-    value = float(((w**order.value).sum() - 1.0) / (1.0 - order.value))
+    value = _tsallis_value(p.weights[p.weights > 0], order.value)
     return EntropyValue(value, "tsallis", order.value)
 
 

@@ -14,6 +14,7 @@ differ otherwise. Their cellwise ratio has a closed form that depends only on
 the column index, which keeps it finite even on zero cells.
 
 Throughout, 0^q = 0 for q > 0: zero entries stay zero under every transform.
+At q = 1 every escort is the identity (p^1 = p), so no order needs a branch.
 """
 
 from __future__ import annotations
@@ -58,16 +59,12 @@ def _powers(w: np.ndarray, q: float) -> np.ndarray:
 def escort(p: Distribution, q: float | QOrder) -> EscortView:
     """Escort transform P(q)_k = p_k^q / sum_i p_i^q."""
     order = as_order(q)
-    if order.is_unit:
-        return EscortView(p, order, p)
     w = _powers(p.weights, order.value)
     return EscortView(Distribution(w / w.sum()), order, p)
 
 
 def escort_inverse(view: EscortView) -> Distribution:
     """Recover the origin: p_k = P(q)_k^(1/q) / sum_i P(q)_i^(1/q)."""
-    if view.order.is_unit:
-        return view.weights
     u = _powers(view.weights.weights, 1.0 / view.order.value)
     return Distribution(u / u.sum())
 
@@ -75,8 +72,6 @@ def escort_inverse(view: EscortView) -> Distribution:
 def joint_escort_naive(r: JointDistribution, q: float | QOrder) -> np.ndarray:
     """Cellwise power then global normalization: R(q)_{kl} = r_{kl}^q / sum r^q."""
     order = as_order(q)
-    if order.is_unit:
-        return r.weights.copy()
     w = _powers(r.weights, order.value)
     return w / w.sum()
 
@@ -85,8 +80,6 @@ def conditional_escort(r: JointDistribution, q: float | QOrder) -> ConditionalDi
     """Column-wise escort of the conditional of B given A."""
     cond = condition_on_a(r)
     order = as_order(q)
-    if order.is_unit:
-        return cond
     w = _powers(cond.weights, order.value)
     return ConditionalDistribution(w / w.sum(axis=0, keepdims=True))
 
@@ -98,8 +91,6 @@ def joint_escort_correct(r: JointDistribution, q: float | QOrder) -> np.ndarray:
     is exactly the property the naive construction loses on dependent joints.
     """
     order = as_order(q)
-    if order.is_unit:
-        return r.weights.copy()
     p_escort = escort(marginal_a(r), order).weights.weights
     cond = conditional_escort(r, order)
     return cond.weights * p_escort[None, :]
@@ -119,8 +110,6 @@ def escort_ratio(r: JointDistribution, q: float | QOrder) -> np.ndarray:
     naive matrix is positive.
     """
     order = as_order(q)
-    if order.is_unit:
-        return np.ones_like(r.weights)
     p_escort = escort(marginal_a(r), order).weights.weights
     cond = condition_on_a(r)
     col_power_sums = _powers(cond.weights, order.value).sum(axis=0)

@@ -25,8 +25,6 @@ from .errors import (
 
 # Maximum |sum - 1| accepted before an input is rejected as unnormalized.
 EPS_NORM = 1e-9
-# |q - 1| below this selects the analytic Shannon-limit branch everywhere.
-EPS_Q_ONE = 1e-8
 
 
 def _finite_nonnegative(values, ndim: int) -> np.ndarray:
@@ -122,9 +120,9 @@ class ConditionalDistribution:
 class QOrder:
     """The entropic order q > 0.
 
-    ``is_unit`` flags orders within EPS_Q_ONE of 1, for which every consumer
-    switches to the analytic Shannon-limit branch instead of evaluating
-    expressions that cancel catastrophically at q = 1.
+    Every consumer evaluates one formula at every order, q = 1 included: the
+    q-th powers are continuous there, and the division by 1 - q is confined
+    to ``qcalc.kn_map`` / ``kn_map_inv``, which fill q = 1 with the limit.
     """
 
     value: float
@@ -134,10 +132,6 @@ class QOrder:
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError(f"entropic order must be a positive real, got {self.value!r}")
         object.__setattr__(self, "value", v)
-
-    @property
-    def is_unit(self) -> bool:
-        return abs(self.value - 1.0) < EPS_Q_ONE
 
 
 def as_order(q: float | QOrder) -> QOrder:

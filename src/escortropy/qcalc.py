@@ -5,16 +5,22 @@ deformed addition collapses to ordinary addition:
 
     kn_map(q_add(a, b)) = kn_map(a) + kn_map(b)
 
-All functions route |q - 1| < EPS_Q_ONE through the classical branch; outside
-it they use expm1/log1p so there is no precision cliff as q approaches 1.
+Every formula here is continuous through q = 1, where the deformed functions
+become exp, ln and the identity. ``kn_map`` and ``kn_map_inv`` are the only
+places that divide by 1 - q; they evaluate log1p(u)/(1-q) and
+expm1((1-q)x)/(1-q), which keep full relative precision for q arbitrarily
+close to 1 (1 - q is exact there), and fill the removable singularity at
+exactly q = 1 with its limit. ``q_exp`` and ``q_log`` are built from them.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainCutoffError, NonpositiveArgumentError
-from .prob import EPS_Q_ONE, QOrder
+from .prob import QOrder
 
 
 def _order_value(q: float | QOrder) -> float:
@@ -23,62 +29,45 @@ def _order_value(q: float | QOrder) -> float:
     return q.value if isinstance(q, QOrder) else float(q)
 
 
-def _is_unit(value: float) -> bool:
-    return abs(value - 1.0) < EPS_Q_ONE
-
-
 def q_exp(x: float, q: float | QOrder) -> float:
-    """Deformed exponential [1 + (1-q)x]^(1/(1-q)); plain exp(x) at q = 1.
+    """Deformed exponential [1 + (1-q)x]^(1/(1-q)) = exp(kn_map(x, q)).
 
     Raises DomainCutoffError when 1 + (1-q)x <= 0; a cutoff always signals an
     out-of-contract input here, never a value to be saturated to zero.
     """
-    value = _order_value(q)
-    if _is_unit(value):
-        return math.exp(x)
-    one_m_q = 1.0 - value
-    u = one_m_q * x
-    if 1.0 + u <= 0.0:
-        raise DomainCutoffError(f"1 + (1-q)x = {1.0 + u!r} <= 0 for x={x!r}, q={value!r}")
-    return math.exp(math.log1p(u) / one_m_q)
+    return math.exp(kn_map(x, q))
 
 
 def q_log(y: float, q: float | QOrder) -> float:
-    """Deformed logarithm (y^(1-q) - 1)/(1-q); plain ln(y) at q = 1.
+    """Deformed logarithm (y^(1-q) - 1)/(1-q) = kn_map_inv(ln y, q).
 
     Inverse of q_exp on its domain. Requires y > 0.
     """
     if y <= 0.0:
         raise NonpositiveArgumentError(f"deformed logarithm needs a positive argument, got {y!r}")
-    value = _order_value(q)
-    if _is_unit(value):
-        return math.log(y)
-    one_m_q = 1.0 - value
-    return math.expm1(one_m_q * math.log(y)) / one_m_q
+    return kn_map_inv(math.log(y), q)
 
 
 def kn_map(x: float, q: float | QOrder) -> float:
     """Map to the additive scale: ln[1 + (1-q)x] / (1-q); identity at q = 1."""
     value = _order_value(q)
-    if _is_unit(value):
-        return float(x)
     one_m_q = 1.0 - value
     u = one_m_q * x
     if 1.0 + u <= 0.0:
         raise DomainCutoffError(f"1 + (1-q)x = {1.0 + u!r} <= 0 for x={x!r}, q={value!r}")
-    return math.log1p(u) / one_m_q
+    return math.log1p(u) / one_m_q if one_m_q else float(x)
 
 
-def kn_map_inv(x: float, q: float | QOrder) -> float:
+def kn_map_inv(x, q: float | QOrder):
     """Inverse of kn_map: (e^((1-q)x) - 1)/(1-q); identity at q = 1.
 
-    Defined on the whole real line.
+    Defined on the whole real line. Takes a float or an array of them and
+    returns the same kind.
     """
-    value = _order_value(q)
-    if _is_unit(value):
-        return float(x)
-    one_m_q = 1.0 - value
-    return math.expm1(one_m_q * x) / one_m_q
+    one_m_q = 1.0 - _order_value(q)
+    if isinstance(x, np.ndarray):
+        return np.expm1(one_m_q * x) / one_m_q if one_m_q else x.astype(float)
+    return math.expm1(one_m_q * x) / one_m_q if one_m_q else float(x)
 
 
 def q_add(a: float, b: float, q: float | QOrder) -> float:

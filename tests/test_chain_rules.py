@@ -40,6 +40,10 @@ import oracles
 SYMMETRIC = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
 DEPENDENT = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
 WITH_ZERO = JointDistribution([[0.1, 0.45], [0.0, 0.45]])
+# A cell of 1e-200 beside order-one cells: at q = 400 the tilt exponent
+# (1-q)/q * s_gap is about 102.
+TINY_CELL = JointDistribution([[1e-200, 0.3], [0.5 - 1e-200, 0.2]])
+NEAR_UNIT_ORDERS = [1.0 + sign * 10.0**-k for k in range(4, 15) for sign in (-1, 1)]
 
 
 def random_joint_matrix(seed, max_size=7):
@@ -296,3 +300,20 @@ def test_report_on_zero_cell_joint():
     assert np.isfinite(report.residual)
     assert abs(report.corrected_residual) < 1e-12
     assert report.gap == pytest.approx(report.s_gap / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("joint", [DEPENDENT, TINY_CELL], ids=["dependent", "tiny-cell"])
+def test_identities_hold_at_and_near_unit_order(joint):
+    # No order near 1 is snapped to the Shannon forms, so closure after the
+    # tilt and gap = s_gap / q hold there as they do at every other order.
+    for q in (1.0, *NEAR_UNIT_ORDERS):
+        report = chain_rule_report(joint, q)
+        assert abs(report.corrected_residual) <= 1e-12, q
+        assert abs(q * report.gap - report.s_gap) <= 1e-12, q
+
+
+def test_corrected_residual_closes_at_large_order():
+    # D_q(A, B) is about 2.5e-3 here; the tilt is applied in the additive
+    # scale, so no two exponentially large terms cancel.
+    report = chain_rule_report(TINY_CELL, 400.0)
+    assert abs(report.corrected_residual) <= 1e-12

@@ -136,6 +136,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         (None, ["verify", "--suite", "axioms", "--trials", "1", "--mi-floor", "3"]),
         (None, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--seed", "-1"]),
         (b'\xff{"p": [1.0]}', ["entropy", "--q", "2"]),
+        ({"p": [0.25, 0.25, 0.25, 0.25]}, ["entropy", "--q", "1000"]),
+        ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2,900"]),
     ],
     ids=[
         "nan-weight",
@@ -148,6 +150,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "verify-mi-floor-unreachable",
         "negative-seed",
         "not-utf8",
+        "entropy-powers-underflow",
+        "chain-powers-underflow",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):

@@ -40,7 +40,7 @@ def test_shannon_examples():
 
 def test_renyi_examples():
     uniform4 = Distribution([0.25] * 4)
-    for alpha in (0.5, 2.0, 3.0):
+    for alpha in (1e-3, 0.5, 2.0, 3.0, 1e3):  # 0.25^1000 underflows
         assert renyi(uniform4, alpha).value == pytest.approx(np.log(4), abs=1e-12)
     assert renyi(SKEWED, 2.0).value == pytest.approx(0.38566248081198445, abs=1e-14)
     for alpha in (1.0 - 1e-9, 1.0 + 1e-9):
@@ -108,15 +108,51 @@ def test_closed_form_on_uniforms():
             assert abs(hybrid(uniform, q).value - q_log(float(n), q)) < 1e-12
 
 
+# q = 1 +/- 10^-k from k = 6 on: at k = 4 and 5 the functionals sit about
+# |q - 1| times an O(1) derivative away from Shannon, which exceeds the bound
+# by calculus, not by rounding.
+NEAR_UNIT_ORDERS = [1.0 + sign * 10.0**-k for k in range(6, 15) for sign in (-1, 1)]
+
+
 def test_collapse_to_shannon_near_unit_order():
     for seed in range(20):
         p = Distribution(random_simplex(6, seed))
         s = shannon(p).value
-        for q in (1.0 - 1e-6, 1.0 + 1e-6):
+        for q in NEAR_UNIT_ORDERS:
             assert abs(hybrid(p, q).value - s) < 1e-5
             assert abs(tsallis(p, q).value - s) < 1e-5
             assert abs(aczel_daroczy(p, q).value - s) < 1e-5
             assert abs(renyi(p, 1.0 / q).value - s) < 1e-5
+
+
+def _mp_tsallis_and_renyi(mpmath, weights, alpha):
+    # The float weights are renormalized in 50-digit arithmetic: their float sum
+    # differs from 1 by about 1e-16, which (sum p^alpha - 1)/(1 - alpha) would
+    # amplify to about 1e-4 at |alpha - 1| = 1e-12.
+    w = [mpmath.mpf(float(x)) for x in weights if x > 0]
+    total = mpmath.fsum(w)
+    w = [x / total for x in w]
+    a = mpmath.mpf(alpha)
+    if a == 1:
+        shannon_value = -mpmath.fsum(x * mpmath.log(x) for x in w)
+        return shannon_value, shannon_value
+    power_sum = mpmath.fsum(x**a for x in w)
+    return (power_sum - 1) / (1 - a), mpmath.log(power_sum) / (1 - a)
+
+
+def test_renyi_and_tsallis_match_high_precision_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    alphas = np.geomspace(1e-3, 1e3, 25).tolist()
+    alphas += [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-7, 1.0 + 1e-7]
+    points = [random_simplex(n, seed) for n in (2, 5, 40) for seed in range(3)]
+    points += [[1e-300, 1e-10, 0.3, 0.7 - 1e-10], [0.0, 0.25, 0.75], [5e-324, 0.4, 0.6]]
+    with mpmath.workdps(50):
+        for weights in points:
+            p = Distribution(weights)
+            for alpha in alphas:
+                tsallis_ref, renyi_ref = _mp_tsallis_and_renyi(mpmath, p.weights, alpha)
+                assert abs(tsallis(p, alpha).value - tsallis_ref) <= 1e-13 * abs(tsallis_ref)
+                assert abs(renyi(p, alpha).value - renyi_ref) <= 1e-13 * abs(renyi_ref)
 
 
 def test_shannon_and_renyi_additive_on_product_weights():

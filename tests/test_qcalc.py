@@ -103,7 +103,13 @@ def test_q_exp_of_q_log(y, q):
     assert q_exp(q_log(y, q), q) == pytest.approx(y, rel=1e-10)
 
 
-@pytest.mark.parametrize("q", [1.0 - 1e-6, 1.0 + 1e-6])
+# q = 1 +/- 10^-k from k = 5 on: at k = 4 the deformed functions sit about
+# |q - 1| x^2 / 2 (|q - 1| ln(x)^2 / 2 for q_log) away from their limits,
+# which exceeds rel=1e-4 at x = 3 and, for q_log, at x = 0.1.
+NEAR_UNIT_ORDERS = [1.0 + sign * 10.0**-k for k in range(5, 15) for sign in (-1, 1)]
+
+
+@pytest.mark.parametrize("q", NEAR_UNIT_ORDERS)
 @pytest.mark.parametrize("x", [-1.5, -0.2, 0.1, 1.0, 3.0])
 def test_limit_branch_continuity(q, x):
     assert q_exp(x, q) == pytest.approx(math.exp(x), rel=1e-4)
