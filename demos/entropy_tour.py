@@ -62,7 +62,7 @@ print(f"  worst over 1000 draws: {worst:.3e}")
 print("\ndecomposition additive = (1/q) S(escort) - ((1-q)/q) I_{1/q}(escort):")
 p = examples["spiky 4"]
 for q in (0.5, 2.0, 3.0):
-    esc = escort(p, q).weights
+    esc = Distribution(escort(p, q))
     decomposed = shannon(esc).value / q - (1 - q) / q * renyi(esc, 1 / q).value
     print(f"  q={q}: additive={aczel_daroczy(p, q).value:.12f}  decomposed={decomposed:.12f}")
 

@@ -1,7 +1,7 @@
 """Escort distributions and the two ways to escort a joint.
 
 The escort transform reweights a distribution toward its rare (q < 1) or
-frequent (q > 1) outcomes and is exactly invertible. For joints there are two
+frequent (q > 1) outcomes, and the escort of order 1/q undoes it. For joints there are two
 natural constructions, and they disagree exactly when conditional structure
 and the escort transform fail to commute.
 """
@@ -12,7 +12,6 @@ from escortropy import (
     Distribution,
     JointDistribution,
     escort,
-    escort_inverse,
     escort_ratio,
     is_escort_consistent,
     joint_escort_correct,
@@ -25,10 +24,10 @@ from escortropy import (
 p = Distribution([0.8, 0.2])
 print("escort of [0.8, 0.2]:")
 for q in (0.5, 1.0, 2.0, 5.0):
-    view = escort(p, q)
-    back = escort_inverse(view)
-    print(f"  q={q}: escort={np.round(view.weights.weights, 6)} "
-          f"round-trip error={np.abs(back.weights - p.weights).max():.2e}")
+    esc = escort(p, q)
+    back = escort(Distribution(esc), 1 / q)
+    print(f"  q={q}: escort={np.round(esc, 6)} "
+          f"round-trip error={np.abs(back - p.weights).max():.2e}")
 
 # A product joint: the two constructions coincide and the naive escort
 # factorizes into the escorts of the marginals.
@@ -41,7 +40,7 @@ print("\nproduct joint: max |naive - correct| =",
 dependent = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
 naive = joint_escort_naive(dependent, 2.0)
 correct = joint_escort_correct(dependent, 2.0)
-target = escort(marginal_a(dependent), 2.0).weights.weights
+target = escort(marginal_a(dependent), 2.0)
 print(f"\ndependent joint (MI={mutual_information(dependent):.4f}) at q=2:")
 print("  naive  =", np.round(naive, 6).tolist())
 print("  correct=", np.round(correct, 6).tolist())

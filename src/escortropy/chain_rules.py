@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMarginalColumnError
 from .entropies import _masked_log
-from .prob import JointDistribution, QOrder, as_order
+from .prob import JointDistribution, QOrder, _marginal_and_conditional, as_order
 from .qcalc import kn_map_inv, q_add
 
 
@@ -80,11 +79,7 @@ def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleRepor
     """
     order = as_order(q)
     w = r.weights
-    p = w.sum(axis=0)
-    zero = np.flatnonzero(p == 0.0)
-    if zero.size:
-        raise ZeroMarginalColumnError(int(zero[0]))
-    cond = w / p
+    p, cond = _marginal_and_conditional(w)
     log_w = _masked_log(w)
     log_p = np.log(p)
     log_cond = np.where(w > 0, log_w - log_p, 0.0)

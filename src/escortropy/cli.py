@@ -1,5 +1,6 @@
 """Command-line front door: entropy tables, chain-rule reports, verification
-suites, and deterministic CSV sweeps.
+suites, and deterministic CSV sweeps. This module parses, calls and formats;
+the suites themselves are ``axioms.run_suite``.
 
 Input files are JSON: ``{"p": [..]}`` for a distribution, ``{"r": [[..], ..]}``
 for a joint (rows are B outcomes, columns A outcomes). Reports echo the parsed
@@ -17,9 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
-
-import numpy as np
+from dataclasses import fields
 
 from .errors import EscortropyError
 from .prob import (
@@ -29,21 +28,11 @@ from .prob import (
     as_order,
     drop_zero_columns,
     mutual_information,
-    product_joint,
     random_joint,
 )
-from .escort import escort, escort_inverse, escort_ratio, joint_escort_correct, joint_escort_naive
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
 from .chain_rules import ChainRuleReport, chain_rule_report
-from .qcalc import kn_map, kn_map_inv, q_add, q_exp, q_log
-from .axioms import (
-    check_additivity_dependent,
-    check_additivity_independent,
-    check_continuity,
-    check_expansibility,
-    check_maximality,
-    sample_dependent_joint,
-)
+from .axioms import run_suite
 
 # The chain table prints the order as given, then every other report field.
 CHAIN_COLUMNS = [field.name for field in fields(ChainRuleReport)]
@@ -180,151 +169,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    check: str
-    passed: bool
-    margin: float
-
-
-def _suite_qcalc(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-
-    worst = 0.0
-    for q in (0.3, 0.5, 1.0, 1.5, 2.0):
-        for _ in range(trials):
-            bound = 1.0 / abs(1.0 - q) if q != 1.0 else 10.0
-            a = float(rng.uniform(-0.9 * bound if q < 1 else -10.0, 10.0 if q < 1 else 0.9 * bound))
-            b = float(rng.uniform(-0.9 * bound if q < 1 else -10.0, 10.0 if q < 1 else 0.9 * bound))
-            err = abs(kn_map(q_add(a, b, q), q) - kn_map(a, q) - kn_map(b, q))
-            worst = max(worst, err)
-    results.append(CheckResult("qcalc", "kn_map_homomorphism", worst < 1e-10, 1e-10 - worst))
-
-    worst = 0.0
-    for q in (0.3, 0.5, 1.0, 1.5, 2.0):
-        for _ in range(trials):
-            x = float(rng.uniform(-2.0, 2.0))
-            if 1.0 + (1.0 - q) * x > 1e-6:
-                worst = max(worst, abs(q_log(q_exp(x, q), q) - x))
-            worst = max(worst, abs(kn_map(kn_map_inv(x, q), q) - x))
-    results.append(CheckResult("qcalc", "inverse_pairs", worst < 1e-10, 1e-10 - worst))
-
-    worst = 0.0
-    for q in (1.0 - 1e-6, 1.0 + 1e-6):
-        for x in (-1.5, -0.3, 0.2, 1.0, 2.5):
-            worst = max(worst, abs(q_exp(x, q) - np.exp(x)) / np.exp(x))
-            worst = max(worst, abs(kn_map(x, q) - x) / max(abs(x), 1.0))
-    results.append(CheckResult("qcalc", "classical_limit", worst < 1e-4, 1e-4 - worst))
-    return results
-
-
-def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-
-    worst = 0.0
-    for q in (0.3, 0.5, 2.0, 5.0):
-        for _ in range(trials):
-            n = int(rng.integers(2, 9))
-            p = Distribution(rng.dirichlet(np.ones(n)))
-            back = escort_inverse(escort(p, q))
-            worst = max(worst, float(np.abs(back.weights - p.weights).max()))
-    results.append(CheckResult("escort", "inverse_round_trip", worst < 1e-10, 1e-10 - worst))
-
-    worst = 0.0
-    for t in range(trials):
-        sub = np.random.default_rng(seed + t)
-        joint = product_joint(
-            Distribution(sub.dirichlet(np.ones(int(sub.integers(2, 9))))),
-            Distribution(sub.dirichlet(np.ones(int(sub.integers(2, 9))))),
-        )
-        pair_naive = joint_escort_naive(joint, 2.0)
-        pair_correct = joint_escort_correct(joint, 2.0)
-        worst = max(worst, float(np.abs(pair_naive - pair_correct).max()))
-    results.append(CheckResult("escort", "product_joints_consistent", worst < 1e-9, 1e-9 - worst))
-
-    smallest = np.inf
-    for t in range(trials):
-        joint = sample_dependent_joint(seed, t, mi_floor=0.01)
-        pair_naive = joint_escort_naive(joint, 2.0)
-        pair_correct = joint_escort_correct(joint, 2.0)
-        smallest = min(smallest, float(np.abs(pair_naive - pair_correct).max()))
-    results.append(
-        CheckResult("escort", "dependent_joints_inconsistent", smallest > 1e-6, smallest - 1e-6)
-    )
-
-    worst = 0.0
-    for t in range(trials):
-        joint = sample_dependent_joint(seed + 10_000, t, mi_floor=0.01)
-        for q in (0.5, 2.0):
-            correct = joint_escort_correct(joint, q)
-            target = escort(Distribution(joint.weights.sum(axis=0)), q).weights.weights
-            worst = max(worst, float(np.abs(correct.sum(axis=0) - target).max()))
-    results.append(CheckResult("escort", "correct_marginal_identity", worst < 1e-12, 1e-12 - worst))
-
-    worst = 0.0
-    for t in range(trials):
-        joint = sample_dependent_joint(seed + 20_000, t, mi_floor=0.01)
-        for q in (0.5, 2.0):
-            naive = joint_escort_naive(joint, q)
-            correct = joint_escort_correct(joint, q)
-            ratio = escort_ratio(joint, q)
-            mask = naive > 0
-            worst = max(worst, float(np.abs(ratio[mask] * naive[mask] - correct[mask]).max()))
-    results.append(CheckResult("escort", "ratio_cross_check", worst < 1e-10, 1e-10 - worst))
-    return results
-
-
-def _suite_axioms(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
-    results = []
-    for q in (0.6, 2.0):
-        verdict = check_continuity(q, n=8, seed=seed, delta=1e-4)
-        results.append(CheckResult("axioms", f"continuity_q{q}", verdict.passed, verdict.margin))
-    for q in (1.0, 2.0):
-        for n in (2, 3, 4, 5):
-            verdict = check_maximality(q, n=n, seed=seed)
-            results.append(
-                CheckResult("axioms", f"maximality_q{q}_n{n}", verdict.passed, verdict.margin)
-            )
-    rng = np.random.default_rng(seed)
-    for q in (0.5, 2.0):
-        ok = True
-        worst = np.inf
-        for _ in range(trials):
-            p = Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 9)))))
-            verdict = check_expansibility(q, p)
-            ok = ok and verdict.passed
-            worst = min(worst, verdict.margin)
-        results.append(CheckResult("axioms", f"expansibility_q{q}", ok, worst))
-    for q in (0.5, 2.0):
-        verdict = check_additivity_independent(q, seed=seed, trials=trials)
-        results.append(
-            CheckResult("axioms", f"additivity_independent_q{q}", verdict.passed, verdict.margin)
-        )
-    verdict = check_additivity_dependent(2.0, seed=seed, trials=trials, mi_floor=mi_floor)
-    results.append(CheckResult("axioms", "additivity_dependent_q2", verdict.passed, verdict.margin))
-    return results
-
-
-_SUITES = {
-    "qcalc": _suite_qcalc,
-    "escort": _suite_escort,
-    "axioms": _suite_axioms,
-}
-
-
-def run_suite(name: str, seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
-    """Run one verification suite (or all of them) and collect the results."""
-    if name == "all":
-        results = []
-        for suite in ("qcalc", "escort", "axioms"):
-            results.extend(_SUITES[suite](seed, trials, mi_floor))
-        return results
-    return _SUITES[name](seed, trials, mi_floor)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -95,15 +95,9 @@ class JointDistribution:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalDistribution:
-    """Columns of conditional probabilities: column l holds P(B = B_k | A = A_l).
-
-    ``columns_kept`` records which original A columns survive when zero-marginal
-    columns were dropped in lenient conditioning; it is None when nothing was
-    dropped.
-    """
+    """Columns of conditional probabilities: column l holds P(B = B_k | A = A_l)."""
 
     weights: np.ndarray
-    columns_kept: tuple[int, ...] | None = None
 
     def __post_init__(self):
         w = _finite_nonnegative(self.weights, 2)
@@ -149,22 +143,24 @@ def marginal_b(r: JointDistribution) -> Distribution:
     return Distribution(r.weights.sum(axis=1))
 
 
-def condition_on_a(r: JointDistribution, strict: bool = True) -> ConditionalDistribution:
-    """Conditional probabilities of B given A: column l becomes r_{kl} / p_l.
-
-    A column with zero marginal probability raises ZeroMarginalColumnError in
-    strict mode. In lenient mode such columns are dropped and the surviving
-    original column indices are recorded on ``columns_kept``.
-    """
-    p = r.weights.sum(axis=0)
+def _marginal_and_conditional(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The A-marginal p and the conditional columns r_{kl} / p_l of joint
+    weights, as arrays. Raises ZeroMarginalColumnError when some p_l is 0,
+    since conditioning on that outcome is undefined."""
+    p = w.sum(axis=0)
     zero = np.flatnonzero(p == 0.0)
     if zero.size:
-        if strict:
-            raise ZeroMarginalColumnError(int(zero[0]))
-        kept = np.flatnonzero(p > 0.0)
-        cols = r.weights[:, kept] / p[kept][None, :]
-        return ConditionalDistribution(cols, columns_kept=tuple(int(i) for i in kept))
-    return ConditionalDistribution(r.weights / p[None, :])
+        raise ZeroMarginalColumnError(int(zero[0]))
+    return p, w / p
+
+
+def condition_on_a(r: JointDistribution) -> ConditionalDistribution:
+    """Conditional probabilities of B given A: column l becomes r_{kl} / p_l.
+
+    A column with zero marginal probability raises ZeroMarginalColumnError;
+    ``drop_zero_columns`` removes such columns first.
+    """
+    return ConditionalDistribution(_marginal_and_conditional(r.weights)[1])
 
 
 def drop_zero_columns(r: JointDistribution) -> tuple[JointDistribution, tuple[int, ...]]:

@@ -194,7 +194,7 @@ def test_criterion_07_bridge_and_decomposition():
         q = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
         ad_value = aczel_daroczy(p, q).value
         worst_bridge = max(worst_bridge, abs(kn_map(hybrid(p, q).value, q) - ad_value))
-        esc = escort(p, q).weights
+        esc = Distribution(escort(p, q))
         decomposed = shannon(esc).value / q - (1.0 - q) / q * renyi(esc, 1.0 / q).value
         worst_decomposition = max(worst_decomposition, abs(ad_value - decomposed))
     passed = worst_bridge < 1e-10 and worst_decomposition < 1e-10

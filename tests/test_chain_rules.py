@@ -18,8 +18,13 @@ from escortropy import (
     chain_rule_report,
     conditional_axiomatic,
     conditional_chain,
+    conditional_escort,
     corrected_conditional,
     cross_shannon,
+    escort,
+    escort_ratio,
+    is_escort_consistent,
+    joint_escort_correct,
     aczel_daroczy,
     hybrid,
     hybrid_joint,
@@ -277,11 +282,33 @@ def test_chain_rule_report_fields_are_consistent():
         )
 
 
-@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
-def test_chain_rule_report_builds_no_validated_objects(monkeypatch, q):
-    # The joint is validated once at its constructor; the report works on
-    # its arrays and must not rebuild or revalidate probability objects.
+# Each case computes from a validated joint r and its validated A-marginal p.
+NO_OBJECT_CASES = {
+    "chain_rule_report": lambda r, p, q: chain_rule_report(r, q),
+    "escort": lambda r, p, q: escort(p, q),
+    "conditional_escort": lambda r, p, q: conditional_escort(r, q),
+    "joint_escort_correct": lambda r, p, q: joint_escort_correct(r, q),
+    "escort_ratio": lambda r, p, q: escort_ratio(r, q),
+    "is_escort_consistent": lambda r, p, q: is_escort_consistent(r, q),
+    "cross_shannon": lambda r, p, q: cross_shannon(r, q),
+}
+
+
+@pytest.mark.parametrize(
+    "case, q",
+    [
+        # The chain_rule_report cases keep their original ids: [0.5], [1.0], [2.0].
+        pytest.param(case, q, id=str(q) if case == "chain_rule_report" else f"{case}-{q}")
+        for case in NO_OBJECT_CASES
+        for q in (0.5, 1.0, 2.0)
+    ],
+)
+def test_chain_rule_report_builds_no_validated_objects(monkeypatch, case, q):
+    # The inputs are validated once at their constructors; the report and the
+    # escort functions work on their arrays and must not rebuild or
+    # revalidate probability objects.
     joint = random_joint(4, 3, 0)
+    marginal = marginal_a(joint)
     built = []
     for cls in (Distribution, JointDistribution, ConditionalDistribution):
         original = cls.__post_init__
@@ -291,7 +318,7 @@ def test_chain_rule_report_builds_no_validated_objects(monkeypatch, q):
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    chain_rule_report(joint, q)
+    NO_OBJECT_CASES[case](joint, marginal, q)
     assert built == []
 
 

@@ -96,7 +96,7 @@ def test_decomposition_identity_sampled():
         rng = np.random.default_rng(1000 + seed)
         p = Distribution(rng.dirichlet(np.ones(rng.integers(2, 10))))
         q = float(rng.uniform(0.25, 4.0))
-        esc = escort(p, q).weights
+        esc = Distribution(escort(p, q))
         expected = shannon(esc).value / q - (1.0 - q) / q * renyi(esc, 1.0 / q).value
         assert abs(aczel_daroczy(p, q).value - expected) < 1e-10
 
