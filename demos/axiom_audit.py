@@ -1,8 +1,8 @@
 """Run the axiom verifiers and read their verdicts.
 
-Continuity is an empirical Lipschitz probe, maximality a derivative-free
-multi-start search on the simplex, expansibility an exact comparison, and the
-two additivity checks seeded ensemble statistics. Margins are oriented so that
+Continuity is an empirical Lipschitz probe, maximality a search of the
+two-value families where the maximum of the entropy must lie, expansibility an
+exact comparison, and the two additivity checks seeded ensemble statistics. Margins are oriented so that
 a verdict passes iff its margin is nonnegative.
 """
 
@@ -34,14 +34,14 @@ print("\nexpansibility (exact, relies on 0^q ln 0 = 0):")
 for q in (0.5, 2.0):
     describe(check_expansibility(q, Distribution([0.5, 0.3, 0.2])))
 
-print("\nmaximality search, q = 1 and q = 2 (uniform wins):")
+print("\nmaximality, q = 1 and q = 2 (uniform wins):")
 for q in (1.0, 2.0):
     for n in (2, 4, 8):
-        describe(check_maximality(q, n=n, seed=0))
+        describe(check_maximality(q, n=n))
 
-print("\nmaximality search at low orders (uniform can lose):")
+print("\nmaximality at low orders (uniform can lose):")
 for q, n in ((0.3, 2), (0.5, 2), (0.5, 4), (0.5, 8)):
-    verdict = check_maximality(q, n=n, seed=0)
+    verdict = check_maximality(q, n=n)
     describe(verdict)
     if not verdict.passed:
         best = verdict.witness.weights

@@ -3,10 +3,11 @@ verification suites that the ``verify`` command runs.
 
 Each checker returns a deterministic AxiomVerdict for its (q, n, seed,
 parameters) inputs. Margins are oriented so that margin >= 0 iff the verdict
-passed. These are numerical probes, not proofs: continuity is an empirical
-Lipschitz estimate and maximality a multi-start, projected finite-difference
-ascent. ``run_suite`` collects the qcalc, escort and axiom checks as
-CheckResult rows.
+passed. Continuity is an empirical Lipschitz estimate, not a proof.
+Maximality reduces the simplex to one-parameter families of two-valued
+points, where the maximum must lie, and searches each family on a grid
+refined by golden section. ``run_suite`` collects the qcalc, escort and axiom
+checks as CheckResult rows.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ MAXIMALITY_SLACK = 1e-9   # allowed excess over the uniform value
 SAMPLER_ATTEMPTS = 10_000  # rejection-sampler draws per joint before giving up
 MAX_SIDE = 8              # sampled joints have 2..MAX_SIDE outcomes per side
 SAMPLER_CONCENTRATION = 1.0  # Dirichlet concentration of sampled joints (uniform law)
-ASCENT_ITERATIONS = 500   # gradient steps per maximality start
+MAXIMALITY_GRID = 1000    # t-grid cells per two-value maximality family
+GOLDEN_REFINEMENTS = 40   # golden-section steps inside each family's best cell
 CONTINUITY_PROBES = 64    # random perturbations per continuity check
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +51,10 @@ class AxiomVerdict:
     """Outcome of one axiom check.
 
     ``margin`` is the worst-case slack observed (negative iff failed). The
-    witness is the counterexample for failed verdicts, or the best point found
-    for the maximality search; ``modulus`` carries the calibrated Lipschitz
-    estimate of the continuity probe.
+    witness is the counterexample for failed verdicts, or, for maximality, the
+    best point of the two-value families (the uniform point when it wins);
+    ``modulus`` carries the calibrated Lipschitz estimate of the continuity
+    probe.
     """
 
     axiom: str
@@ -80,83 +84,51 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return projected if v.ndim == 2 else projected[0]
 
 
-def _ascend(
-    x: np.ndarray,
-    order: QOrder,
-    fd_step: float = 1e-6,
-    iterations: int = ASCENT_ITERATIONS,
-    improvement_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projected finite-difference ascent from each row of an (S, n) stack of
-    starts; every point stays on the simplex.
-
-    The rows move in lockstep but independently: each keeps its own step,
-    backtracks on its own, and stops when no step above 1e-9 improves it.
-    One iteration makes one ``hybrid_rows`` call for the probes of all moving
-    rows and one per backtracking round for the rows still searching, so a
-    row's trajectory is the one it would follow alone. Returns the final
-    points and their values.
-    """
-    x = np.array(x, dtype=float)
-    count, n = x.shape
-    eye = np.eye(n)
-    value = hybrid_rows(x, order)
-    step = np.full(count, 0.1)
-    active = np.arange(count)
-    for _ in range(iterations):
-        if active.size == 0:
-            break
-        probes = np.concatenate(
-            [x[active, None, :] + fd_step * eye, x[active, None, :] - fd_step * eye], axis=1
-        ).reshape(-1, n)
-        probes = np.maximum(probes, 0.0)
-        probes /= probes.sum(axis=1, keepdims=True)
-        probe_values = hybrid_rows(probes, order).reshape(active.size, 2 * n)
-        gradient = (probe_values[:, :n] - probe_values[:, n:]) / (2.0 * fd_step)
-        moved = np.zeros(active.size, dtype=bool)
-        searching = np.flatnonzero(step[active] > 1e-9)
-        while searching.size:
-            rows = active[searching]
-            candidates = project_to_simplex(x[rows] + step[rows, None] * gradient[searching])
-            candidate_values = hybrid_rows(candidates, order)
-            better = candidate_values > value[rows] + improvement_tol
-            won, lost = rows[better], rows[~better]
-            x[won], value[won] = candidates[better], candidate_values[better]
-            step[won] *= 1.5
-            step[lost] *= 0.5
-            moved[searching[better]] = True
-            searching = searching[~better][step[lost] > 1e-9]
-        active = active[moved]
-    return x, value
+def _two_value_ad(k: np.ndarray, m: np.ndarray, t: np.ndarray, q: float) -> np.ndarray:
+    """Aczel-Daroczy entropy of the point with m coordinates at t/m, k - m at
+    (1 - t)/(k - m) and the rest at 0, broadcast over the arrays."""
+    a, b = t / m, (1.0 - t) / (k - m)
+    wa, wb = m * a**q, (k - m) * b**q
+    return -(wa * np.log(a) + wb * np.log(b)) / (wa + wb)
 
 
-def check_maximality(
-    q: float | QOrder,
-    n: int,
-    seed: int,
-    restarts: int = 20,
-) -> AxiomVerdict:
-    """Search the simplex for a point beating the uniform distribution.
+def check_maximality(q: float | QOrder, n: int) -> AxiomVerdict:
+    """Decide whether the uniform distribution maximizes the hybrid entropy.
 
-    Runs projected finite-difference ascent from Dirichlet-sampled starts plus
-    one near-vertex start per coordinate, all starts in one lockstep stack of
-    ASCENT_ITERATIONS steps. Passes when no point found exceeds the uniform
-    value by more than MAXIMALITY_SLACK; the best point found is always
-    attached as the witness.
+    With A = sum p^q ln p and S = sum p^q, the Aczel-Daroczy gradient is
+    p_k^(q-1) (qA - S - qS ln p_k) / S^2. In u = ln p_k that is
+    e^((q-1)u) (alpha - beta u) with beta = qS > 0, which has one critical
+    point, so every KKT point on a face of the simplex has at most two
+    distinct non-zero coordinates. D_q increases with the Aczel-Daroczy
+    entropy, so the maximum lies on a family (k, m, t), 2 <= k <= n,
+    1 <= m < k: m coordinates at t/m, k - m at (1 - t)/(k - m), the rest 0.
+    Each family's closed form is scanned on MAXIMALITY_GRID points of t and
+    its best cell refined by GOLDEN_REFINEMENTS golden-section steps; the
+    refined points and the uniform point are then scored together by
+    ``hybrid_rows``. Passes when no point exceeds the uniform value by more
+    than MAXIMALITY_SLACK; the best point is always attached as the witness.
     """
     order = as_order(q)
     if n < 2:
         raise ValueError("maximality needs n >= 2")
-    rng = np.random.default_rng(seed)
-    uniform_value = float(hybrid_rows(np.full((1, n), 1.0 / n), order)[0])
-    starts = [rng.dirichlet(np.ones(n)) for _ in range(restarts)]
-    for i in range(n):
-        vertex = np.full(n, 1e-3 / (n - 1))
-        vertex[i] = 1.0 - 1e-3
-        starts.append(vertex / vertex.sum())
-    points, values = _ascend(np.array(starts), order)
-    best = int(np.argmax(values))  # the first of equal values, as a strict > scan keeps
-    margin = uniform_value + MAXIMALITY_SLACK - float(values[best])
+    k, m = np.array(
+        [(k, m) for k in range(2, n + 1) for m in range(1, k)], dtype=float
+    ).T[:, :, None]
+    power = order.value
+    grid = np.arange(1, MAXIMALITY_GRID) / MAXIMALITY_GRID
+    cell = np.argmax(_two_value_ad(k, m, grid, power), axis=1, keepdims=True)
+    lo, hi = cell / MAXIMALITY_GRID, (cell + 2) / MAXIMALITY_GRID
+    for _ in range(GOLDEN_REFINEMENTS):
+        left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        keep_left = _two_value_ad(k, m, left, power) >= _two_value_ad(k, m, right, power)
+        lo, hi = np.where(keep_left, lo, left), np.where(keep_left, right, hi)
+    t = 0.5 * (lo + hi)
+    index = np.arange(n)
+    rows = np.where(index < m, t / m, np.where(index < k, (1.0 - t) / (k - m), 0.0))
+    points = np.vstack([np.full(n, 1.0 / n), rows])
+    values = hybrid_rows(points, order)
+    best = int(np.argmax(values))  # the uniform row wins ties
+    margin = float(values[0]) + MAXIMALITY_SLACK - float(values[best])
     return AxiomVerdict(
         axiom="maximality",
         q=order,
@@ -224,6 +196,8 @@ def check_continuity(
     """
     if not 0.0 < delta <= 1e-3:
         raise ValueError("delta must lie in (0, 1e-3]")
+    if n < 2:
+        raise ValueError("continuity needs n >= 2")
     order = as_order(q)
     modulus = _calibrate_modulus(order, n, delta)
     rng = np.random.default_rng(seed)
@@ -471,7 +445,7 @@ def _suite_axioms(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
         results.append(CheckResult("axioms", f"continuity_q{q}", verdict.passed, verdict.margin))
     for q in (1.0, 2.0):
         for n in (2, 3, 4, 5):
-            verdict = check_maximality(q, n=n, seed=seed)
+            verdict = check_maximality(q, n=n)
             results.append(
                 CheckResult("axioms", f"maximality_q{q}_n{n}", verdict.passed, verdict.margin)
             )
@@ -505,8 +479,5 @@ _SUITES = {
 def run_suite(name: str, seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
     """Run one verification suite (or all of them) and collect the results."""
     if name == "all":
-        results = []
-        for suite in ("qcalc", "escort", "axioms"):
-            results.extend(_SUITES[suite](seed, trials, mi_floor))
-        return results
+        return [result for suite in _SUITES.values() for result in suite(seed, trials, mi_floor)]
     return _SUITES[name](seed, trials, mi_floor)

@@ -9,9 +9,9 @@ whose image under the additive-scale map is the Aczel-Daroczy entropy
     kn_map(D_q(p)) = -sum_k p_k^q ln p_k / sum_k p_k^q.
 
 All sums use the 0^q ln 0 = 0 convention (q > 0), so appending zero-probability
-outcomes never changes a value. Vectorized row helpers back the simplex search
-in the axioms module; the scalar functions delegate to them so there is a
-single implementation of each formula. No formula branches on q = 1: the
+outcomes never changes a value. Vectorized row helpers back the checks in the
+axioms module; the scalar functions delegate to them so there is a single
+implementation of each formula. No formula branches on q = 1: the
 powers p^q are continuous there, the Tsallis sum uses exprel(t) = expm1(t)/t,
 and every other division by 1 - q happens in ``kn_map`` / ``kn_map_inv``;
 each fills its removable singularity with the limit.

@@ -3,10 +3,16 @@
 Everything here evaluates the definitional formulas directly (plain powers,
 logs, and sums) without the branch structure, escort shortcuts, or stabilized
 forms the package uses, so agreement is a genuine cross-check rather than a
-tautology.
+tautology. The exception is `maximality_search`, a seeded multi-start ascent
+that scores points with the package's `hybrid_rows`: it is an independent
+method against the two-value reduction of `check_maximality`, so agreement
+still cross-checks that reduction.
 """
 
 import numpy as np
+
+from escortropy import project_to_simplex
+from escortropy.entropies import hybrid_rows
 
 
 def nat_entropy(w):
@@ -163,3 +169,66 @@ def maximality_threshold(n):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+SEARCH_RESTARTS = 20
+FD_STEP = 1e-6
+IMPROVEMENT_TOL = 1e-12
+
+
+def ascend(x, q, iterations=500):
+    """Projected finite-difference ascent from each row of an (S, n) stack of
+    starts; every point stays on the simplex.
+
+    The rows move in lockstep but independently: each keeps its own step,
+    backtracks on its own, and stops when no step above 1e-9 improves it.
+    One iteration makes one `hybrid_rows` call for the probes of all moving
+    rows and one per backtracking round for the rows still searching, so a
+    row's trajectory is the one it would follow alone. Returns the final
+    points and their values.
+    """
+    x = np.array(x, dtype=float)
+    count, n = x.shape
+    eye = np.eye(n)
+    value = hybrid_rows(x, q)
+    step = np.full(count, 0.1)
+    active = np.arange(count)
+    for _ in range(iterations):
+        if active.size == 0:
+            break
+        probes = np.concatenate(
+            [x[active, None, :] + FD_STEP * eye, x[active, None, :] - FD_STEP * eye], axis=1
+        ).reshape(-1, n)
+        probes = np.maximum(probes, 0.0)
+        probes /= probes.sum(axis=1, keepdims=True)
+        probe_values = hybrid_rows(probes, q).reshape(active.size, 2 * n)
+        gradient = (probe_values[:, :n] - probe_values[:, n:]) / (2.0 * FD_STEP)
+        moved = np.zeros(active.size, dtype=bool)
+        searching = np.flatnonzero(step[active] > 1e-9)
+        while searching.size:
+            rows = active[searching]
+            candidates = project_to_simplex(x[rows] + step[rows, None] * gradient[searching])
+            candidate_values = hybrid_rows(candidates, q)
+            better = candidate_values > value[rows] + IMPROVEMENT_TOL
+            won, lost = rows[better], rows[~better]
+            x[won], value[won] = candidates[better], candidate_values[better]
+            step[won] *= 1.5
+            step[lost] *= 0.5
+            moved[searching[better]] = True
+            searching = searching[~better][step[lost] > 1e-9]
+        active = active[moved]
+    return x, value
+
+
+def maximality_search(q, n, seed):
+    """Best point and value of `ascend` from SEARCH_RESTARTS Dirichlet starts
+    plus one near-vertex start per coordinate, all in one lockstep stack."""
+    rng = np.random.default_rng(seed)
+    starts = [rng.dirichlet(np.ones(n)) for _ in range(SEARCH_RESTARTS)]
+    for i in range(n):
+        vertex = np.full(n, 1e-3 / (n - 1))
+        vertex[i] = 1.0 - 1e-3
+        starts.append(vertex / vertex.sum())
+    points, values = ascend(np.array(starts), q)
+    best = int(np.argmax(values))  # the first of equal values, as a strict > scan keeps
+    return points[best], float(values[best])

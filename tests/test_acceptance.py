@@ -18,7 +18,8 @@ direct-formula oracles in `oracles.py`:
   q >= q*(n). q*(2) = 1/2, and for n >= 3 the threshold lies above 1/2
   (q* ~ 0.505 at n = 3 up to ~ 0.534 at n = 8), so at q = 0.5 the one-heavy
   configuration (a, b, ..., b) beats the uniform point (2.01173 against 2.0
-  at n = 4) and the search must report it.
+  at n = 4) and `check_maximality` must report it. Its two-value reduction
+  is cross-checked against a seeded multi-start ascent in `oracles.py`.
 """
 
 import numpy as np
@@ -217,41 +218,50 @@ def test_criterion_08_expansibility():
 
 
 def test_criterion_08_maximality_search():
-    confirmed = 0
+    cross_checked = 0
     wrong = []
     for q in (0.5, 1.0, 2.0):
         for n in range(2, 9):
-            beaten = q == 0.5 and n >= 3
-            if beaten:
+            verdict = check_maximality(q, n=n)
+            best = oracles.hybrid(verdict.witness.weights, q)
+            if q == 0.5 and n >= 3:
+                excess = best - oracles.hybrid(np.full(n, 1.0 / n), q)
                 family_excess = oracles.one_heavy_max_excess(n, q)
-                uniform_value = oracles.hybrid(np.full(n, 1.0 / n), q)
-            for seed in range(5):
-                verdict = check_maximality(q, n=n, seed=seed, restarts=20)
-                if not beaten:
-                    if not verdict.passed:
-                        wrong.append((q, n, seed, "uniform beaten", -verdict.margin))
-                    continue
-                excess = oracles.hybrid(verdict.witness.weights, q) - uniform_value
                 if verdict.passed or excess < family_excess - 1e-9:
-                    wrong.append((q, n, seed, "excess", excess, family_excess))
+                    wrong.append((q, n, "excess", excess, family_excess))
+            elif not verdict.passed:
+                wrong.append((q, n, "uniform beaten", -verdict.margin))
+            for seed in range(5):
+                _, searched = oracles.maximality_search(q, n, seed)
+                if searched > best + 1e-12:
+                    wrong.append((q, n, seed, "search beats reduction", searched - best))
                 else:
-                    confirmed += 1
+                    cross_checked += 1
     thresholds = {n: oracles.maximality_threshold(n) for n in range(3, 9)}
     for n, q_star in thresholds.items():
-        # restarts=0 keeps only the near-vertex starts, a subset of the default
-        # search's starts, so failing here implies the default search fails.
-        below = check_maximality(q_star - 2e-3, n=n, seed=0, restarts=0)
-        above = check_maximality(q_star + 2e-3, n=n, seed=0)
+        below = check_maximality(q_star - 2e-3, n=n)
+        above = check_maximality(q_star + 2e-3, n=n)
         if not 0.5 < q_star < 0.535 or below.passed or not above.passed:
             wrong.append((q_star, n, "threshold", below.margin, above.margin))
     passed = not wrong
     emit(
         "8 (maximality)",
         passed,
-        f"{confirmed} oracle-confirmed counterexamples, all at q = 0.5 with n >= 3; "
+        f"{cross_checked} seeded searches no better than the two-value reduction; "
+        "oracle-confirmed counterexamples only at q = 0.5 with n >= 3; "
         "q*(n) for n = 3..8: " + ", ".join(f"{q_star:.4f}" for q_star in thresholds.values()),
     )
     assert passed, wrong
+
+
+@pytest.mark.parametrize("n, measured", [(10, 0.5416), (12, 0.5480), (16, 0.5583)])
+def test_criterion_08_maximality_threshold_beyond_the_search(n, measured):
+    q_star = oracles.maximality_threshold(n)
+    below = check_maximality(q_star - 2e-3, n=n)
+    above = check_maximality(q_star + 2e-3, n=n)
+    passed = abs(q_star - measured) < 5e-5 and not below.passed and above.passed
+    emit(f"8 (maximality, n = {n})", passed, f"q* = {q_star:.4f}; fails below, passes above")
+    assert passed, (q_star, below.margin, above.margin)
 
 
 def test_criterion_08_homomorphism():

@@ -15,7 +15,9 @@ from escortropy import (
     sample_dependent_joint,
 )
 from escortropy import axioms
-from escortropy.prob import as_order
+from escortropy.entropies import hybrid_rows
+
+import oracles
 
 
 def test_project_to_simplex_basics():
@@ -43,12 +45,11 @@ def test_project_to_simplex_stack_is_rowwise():
 def test_lockstep_ascent_matches_each_row_alone():
     rng = np.random.default_rng(6)
     for q, n in ((0.5, 4), (2.0, 3), (0.3, 6)):
-        order = as_order(q)
         starts = rng.dirichlet(np.ones(n), size=9)
         starts[0] = 1.0 / n  # a start that stops at once
-        points, values = axioms._ascend(starts, order, iterations=60)
+        points, values = oracles.ascend(starts, q, iterations=60)
         for start, point, value in zip(starts, points, values):
-            alone_point, alone_value = axioms._ascend(start[None, :], order, iterations=60)
+            alone_point, alone_value = oracles.ascend(start[None, :], q, iterations=60)
             assert np.array_equal(alone_point[0], point)
             assert alone_value[0] == value
 
@@ -71,9 +72,28 @@ def test_lockstep_ascent_matches_each_row_alone():
 )
 def test_maximality_margin_and_witness_are_pinned(q, n, seed, margin, witness):
     # Values of the one-start-at-a-time search, which the lockstep ascent reproduces exactly.
-    verdict = check_maximality(q, n=n, seed=seed)
-    assert repr(verdict.margin) == margin
-    assert verdict.witness.weights.tolist() == witness
+    point, value = oracles.maximality_search(q, n, seed)
+    uniform = float(hybrid_rows(np.full((1, n), 1.0 / n), q)[0])
+    assert repr(uniform + axioms.MAXIMALITY_SLACK - value) == margin
+    assert Distribution(point).weights.tolist() == witness
+
+
+def test_reduction_margin_is_no_worse_than_the_pinned_search():
+    verdict = check_maximality(0.5, n=4)
+    assert verdict.margin <= float("-0.011730778300085731") + 1e-15
+    values, counts = np.unique(verdict.witness.weights, return_counts=True)
+    assert values.size == 2 and counts[-1] == 1  # one heavy coordinate, the rest equal
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda n: check_maximality(2.0, n=n), lambda n: check_continuity(2.0, n=n, seed=0)],
+    ids=["maximality", "continuity"],
+)
+@pytest.mark.parametrize("n", [0, 1])
+def test_checkers_reject_fewer_than_two_outcomes(check, n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        check(n)
 
 
 def test_expansibility_examples():
@@ -95,20 +115,20 @@ def test_expansibility_over_sampled_points():
 def test_maximality_passes_for_shannon_and_quadratic_orders():
     for q in (1.0, 2.0):
         for n in (2, 3, 4, 5, 6):
-            verdict = check_maximality(q, n=n, seed=0, restarts=10)
+            verdict = check_maximality(q, n=n)
             assert verdict.passed, (q, n, verdict.margin)
             assert verdict.witness is not None
             assert np.abs(verdict.witness.weights - 1.0 / n).max() < 1e-3
 
 
 def test_maximality_passes_at_half_order_for_two_outcomes():
-    verdict = check_maximality(0.5, n=2, seed=0)
+    verdict = check_maximality(0.5, n=2)
     assert verdict.passed
 
 
 def test_maximality_fails_at_low_order():
     # Well below the uniform-maximizer region the probe must find a better point.
-    verdict = check_maximality(0.3, n=2, seed=0)
+    verdict = check_maximality(0.3, n=2)
     assert not verdict.passed
     assert verdict.margin < -0.1
     witness_value = hybrid(verdict.witness, 0.3).value
@@ -118,20 +138,20 @@ def test_maximality_fails_at_low_order():
 
 def test_maximality_fails_at_exactly_half_order_for_three_or_more():
     # The one-heavy configuration beats the uniform point at q = 1/2, n >= 3.
-    verdict = check_maximality(0.5, n=4, seed=0)
+    verdict = check_maximality(0.5, n=4)
     assert not verdict.passed
     assert hybrid(verdict.witness, 0.5).value > hybrid(Distribution([0.25] * 4), 0.5).value
 
 
 def test_maximality_witness_is_on_simplex():
-    verdict = check_maximality(0.3, n=5, seed=3)
+    verdict = check_maximality(0.3, n=5)
     assert np.all(verdict.witness.weights >= 0)
     assert abs(verdict.witness.weights.sum() - 1.0) < 1e-12
 
 
 def test_verdicts_are_deterministic():
-    a = check_maximality(2.0, n=4, seed=11)
-    b = check_maximality(2.0, n=4, seed=11)
+    a = check_maximality(2.0, n=4)
+    b = check_maximality(2.0, n=4)
     assert a.margin == b.margin
     assert np.array_equal(a.witness.weights, b.witness.weights)
     c = check_continuity(2.0, n=8, seed=5)
