@@ -21,14 +21,15 @@ import numpy as np
 from .prob import (
     Distribution,
     JointDistribution,
+    JointStack,
     QOrder,
+    _mutual_information,
     as_order,
-    mutual_information,
     product_joint,
 )
 from .qcalc import kn_map, kn_map_inv, q_add, q_exp, q_log
 from .escort import escort, escort_ratio, joint_escort_correct, joint_escort_naive
-from .chain_rules import additivity_residual
+from .chain_rules import chain_rule_reports
 from .errors import UnreachableFloorError
 from .entropies import hybrid, hybrid_rows
 
@@ -242,19 +243,35 @@ def _random_sizes(rng: np.random.Generator) -> tuple[int, int]:
     return int(rng.integers(2, MAX_SIDE + 1)), int(rng.integers(2, MAX_SIDE + 1))
 
 
+def _abs_residuals(joints: list[JointDistribution], order: QOrder) -> list[float]:
+    """|additivity_residual| of each joint, from one ``chain_rule_reports``
+    call per shape; row t of a stack is bit for bit the lone joint's value."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for t, joint in enumerate(joints):
+        by_shape.setdefault(joint.weights.shape, []).append(t)
+    residuals = np.empty(len(joints))
+    for members in by_shape.values():
+        stack = JointStack.of([joints[t] for t in members])
+        residuals[members] = chain_rule_reports(stack, order).residual
+    return np.abs(residuals).tolist()
+
+
 def check_additivity_independent(q: float | QOrder, seed: int, trials: int) -> AxiomVerdict:
     """Sampled product joints must satisfy the composition rule to RESIDUAL_TOL."""
     order = as_order(q)
-    worst = 0.0
-    witness = None
+    joints = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         n_b, n_a = _random_sizes(rng)
-        joint = product_joint(
-            Distribution(rng.dirichlet(np.ones(n_a))),
-            Distribution(rng.dirichlet(np.ones(n_b))),
+        joints.append(
+            product_joint(
+                Distribution(rng.dirichlet(np.ones(n_a))),
+                Distribution(rng.dirichlet(np.ones(n_b))),
+            )
         )
-        residual = abs(additivity_residual(joint, order))
+    worst = 0.0
+    witness = None
+    for joint, residual in zip(joints, _abs_residuals(joints, order)):
         if residual > worst:
             worst = residual
             witness = joint
@@ -288,9 +305,10 @@ def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistr
         rng = np.random.default_rng((seed, index, attempt))
         n_b, n_a = _random_sizes(rng)
         flat = rng.dirichlet(np.full(n_b * n_a, SAMPLER_CONCENTRATION))
-        joint = JointDistribution(flat.reshape(n_b, n_a))
-        if mutual_information(joint) > mi_floor:
-            return joint
+        # The weights JointDistribution would hold, bit for bit, so only the
+        # accepted draw is validated.
+        if _mutual_information(flat.reshape(n_b, n_a) / flat.sum()) > mi_floor:
+            return JointDistribution(flat.reshape(n_b, n_a))
     raise UnreachableFloorError(
         mi_floor, f"was not exceeded in {SAMPLER_ATTEMPTS} draws (seed {seed}, index {index})"
     )
@@ -312,9 +330,8 @@ def check_additivity_dependent(
     order = as_order(q)
     violations = 0
     witness = None
-    for t in range(trials):
-        joint = sample_dependent_joint(seed, t, mi_floor)
-        residual = abs(additivity_residual(joint, order))
+    joints = [sample_dependent_joint(seed, t, mi_floor) for t in range(trials)]
+    for t, (joint, residual) in enumerate(zip(joints, _abs_residuals(joints, order))):
         if residual > VIOLATION_FLOOR:
             violations += 1
         else:

@@ -19,10 +19,14 @@ rule holds with the axiomatic conditional precisely when that gap vanishes
 equal power sums); otherwise the exponential tilt ``corrected_conditional``
 closes the residual exactly.
 
-``chain_rule_report`` is the only implementation: one pass over the joint
-computes p, r_{k|l}, ln r and the q-th powers once each and derives every
-field from them. The single-quantity functions are views of that report, so
-call ``chain_rule_report`` once when you need more than one field.
+One implementation serves both entry points: ``chain_rule_reports`` evaluates
+a stack of T joints of one shape at one q, and ``chain_rule_report`` one joint,
+through the same passes. They compute p, r_{k|l}, ln r and the q-th powers once
+each and derive every field from them. Each joint's sums run over its own two
+axes in the same order whatever else is in the stack, so a joint's fields have
+the same bits in any stack and alone. The single-quantity functions are views
+of the one-joint report, so call ``chain_rule_report`` once when you need more
+than one field, and ``chain_rule_reports`` once for many joints.
 
 All intermediate arithmetic is done in the additive scale and converted to the
 deformed scale only at the boundary, which avoids compounding exponentials.
@@ -30,12 +34,12 @@ deformed scale only at the boundary, which avoids compounding exponentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .entropies import _masked_log
-from .prob import JointDistribution, QOrder, _marginal_and_conditional, as_order
+from .prob import JointDistribution, JointStack, QOrder, _marginal_and_conditional, as_order
 from .qcalc import kn_map_inv, q_add
 
 
@@ -60,6 +64,37 @@ class ChainRuleReport:
     corrected_residual: float
 
 
+# The value fields of a report, in order, after q.
+_VALUES = tuple(field.name for field in fields(ChainRuleReport))[1:]
+
+
+@dataclass(frozen=True, eq=False)
+class ChainRuleReports:
+    """The ChainRuleReport fields of a stack of T joints at one q.
+
+    Each field is a (T,) array whose entry t belongs to joint t, and
+    ``reports[t]`` is joint t's ChainRuleReport.
+    """
+
+    q: QOrder
+    joint_entropy: np.ndarray
+    marginal_entropy: np.ndarray
+    conditional_chain: np.ndarray
+    conditional_axiomatic: np.ndarray
+    gap: np.ndarray
+    s_gap: np.ndarray
+    lower_bound: np.ndarray
+    upper_bound: np.ndarray
+    residual: np.ndarray
+    corrected_residual: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.joint_entropy)
+
+    def __getitem__(self, t: int) -> ChainRuleReport:
+        return ChainRuleReport(self.q, *(float(getattr(self, name)[t]) for name in _VALUES))
+
+
 def _tilted(axiomatic: float, s_gap_value: float, order: QOrder) -> float:
     """The axiomatic conditional tilted by exp(-((1-q)/q) * s_gap), deformed scale.
 
@@ -69,16 +104,18 @@ def _tilted(axiomatic: float, s_gap_value: float, order: QOrder) -> float:
     return kn_map_inv(axiomatic - s_gap_value / order.value, order)
 
 
-def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
-    """Evaluate every quantity of the additivity analysis for (r, q) in one pass.
+# The B and A axes of a joint, or of each joint in a (T, n_b, n_a) stack. On
+# a contiguous array a sum over both is the pairwise sum of each joint's flat
+# cells, as ``.sum()`` of a lone joint is, so a joint's sums have the same
+# bits in any stack.
+_CELLS = (-2, -1)
 
-    The two conditionals come from Aczel-Daroczy sums and ``s_gap`` from the
-    cross entropy of the two joint escorts, so ``gap = s_gap / q`` is checked
-    across independent routes. Raises ZeroMarginalColumnError when an A
-    outcome has zero probability, since conditioning on it is undefined.
-    """
-    order = as_order(q)
-    w = r.weights
+
+def _evaluate(w: np.ndarray, order: QOrder) -> tuple:
+    """The eight additive-scale fields of ChainRuleReport, in order, for
+    validated joint weights: arrays of shape () for an (n_b, n_a) joint, (T,)
+    for a (T, n_b, n_a) stack. A lone joint skips the broadcasting of a
+    one-joint stack."""
     p, cond = _marginal_and_conditional(w)
     log_w = _masked_log(w)
     log_p = np.log(p)
@@ -86,42 +123,73 @@ def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleRepor
     # No branch at q = 1: there every power is the identity, so both joint
     # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
     cond_q = cond**order.value
-    col_sums = cond_q.sum(axis=0)
+    col_sums = cond_q.sum(axis=-2, keepdims=True)
     w_q = w**order.value
     p_q = p**order.value
-    p_escort = p_q / p_q.sum()
-    naive = w_q / w_q.sum()
+    p_escort = p_q / p_q.sum(axis=-1, keepdims=True)
+    naive = w_q / w_q.sum(axis=_CELLS, keepdims=True)
     correct = cond_q / col_sums * p_escort
     log_naive = _masked_log(naive)
 
-    joint_ad = float(-(naive * log_w).sum())
-    marginal_ad = float(-(p_escort * log_p).sum())
+    joint_ad = -(naive * log_w).sum(axis=_CELLS)
+    marginal_ad = -(p_escort * log_p).sum(axis=_CELLS)
     chain = joint_ad - marginal_ad
-    axiomatic = float(-(correct * log_cond).sum())
+    axiomatic = -(correct * log_cond).sum(axis=_CELLS)
     naive_terms = naive * log_naive
-    gap_value = float(-(correct * log_naive).sum()) - float(-naive_terms.sum())
+    # Cross entropy of the correct escort against the naive one, minus the
+    # naive escort's Shannon entropy.
+    gap_value = naive_terms.sum(axis=_CELLS) - (correct * log_naive).sum(axis=_CELLS)
 
-    col_entropy = -naive_terms.sum(axis=0)
-    lower = float((((cond_q.min(axis=1).sum() - col_sums) / col_sums) * col_entropy).sum())
-    upper = float((((cond_q.max(axis=1).sum() - col_sums) / col_sums) * col_entropy).sum())
+    col_entropy = -naive_terms.sum(axis=-2, keepdims=True)
+    row_min = cond_q.min(axis=-1, keepdims=True).sum(axis=-2, keepdims=True)
+    row_max = cond_q.max(axis=-1, keepdims=True).sum(axis=-2, keepdims=True)
+    lower = (((row_min - col_sums) / col_sums) * col_entropy).sum(axis=_CELLS)
+    upper = (((row_max - col_sums) / col_sums) * col_entropy).sum(axis=_CELLS)
 
+    return joint_ad, marginal_ad, chain, axiomatic, axiomatic - chain, gap_value, lower, upper
+
+
+def _deformed_residuals(values, order: QOrder) -> tuple[float, float]:
+    """The residual and the corrected residual of one joint from its eight
+    additive-scale fields, as floats. The scalar maps reach the deformed
+    scale: math.expm1 and np.expm1 differ in the last bit on some arguments."""
+    joint_ad, marginal_ad, _, axiomatic, _, s_gap_value, _, _ = values
     joint_value = kn_map_inv(joint_ad, order)
     marginal_value = kn_map_inv(marginal_ad, order)
     residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, order), order)
-    corrected = _tilted(axiomatic, gap_value, order)
-    return ChainRuleReport(
-        q=order,
-        joint_entropy=joint_ad,
-        marginal_entropy=marginal_ad,
-        conditional_chain=chain,
-        conditional_axiomatic=axiomatic,
-        gap=axiomatic - chain,
-        s_gap=gap_value,
-        lower_bound=lower,
-        upper_bound=upper,
-        residual=residual,
-        corrected_residual=joint_value - q_add(marginal_value, corrected, order),
-    )
+    tilted = _tilted(axiomatic, s_gap_value, order)
+    return residual, joint_value - q_add(marginal_value, tilted, order)
+
+
+def chain_rule_reports(weights, q: float | QOrder) -> ChainRuleReports:
+    """Evaluate every quantity of the additivity analysis for a stack of
+    joints at one q.
+
+    ``weights`` is a JointStack or a (T, n_b, n_a) array of T joints, which
+    is validated as JointStack does. Row t equals ``chain_rule_report`` of
+    joint t bit for bit. Raises ZeroMarginalColumnError when an A outcome of
+    some joint has zero probability.
+    """
+    stack = weights if isinstance(weights, JointStack) else JointStack(weights)
+    order = as_order(q)
+    columns = _evaluate(stack.weights, order)
+    rows = zip(*(column.tolist() for column in columns))
+    residual, corrected = zip(*(_deformed_residuals(row, order) for row in rows))
+    return ChainRuleReports(order, *columns, np.array(residual), np.array(corrected))
+
+
+def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
+    """Evaluate every quantity of the additivity analysis for (r, q) in one pass.
+
+    The two conditionals come from Aczel-Daroczy sums and ``s_gap`` from the
+    cross entropy of the two joint escorts, so ``gap = s_gap / q`` is checked
+    across independent routes. Raises ZeroMarginalColumnError when an A
+    outcome has zero probability, since conditioning on it is undefined.
+    This is the one-joint case of ``chain_rule_reports``.
+    """
+    order = as_order(q)
+    values = [float(column) for column in _evaluate(r.weights, order)]
+    return ChainRuleReport(order, *values, *_deformed_residuals(values, order))
 
 
 def conditional_chain(r: JointDistribution, q: float | QOrder) -> float:

@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .errors import EscortropyError
 from .prob import (
     Distribution,
@@ -28,15 +30,21 @@ from .prob import (
     as_order,
     drop_zero_columns,
     mutual_information,
-    random_joint,
+    random_joints,
 )
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
-from .chain_rules import ChainRuleReport, chain_rule_report
+from .chain_rules import ChainRuleReport, chain_rule_report, chain_rule_reports
 from .axioms import run_suite
 
 # The chain table prints the order as given, then every other report field.
 CHAIN_COLUMNS = [field.name for field in fields(ChainRuleReport)]
 SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upper_bound,corrected_residual"
+# The report fields a sweep prints, in column order.
+SWEEP_FIELDS = SWEEP_HEADER.split(",")[5:]
+# Cells per stack of sweep trials: enough joints that the per-call cost of
+# chain_rule_reports vanishes, few enough that its temporaries stay near 1 MB
+# each, whatever the trial count.
+SWEEP_STACK_CELLS = 1 << 16
 
 
 def fmt(x: float) -> str:
@@ -88,7 +96,7 @@ def _load_json(path: str) -> dict:
 
 
 def _finite_row(row: dict) -> dict:
-    bad = [key for key, value in row.items() if not math.isfinite(value)]
+    bad = [key for key, value in row.items() if not np.all(np.isfinite(value))]
     if bad:
         raise EscortropyError(
             f"order q={row['q']!r} gives non-finite {', '.join(bad)}; "
@@ -194,30 +202,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) -> list[str]:
-    """CSV body lines for a seeded sweep, ordered by (trial, q)."""
+    """CSV body lines for a seeded sweep, ordered by (trial, q).
+
+    Trial t draws ``random_joint(n_b, n_a, seed + t)``. Consecutive trials
+    form stacks of at most SWEEP_STACK_CELLS cells, and each stack is
+    evaluated by one ``chain_rule_reports`` call per order.
+    """
+    step = max(1, SWEEP_STACK_CELLS // (n_b * n_a))
+    heads = [f"{fmt(q)},{n_a},{n_b}" for q in q_grid]
     lines = []
-    for trial in range(trials):
-        trial_seed = seed + trial
-        joint = random_joint(n_b, n_a, trial_seed)
-        mi = mutual_information(joint)
+    for first in range(seed, seed + trials, step):
+        seeds = range(first, min(first + step, seed + trials))
+        joints = random_joints(n_b, n_a, seeds)
+        tails = []
         for q in q_grid:
-            report = chain_rule_report(joint, q)
-            lines.append(
-                ",".join(
-                    [
-                        str(trial_seed),
-                        fmt(q),
-                        str(n_a),
-                        str(n_b),
-                        fmt(mi),
-                        fmt(report.residual),
-                        fmt(report.s_gap),
-                        fmt(report.lower_bound),
-                        fmt(report.upper_bound),
-                        fmt(report.corrected_residual),
-                    ]
-                )
-            )
+            reports = chain_rule_reports(joints, q)
+            row = _finite_row({"q": q} | {name: getattr(reports, name) for name in SWEEP_FIELDS})
+            columns = (map(fmt, row[name].tolist()) for name in SWEEP_FIELDS)
+            tails.append([",".join(cells) for cells in zip(*columns)])
+        lines += [
+            f"{trial_seed},{head},{fmt(mi)},{tail[t]}"
+            for t, (trial_seed, mi) in enumerate(zip(seeds, mutual_information(joints).tolist()))
+            for head, tail in zip(heads, tails)
+        ]
     return lines
 
 

@@ -52,6 +52,20 @@ def _checked_weights(values, ndim: int) -> np.ndarray:
     return w
 
 
+def _checked_stack(values) -> np.ndarray:
+    # _checked_weights for each joint of a (T, n_b, n_a) stack: the flat sum
+    # of each joint is the same pairwise sum as a lone joint's, so every
+    # joint gets the bits JointDistribution would give it.
+    w = _finite_nonnegative(values, 3)
+    totals = w.reshape(len(w), -1).sum(axis=1)
+    off = np.abs(totals - 1.0) > EPS_NORM
+    if np.any(off):
+        raise NotNormalizedError(float(totals[off][0] - 1.0))
+    w = w / totals[:, None, None]
+    w.setflags(write=False)
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A finite discrete probability vector p_k, k = 1..n."""
@@ -91,6 +105,30 @@ class JointDistribution:
 
     def __repr__(self) -> str:
         return f"JointDistribution({self.weights.tolist()!r})"
+
+
+@dataclass(frozen=True, eq=False)
+class JointStack:
+    """T joint matrices of one shape: ``weights[t]`` is joint t.
+
+    Each joint is validated by the rules of JointDistribution and divided by
+    its own sum, so ``JointStack(ws).weights[t]`` has the bits of
+    ``JointDistribution(ws[t]).weights``.
+    """
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _checked_stack(self.weights))
+
+    @classmethod
+    def of(cls, joints: list[JointDistribution]) -> JointStack:
+        """Stack joints of one shape that are already validated, as they are."""
+        stack = object.__new__(cls)
+        weights = np.stack([joint.weights for joint in joints])
+        weights.setflags(write=False)
+        object.__setattr__(stack, "weights", weights)
+        return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +183,13 @@ def marginal_b(r: JointDistribution) -> Distribution:
 
 def _marginal_and_conditional(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The A-marginal p and the conditional columns r_{kl} / p_l of joint
-    weights, as arrays. Raises ZeroMarginalColumnError when some p_l is 0,
+    weights, as arrays. p keeps the summed B axis with length 1, so it
+    broadcasts against the cells: (1, n_a) for a joint, (T, 1, n_a) for a
+    stack of T joints. Raises ZeroMarginalColumnError when some p_l is 0,
     since conditioning on that outcome is undefined."""
-    p = w.sum(axis=0)
-    zero = np.flatnonzero(p == 0.0)
-    if zero.size:
-        raise ZeroMarginalColumnError(int(zero[0]))
+    p = w.sum(axis=-2, keepdims=True)
+    if not p.all():
+        raise ZeroMarginalColumnError(int(np.argwhere(p == 0.0)[0][-1]))
     return p, w / p
 
 
@@ -183,17 +222,37 @@ def nat_entropy(weights: np.ndarray) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def mutual_information(r: JointDistribution) -> float:
+def mutual_information(r: JointDistribution | JointStack) -> float | np.ndarray:
     """Mutual information S(A) + S(B) - S(A,B) in nats.
 
     Nonnegative up to rounding; zero exactly when the joint factorizes.
-    Used as the dependence scale when filtering sampled ensembles.
+    Used as the dependence scale when filtering sampled ensembles. A
+    JointStack gives the (T,) array of each joint's value, bit for bit the
+    value of that joint alone.
     """
-    return (
-        nat_entropy(r.weights.sum(axis=0))
-        + nat_entropy(r.weights.sum(axis=1))
-        - nat_entropy(r.weights)
+    if isinstance(r, JointDistribution):
+        return _mutual_information(r.weights)
+    w = r.weights
+    flat = w.reshape(len(w), -1)
+    value = (
+        _nat_entropy_rows(w.sum(axis=1)) + _nat_entropy_rows(w.sum(axis=2)) - _nat_entropy_rows(flat)
     )
+    # nat_entropy drops zero weights before its pairwise sum, which can move
+    # the last bit, so joints with a zero cell take the one-joint path.
+    for t in np.flatnonzero(~flat.all(axis=1)):
+        value[t] = _mutual_information(w[t])
+    return value
+
+
+def _mutual_information(w: np.ndarray) -> float:
+    """``mutual_information`` of the weights of a valid joint."""
+    return nat_entropy(w.sum(axis=0)) + nat_entropy(w.sum(axis=1)) - nat_entropy(w)
+
+
+def _nat_entropy_rows(w: np.ndarray) -> np.ndarray:
+    """``nat_entropy`` of each row of a 2-d array; the same bits on a row
+    without zero weights."""
+    return -(w * np.log(w, out=np.zeros_like(w), where=w > 0)).sum(axis=1)
 
 
 def random_distribution(n: int, seed: int, concentration: float = 1.0) -> Distribution:
@@ -212,10 +271,18 @@ def random_distribution(n: int, seed: int, concentration: float = 1.0) -> Distri
 
 def random_joint(n_b: int, n_a: int, seed: int, concentration: float = 1.0) -> JointDistribution:
     """A seeded Dirichlet draw on the (n_b * n_a)-simplex, reshaped to a joint."""
+    return JointDistribution(_dirichlet_joint(n_b, n_a, seed, concentration))
+
+
+def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
+    """``random_joint(n_b, n_a, s)`` for each seed s, as one stack."""
+    return JointStack([_dirichlet_joint(n_b, n_a, s, 1.0) for s in seeds])
+
+
+def _dirichlet_joint(n_b: int, n_a: int, seed: int, concentration: float) -> np.ndarray:
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     rng = np.random.default_rng(seed)
-    flat = rng.dirichlet(np.full(n_b * n_a, float(concentration)))
-    return JointDistribution(flat.reshape(n_b, n_a))
+    return rng.dirichlet(np.full(n_b * n_a, float(concentration))).reshape(n_b, n_a)

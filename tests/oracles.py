@@ -113,6 +113,47 @@ def additivity_residual(r, q):
     return joint - q_addition(marginal, conditional, q)
 
 
+def chain_rule_fields(r, q):
+    """Every ChainRuleReport value field of (r, q), from the definitions.
+
+    The deformed-scale values use expm1, because exp(x) - 1 keeps only about
+    seven digits when (1 - q) x is near 1e-9.
+    """
+    r = np.asarray(r, dtype=float)
+
+    def deformed(x):
+        return float(x) if q == 1.0 else float(np.expm1((1.0 - q) * x) / (1.0 - q))
+
+    joint = aczel_daroczy(r.ravel(), q)
+    marginal = aczel_daroczy(marginal_a(r), q)
+    chain = joint - marginal
+    axiomatic = conditional_axiomatic(r, q)
+    naive = joint_escort_naive(r, q)
+    s_gap = cross_shannon(r, q) - nat_entropy(naive)
+    cond_q = conditional_on_a(r) ** q
+    column_sums = cond_q.sum(axis=0)
+    column_entropies = [nat_entropy(naive[:, l]) for l in range(r.shape[1])]
+
+    def bound(row_sums):
+        return float(
+            sum((row_sums - s) / s * h for s, h in zip(column_sums, column_entropies))
+        )
+
+    return {
+        "joint_entropy": joint,
+        "marginal_entropy": marginal,
+        "conditional_chain": chain,
+        "conditional_axiomatic": axiomatic,
+        "gap": axiomatic - chain,
+        "s_gap": s_gap,
+        "lower_bound": bound(cond_q.min(axis=1).sum()),
+        "upper_bound": bound(cond_q.max(axis=1).sum()),
+        "residual": deformed(joint) - q_addition(deformed(marginal), deformed(axiomatic), q),
+        "corrected_residual": deformed(joint)
+        - q_addition(deformed(marginal), deformed(axiomatic - s_gap / q), q),
+    }
+
+
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 ONE_HEAVY_GRID = 100
 GOLDEN_REFINEMENTS = 40

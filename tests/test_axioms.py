@@ -3,7 +3,9 @@ import pytest
 
 from escortropy import (
     Distribution,
+    JointDistribution,
     UnreachableFloorError,
+    additivity_residual,
     check_additivity_dependent,
     check_additivity_independent,
     check_continuity,
@@ -11,6 +13,7 @@ from escortropy import (
     check_maximality,
     hybrid,
     mutual_information,
+    product_joint,
     project_to_simplex,
     sample_dependent_joint,
 )
@@ -226,3 +229,76 @@ def test_dependent_sampler_stops_at_attempt_cap(monkeypatch):
     monkeypatch.setattr(axioms, "SAMPLER_ATTEMPTS", 5)
     with pytest.raises(UnreachableFloorError, match="1.5 was not exceeded in 5 draws"):
         sample_dependent_joint(0, 0, mi_floor=1.5)
+
+
+def test_additivity_independent_matches_the_per_joint_loop():
+    # One chain_rule_reports call per shape must keep the margin and the
+    # witness (the first worst trial) of evaluating the joints one by one.
+    for q in (0.5, 2.0, 5.0):
+        worst, witness = 0.0, None
+        for t in range(60):
+            rng = np.random.default_rng(3 + t)
+            n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            joint = product_joint(
+                Distribution(rng.dirichlet(np.ones(n_a))),
+                Distribution(rng.dirichlet(np.ones(n_b))),
+            )
+            residual = abs(additivity_residual(joint, q))
+            if residual > worst:
+                worst, witness = residual, joint
+        verdict = check_additivity_independent(q, seed=3, trials=60)
+        assert verdict.margin == axioms.RESIDUAL_TOL - worst
+        if verdict.passed:
+            assert verdict.witness is None
+        else:
+            assert np.array_equal(verdict.witness.weights, witness.weights)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 20.0])
+def test_additivity_dependent_matches_the_per_joint_loop(q, caplog):
+    trials = 40
+    expected_lines, witness, violations = [], None, 0
+    for t in range(trials):
+        joint = sample_dependent_joint(11, t, mi_floor=0.05)
+        residual = abs(additivity_residual(joint, q))
+        if residual > axioms.VIOLATION_FLOOR:
+            violations += 1
+        else:
+            witness = joint if witness is None else witness
+            expected_lines.append(
+                "dependent joint without violation (|residual|=%.3e, trial %d): %r"
+                % (residual, t, joint)
+            )
+    with caplog.at_level("INFO", logger="escortropy.axioms"):
+        verdict = check_additivity_dependent(q, seed=11, trials=trials, mi_floor=0.05)
+    assert verdict.margin == violations / trials - 0.99
+    assert [record.getMessage() for record in caplog.records] == expected_lines
+    if witness is None:
+        assert verdict.witness is None
+    else:
+        assert np.array_equal(verdict.witness.weights, witness.weights)
+
+
+def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
+    # Replays the sampler's attempts with a validated joint for each draw, as
+    # the acceptance rule is stated, then counts the joints it builds itself.
+    seed, index, floor = 0, 2, 0.4  # accepted at attempt 7
+    for attempt in range(axioms.SAMPLER_ATTEMPTS):
+        rng = np.random.default_rng((seed, index, attempt))
+        n_b, n_a = axioms._random_sizes(rng)
+        flat = rng.dirichlet(np.full(n_b * n_a, axioms.SAMPLER_CONCENTRATION))
+        expected = JointDistribution(flat.reshape(n_b, n_a))
+        if mutual_information(expected) > floor:
+            break
+    assert attempt > 0
+    built = []
+    original = JointDistribution.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(JointDistribution, "__post_init__", counted)
+    joint = sample_dependent_joint(seed, index, mi_floor=floor)
+    assert len(built) == 1
+    assert joint.weights.tobytes() == expected.weights.tobytes()

@@ -7,12 +7,16 @@ with a genuine violation. Frozen values were computed with the direct-formula
 oracles in oracles.py.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from escortropy import (
+    ChainRuleReport,
     ConditionalDistribution,
     Distribution,
+    EscortropyError,
     JointDistribution,
     additivity_residual,
     chain_rule_report,
@@ -26,9 +30,11 @@ from escortropy import (
     is_escort_consistent,
     joint_escort_correct,
     aczel_daroczy,
+    chain_rule_reports,
     hybrid,
     hybrid_joint,
     joint_escort_naive,
+    JointStack,
     kn_map_inv,
     marginal_a,
     minmax_bounds,
@@ -344,3 +350,101 @@ def test_corrected_residual_closes_at_large_order():
     # scale, so no two exponentially large terms cancel.
     report = chain_rule_report(TINY_CELL, 400.0)
     assert abs(report.corrected_residual) <= 1e-12
+
+
+KERNEL_SHAPES = [(1, 3), (3, 1), (2, 2), (4, 3), (8, 5)]
+KERNEL_ORDERS = [0.05, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.0]
+VALUE_FIELDS = [field.name for field in fields(ChainRuleReport)][1:]
+
+
+def joint_stack(shape, seed, count=5):
+    """Seeded Dirichlet joints of one shape. With two or more B outcomes,
+    joints 1 and 3 get a zero B row and joint 2 one zero cell: zero cells,
+    never a zero column."""
+    n_b, n_a = shape
+    w = np.random.default_rng(seed).dirichlet(np.ones(n_b * n_a), size=count)
+    w = w.reshape(count, n_b, n_a)
+    if n_b > 1:
+        w[1::2, 0, :] = 0.0
+        w[2, -1, -1] = 0.0
+    return w / w.sum(axis=(1, 2), keepdims=True)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
+    # Each joint's row must not depend on the other joints of its stack.
+    weights = joint_stack(shape, seed=10 * shape[0] + shape[1])
+    for q in KERNEL_ORDERS:
+        reports = chain_rule_reports(weights, q)
+        assert len(reports) == len(weights)
+        for t, w in enumerate(weights):
+            lone = chain_rule_report(JointDistribution(w), q)
+            row = reports[t]
+            assert row.q == lone.q
+            for name in VALUE_FIELDS:
+                expected = getattr(lone, name).hex()
+                assert getattr(row, name).hex() == expected, (q, t, name)
+                assert float(getattr(reports, name)[t]).hex() == expected, (q, t, name)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stack_fields_agree_with_oracles(shape):
+    # Relative to the size of what each field is computed from: gap, s_gap,
+    # the bounds and the residuals vanish on some joints and orders, so they
+    # are measured against max(1, |value|), and the residuals against the
+    # deformed joint entropy, too, which they are differences of.
+    weights = joint_stack(shape, seed=100 + 10 * shape[0] + shape[1])
+    for q in KERNEL_ORDERS:
+        reports = chain_rule_reports(weights, q)
+        for t, w in enumerate(weights):
+            expected = oracles.chain_rule_fields(w, q)
+            deformed_joint = abs(oracles.kn_map_inv(expected["joint_entropy"], q))
+            for name, value in expected.items():
+                scale = max(1.0, abs(value))
+                if name.endswith("residual"):
+                    scale = max(scale, deformed_joint)
+                got = float(getattr(reports, name)[t])
+                assert abs(got - value) <= 1e-12 * scale, (q, t, name, got, value)
+
+
+def test_stack_accepts_a_validated_stack_and_plain_arrays_alike():
+    weights = joint_stack((4, 3), seed=3)
+    joints = [JointDistribution(w) for w in weights]
+    from_array = chain_rule_reports(weights, 2.0)
+    from_joints = chain_rule_reports(JointStack.of(joints), 2.0)
+    for name in VALUE_FIELDS:
+        assert np.array_equal(getattr(from_array, name), getattr(from_joints, name)), name
+
+
+def _nan_cell(w):
+    w[2, 0, 0] = np.nan
+    return w
+
+
+def _negative_cell(w):
+    w[2, 1, 1] = -0.1
+    return w
+
+
+def _unnormalized_joint(w):
+    w[2] *= 1.1
+    return w
+
+
+def _zero_column(w):
+    w[2, :, 1] = 0.0
+    w[2] /= w[2].sum()
+    return w
+
+
+@pytest.mark.parametrize(
+    "spoil", [_nan_cell, _negative_cell, _unnormalized_joint, _zero_column],
+    ids=["nan", "negative", "unnormalized", "zero-column"],
+)
+def test_stack_rejects_what_the_lone_path_rejects(spoil):
+    weights = spoil(joint_stack((3, 2), seed=4))
+    with pytest.raises(EscortropyError) as lone:
+        chain_rule_report(JointDistribution(weights[2]), 2.0)
+    with pytest.raises(EscortropyError) as stacked:
+        chain_rule_reports(weights, 2.0)
+    assert type(stacked.value) is type(lone.value)

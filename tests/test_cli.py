@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from escortropy.cli import SWEEP_HEADER, main
+from escortropy import cli
+from escortropy.cli import SWEEP_HEADER, fmt, main
 
 import oracles
 
@@ -138,6 +139,7 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         (b'\xff{"p": [1.0]}', ["entropy", "--q", "2"]),
         ({"p": [0.25, 0.25, 0.25, 0.25]}, ["entropy", "--q", "1000"]),
         ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2,900"]),
+        (None, ["sweep", "--nb", "4", "--na", "3", "--q", "2,900", "--trials", "2"]),
     ],
     ids=[
         "nan-weight",
@@ -152,6 +154,7 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "not-utf8",
         "entropy-powers-underflow",
         "chain-powers-underflow",
+        "sweep-powers-underflow",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):
@@ -214,18 +217,48 @@ def test_sweep_header_and_shape(capsys):
 
 
 def test_sweep_rows_mirror_reports(capsys):
+    # Ties the sweep's draws to random_joint and its columns to
+    # chain_rule_report, to the printed byte.
     code, out, _ = run(
-        capsys, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "2", "--seed", "5"]
+        capsys,
+        ["sweep", "--nb", "4", "--na", "3", "--q", "0.5,1,2", "--trials", "10", "--seed", "5"],
     )
     assert code == 0
-    from escortropy import chain_rule_report, random_joint
+    from escortropy import chain_rule_report, mutual_information, random_joint
 
-    lines = out.strip().splitlines()[1:]
-    for trial, line in enumerate(lines):
-        cells = line.split(",")
-        report = chain_rule_report(random_joint(2, 2, 5 + trial), 2.0)
-        assert float(cells[5]) == pytest.approx(report.residual, rel=1e-10, abs=1e-15)
-        assert float(cells[6]) == pytest.approx(report.s_gap, rel=1e-10, abs=1e-15)
+    expected = []
+    for trial_seed in range(5, 15):
+        joint = random_joint(4, 3, trial_seed)
+        for q in (0.5, 1.0, 2.0):
+            report = chain_rule_report(joint, q)
+            values = [mutual_information(joint)] + [
+                getattr(report, name) for name in SWEEP_HEADER.split(",")[5:]
+            ]
+            expected.append(",".join([str(trial_seed), fmt(q), "3", "4"] + [fmt(v) for v in values]))
+    assert out.splitlines()[1:] == expected
+
+
+def test_sweep_body_does_not_depend_on_batching(capsys, monkeypatch):
+    def body(trials, seed):
+        argv = ["sweep", "--nb", "4", "--na", "3", "--q", "0.5,1,2", "--trials", trials, "--seed", seed]
+        return run(capsys, argv)[1].splitlines()[1:]
+
+    whole = body("20", "5")
+    assert len(whole) == 60
+    assert whole == body("10", "5") + body("10", "15")
+    for stack_cells in (36, 5):  # three 4x3 trials a stack, then one
+        monkeypatch.setattr(cli, "SWEEP_STACK_CELLS", stack_cells)
+        assert body("20", "5") == whole, stack_cells
+
+
+def test_sweep_refusal_writes_no_file(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--nb", "4", "--na", "3", "--q", "2,900", "--trials", "2",
+                 "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not path.exists()
+    assert "order q=900.0 gives non-finite residual" in err
 
 
 def test_sweep_deterministic_files(tmp_path, capsys):

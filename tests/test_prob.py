@@ -7,6 +7,7 @@ from escortropy import (
     ConditionalDistribution,
     Distribution,
     JointDistribution,
+    JointStack,
     MalformedWeightsError,
     NegativeWeightError,
     NotNormalizedError,
@@ -20,6 +21,7 @@ from escortropy import (
     product_joint,
     random_distribution,
     random_joint,
+    random_joints,
 )
 
 import oracles
@@ -168,6 +170,53 @@ def test_random_joint_shape_and_determinism():
     r = random_joint(3, 4, 9)
     assert r.weights.shape == (3, 4)
     assert np.array_equal(r.weights, random_joint(3, 4, 9).weights)
+
+
+def test_random_joints_are_the_random_joint_draws():
+    stack = random_joints(4, 3, range(7, 12))
+    assert stack.weights.shape == (5, 4, 3)
+    for t, seed in enumerate(range(7, 12)):
+        assert stack.weights[t].tobytes() == random_joint(4, 3, seed).weights.tobytes()
+
+
+def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
+    rng = np.random.default_rng(1)
+    raw = rng.dirichlet(np.ones(35), size=4).reshape(4, 7, 5) * (1.0 + 1e-10)
+    stack = JointStack(raw)
+    assert not stack.weights.flags.writeable
+    for t in range(4):
+        assert stack.weights[t].tobytes() == JointDistribution(raw[t]).weights.tobytes()
+    joints = [JointDistribution(w) for w in raw]
+    assert JointStack.of(joints).weights.tobytes() == stack.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        (np.ones((2, 2)) / 4, MalformedWeightsError),
+        (np.zeros((0, 2, 2)), MalformedWeightsError),
+        (np.array([[[0.5, 0.5]], [[np.inf, 0.0]]]), MalformedWeightsError),
+        (np.array([[[0.5, 0.5]], [[1.5, -0.5]]]), NegativeWeightError),
+        (np.array([[[0.5, 0.5]], [[0.5, 0.6]]]), NotNormalizedError),
+    ],
+    ids=["two-d", "empty", "infinite", "negative", "unnormalized"],
+)
+def test_joint_stack_rejects_what_a_joint_rejects(values, error):
+    with pytest.raises(error):
+        JointStack(values)
+
+
+def test_mutual_information_of_a_stack_is_each_joints_value():
+    rng = np.random.default_rng(2)
+    w = rng.dirichlet(np.ones(12), size=6).reshape(6, 4, 3)
+    w[1, 0, :] = 0.0  # a zero row: nine positive cells, past the 8-wide pairwise unroll
+    w[2, 1, 2] = 0.0
+    w /= w.sum(axis=(1, 2), keepdims=True)
+    values = mutual_information(JointStack(w))
+    assert values.shape == (6,)
+    for t in range(6):
+        lone = mutual_information(JointDistribution(w[t]))
+        assert values[t].hex() == lone.hex()
 
 
 @settings(max_examples=60, deadline=None)
