@@ -257,7 +257,11 @@ def _abs_residuals(joints: list[JointDistribution], order: QOrder) -> list[float
 
 
 def check_additivity_independent(q: float | QOrder, seed: int, trials: int) -> AxiomVerdict:
-    """Sampled product joints must satisfy the composition rule to RESIDUAL_TOL."""
+    """Sampled product joints must satisfy the composition rule to RESIDUAL_TOL.
+
+    A non-finite residual fails the verdict with margin -inf, and the first
+    such joint is the witness.
+    """
     order = as_order(q)
     joints = []
     for t in range(trials):
@@ -272,6 +276,10 @@ def check_additivity_independent(q: float | QOrder, seed: int, trials: int) -> A
     worst = 0.0
     witness = None
     for joint, residual in zip(joints, _abs_residuals(joints, order)):
+        if not math.isfinite(residual):
+            worst = math.inf
+            witness = joint
+            break
         if residual > worst:
             worst = residual
             witness = joint

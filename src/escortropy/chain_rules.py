@@ -19,14 +19,17 @@ rule holds with the axiomatic conditional precisely when that gap vanishes
 equal power sums); otherwise the exponential tilt ``corrected_conditional``
 closes the residual exactly.
 
-One implementation serves both entry points: ``chain_rule_reports`` evaluates
-a stack of T joints of one shape at one q, and ``chain_rule_report`` one joint,
-through the same passes. They compute p, r_{k|l}, ln r and the q-th powers once
-each and derive every field from them. Each joint's sums run over its own two
-axes in the same order whatever else is in the stack, so a joint's fields have
-the same bits in any stack and alone. The single-quantity functions are views
-of the one-joint report, so call ``chain_rule_report`` once when you need more
-than one field, and ``chain_rule_reports`` once for many joints.
+One implementation serves every entry point: ``chain_rule_grid`` evaluates a
+stack of T joints of one shape over a grid of orders, ``chain_rule_reports``
+is its one-order case, and ``chain_rule_report`` runs the same passes on one
+joint. The q-independent passes (p, r_{k|l}, ln r, ln p and ln r_{k|l}) are
+computed once per grid, the q-th powers once per order, and every field is
+derived from them. Each joint's sums run over its own two axes in the same
+order whatever else is in the stack, so a joint's fields have the same bits in
+any stack, alone, and at any position of any grid. The single-quantity
+functions are views of the one-joint report, so call ``chain_rule_report`` once
+when you need more than one field, and ``chain_rule_grid`` once for many joints
+or many orders.
 
 All intermediate arithmetic is done in the additive scale and converted to the
 deformed scale only at the boundary, which avoids compounding exponentials.
@@ -111,15 +114,23 @@ def _tilted(axiomatic: float, s_gap_value: float, order: QOrder) -> float:
 _CELLS = (-2, -1)
 
 
-def _evaluate(w: np.ndarray, order: QOrder) -> tuple:
-    """The eight additive-scale fields of ChainRuleReport, in order, for
-    validated joint weights: arrays of shape () for an (n_b, n_a) joint, (T,)
-    for a (T, n_b, n_a) stack. A lone joint skips the broadcasting of a
-    one-joint stack."""
+def _order_free(w: np.ndarray) -> tuple:
+    """The q-independent passes over validated joint weights, shared by every
+    order: (w, p, r_{k|l}, ln r, ln p, ln r_{k|l}). Raises
+    ZeroMarginalColumnError when some p_l is 0."""
     p, cond = _marginal_and_conditional(w)
     log_w = _masked_log(w)
     log_p = np.log(p)
     log_cond = np.where(w > 0, log_w - log_p, 0.0)
+    return w, p, cond, log_w, log_p, log_cond
+
+
+def _evaluate(passes: tuple, order: QOrder) -> tuple:
+    """The eight additive-scale fields of ChainRuleReport, in order, from the
+    ``_order_free`` passes: arrays of shape () for an (n_b, n_a) joint, (T,)
+    for a (T, n_b, n_a) stack. A lone joint skips the broadcasting of a
+    one-joint stack."""
+    w, p, cond, log_w, log_p, log_cond = passes
     # No branch at q = 1: there every power is the identity, so both joint
     # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
     cond_q = cond**order.value
@@ -161,21 +172,34 @@ def _deformed_residuals(values, order: QOrder) -> tuple[float, float]:
     return residual, joint_value - q_add(marginal_value, tilted, order)
 
 
-def chain_rule_reports(weights, q: float | QOrder) -> ChainRuleReports:
+def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
     """Evaluate every quantity of the additivity analysis for a stack of
-    joints at one q.
+    joints at each order of a grid.
 
     ``weights`` is a JointStack or a (T, n_b, n_a) array of T joints, which
-    is validated as JointStack does. Row t equals ``chain_rule_report`` of
-    joint t bit for bit. Raises ZeroMarginalColumnError when an A outcome of
-    some joint has zero probability.
+    is validated as JointStack does. Entry i holds the reports at
+    ``q_grid[i]``, and its row t equals ``chain_rule_report`` of joint t at
+    that order bit for bit. The q-independent passes run once for the whole
+    grid; only each order's (T,) columns are kept. Raises
+    ZeroMarginalColumnError when an A outcome of some joint has zero
+    probability.
     """
     stack = weights if isinstance(weights, JointStack) else JointStack(weights)
-    order = as_order(q)
-    columns = _evaluate(stack.weights, order)
-    rows = zip(*(column.tolist() for column in columns))
-    residual, corrected = zip(*(_deformed_residuals(row, order) for row in rows))
-    return ChainRuleReports(order, *columns, np.array(residual), np.array(corrected))
+    orders = [as_order(q) for q in q_grid]
+    passes = _order_free(stack.weights)
+    grid = []
+    for order in orders:
+        columns = _evaluate(passes, order)
+        rows = zip(*(column.tolist() for column in columns))
+        residual, corrected = zip(*(_deformed_residuals(row, order) for row in rows))
+        grid.append(ChainRuleReports(order, *columns, np.array(residual), np.array(corrected)))
+    return grid
+
+
+def chain_rule_reports(weights, q: float | QOrder) -> ChainRuleReports:
+    """Evaluate every quantity of the additivity analysis for a stack of
+    joints at one q: the one-order case of ``chain_rule_grid``."""
+    return chain_rule_grid(weights, [q])[0]
 
 
 def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
@@ -185,10 +209,10 @@ def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleRepor
     cross entropy of the two joint escorts, so ``gap = s_gap / q`` is checked
     across independent routes. Raises ZeroMarginalColumnError when an A
     outcome has zero probability, since conditioning on it is undefined.
-    This is the one-joint case of ``chain_rule_reports``.
+    This is the one-joint, one-order case of ``chain_rule_grid``.
     """
     order = as_order(q)
-    values = [float(column) for column in _evaluate(r.weights, order)]
+    values = [float(column) for column in _evaluate(_order_free(r.weights), order)]
     return ChainRuleReport(order, *values, *_deformed_residuals(values, order))
 
 

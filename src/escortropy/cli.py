@@ -14,6 +14,7 @@ The default seed comes from the ESCORTROPY_SEED environment variable when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .errors import EscortropyError
 from .prob import (
     Distribution,
     JointDistribution,
+    JointStack,
     QOrder,
     as_order,
     drop_zero_columns,
@@ -33,7 +35,7 @@ from .prob import (
     random_joints,
 )
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
-from .chain_rules import ChainRuleReport, chain_rule_report, chain_rule_reports
+from .chain_rules import ChainRuleReport, chain_rule_grid
 from .axioms import run_suite
 
 # The chain table prints the order as given, then every other report field.
@@ -156,8 +158,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
         joint = reduced
     mi = mutual_information(joint)
     rows = []
-    for q in args.q:
-        report = chain_rule_report(joint, q)
+    for q, reports in zip(args.q, chain_rule_grid(JointStack.of([joint]), args.q)):
+        report = reports[0]
         rows.append(_finite_row({"q": q} | {c: getattr(report, c) for c in CHAIN_COLUMNS[1:]}))
     if args.json:
         payload = {
@@ -206,7 +208,7 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
 
     Trial t draws ``random_joint(n_b, n_a, seed + t)``. Consecutive trials
     form stacks of at most SWEEP_STACK_CELLS cells, and each stack is
-    evaluated by one ``chain_rule_reports`` call per order.
+    evaluated over the whole q grid by one ``chain_rule_grid`` call.
     """
     step = max(1, SWEEP_STACK_CELLS // (n_b * n_a))
     heads = [f"{fmt(q)},{n_a},{n_b}" for q in q_grid]
@@ -215,8 +217,7 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
         seeds = range(first, min(first + step, seed + trials))
         joints = random_joints(n_b, n_a, seeds)
         tails = []
-        for q in q_grid:
-            reports = chain_rule_reports(joints, q)
+        for q, reports in zip(q_grid, chain_rule_grid(joints, q_grid)):
             row = _finite_row({"q": q} | {name: getattr(reports, name) for name in SWEEP_FIELDS})
             columns = (map(fmt, row[name].tolist()) for name in SWEEP_FIELDS)
             tails.append([",".join(cells) for cells in zip(*columns)])
@@ -235,7 +236,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process-wide parser, built on first use. Parsing leaves it as it
+    was, so every ``main`` call shares it; treat it as read-only. It holds
+    the command name, not the cmd_* function, of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="escortropy",
         description="Hybrid entropy, escort distributions, and chain-rule diagnostics.",
@@ -247,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated orders")
     entropy.add_argument("--out", default=None, help="output path (default stdout)")
     entropy.add_argument("--json", action="store_true", help="machine-readable output")
-    entropy.set_defaults(func=cmd_entropy)
 
     chain = sub.add_parser("chain", help="chain-rule report for a joint file")
     chain.add_argument("--input", required=True, help="JSON file {\"r\": [[..], ..]}")
@@ -259,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop zero-marginal A columns instead of erroring",
     )
-    chain.set_defaults(func=cmd_chain)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all", choices=["qcalc", "escort", "axioms", "all"])
@@ -269,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mutual-information floor for the dependent ensemble")
     verify.add_argument("--out", default=None)
     verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="emit a CSV ensemble sweep")
     sweep.add_argument("--nb", type=_positive_int, required=True, help="B outcomes per joint")
@@ -278,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=_positive_int, default=100)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -290,8 +291,12 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.seed < 0:
             parser.error(f"seed must be non-negative, got {args.seed}")
+    # Looked up at every call rather than stored in the shared parser, so
+    # rebinding a cmd_* function of this module (as a tracer does) takes
+    # effect on the next call.
+    commands = {"entropy": cmd_entropy, "chain": cmd_chain, "verify": cmd_verify, "sweep": cmd_sweep}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return 2

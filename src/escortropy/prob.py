@@ -123,9 +123,13 @@ class JointStack:
 
     @classmethod
     def of(cls, joints: list[JointDistribution]) -> JointStack:
-        """Stack joints of one shape that are already validated, as they are."""
+        """Stack joints of one shape that are already validated, as they are.
+        A lone joint's stack is a read-only view of its weights, not a copy."""
         stack = object.__new__(cls)
-        weights = np.stack([joint.weights for joint in joints])
+        if len(joints) == 1:
+            weights = joints[0].weights[None]
+        else:
+            weights = np.stack([joint.weights for joint in joints])
         weights.setflags(write=False)
         object.__setattr__(stack, "weights", weights)
         return stack

@@ -37,7 +37,7 @@ def aczel_daroczy(p, q):
 def hybrid(p, q):
     if q == 1.0:
         return nat_entropy(p)
-    return float((np.exp(-(1.0 - q) * -aczel_daroczy(p, q)) - 1.0) / (1.0 - q))
+    return float(np.expm1((1.0 - q) * aczel_daroczy(p, q)) / (1.0 - q))
 
 
 def renyi(p, alpha):
@@ -98,7 +98,7 @@ def kn_map(x, q):
 def kn_map_inv(x, q):
     if q == 1.0:
         return float(x)
-    return float((np.exp((1.0 - q) * x) - 1.0) / (1.0 - q))
+    return float(np.expm1((1.0 - q) * x) / (1.0 - q))
 
 
 def q_addition(a, b, q):

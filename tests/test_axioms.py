@@ -254,6 +254,29 @@ def test_additivity_independent_matches_the_per_joint_loop():
             assert np.array_equal(verdict.witness.weights, witness.weights)
 
 
+def test_additivity_independent_fails_on_non_finite_residuals():
+    # At q = 900 the q-th powers of these joints underflow and their residuals
+    # are NaN; an undefined residual must fail the verdict, not slip past the
+    # running maximum, and the first such joint is the witness.
+    with np.errstate(all="ignore"):
+        verdict = check_additivity_independent(900.0, seed=0, trials=20)
+        first = None
+        for t in range(20):
+            rng = np.random.default_rng(t)
+            n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            joint = product_joint(
+                Distribution(rng.dirichlet(np.ones(n_a))),
+                Distribution(rng.dirichlet(np.ones(n_b))),
+            )
+            if not np.isfinite(additivity_residual(joint, 900.0)):
+                first = joint
+                break
+    assert first is not None
+    assert not verdict.passed
+    assert verdict.margin < 0.0
+    assert np.array_equal(verdict.witness.weights, first.weights)
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, 20.0])
 def test_additivity_dependent_matches_the_per_joint_loop(q, caplog):
     trials = 40

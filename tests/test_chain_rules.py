@@ -30,6 +30,7 @@ from escortropy import (
     is_escort_consistent,
     joint_escort_correct,
     aczel_daroczy,
+    chain_rule_grid,
     chain_rule_reports,
     hybrid,
     hybrid_joint,
@@ -353,7 +354,7 @@ def test_corrected_residual_closes_at_large_order():
 
 
 KERNEL_SHAPES = [(1, 3), (3, 1), (2, 2), (4, 3), (8, 5)]
-KERNEL_ORDERS = [0.05, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.0]
+KERNEL_ORDERS = [0.05, 0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 5.0]
 VALUE_FIELDS = [field.name for field in fields(ChainRuleReport)][1:]
 
 
@@ -372,11 +373,15 @@ def joint_stack(shape, seed, count=5):
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
-    # Each joint's row must not depend on the other joints of its stack.
+    # Each joint's row must depend neither on the other joints of its stack
+    # nor on the other orders of its grid, which share the q-independent
+    # passes.
     weights = joint_stack(shape, seed=10 * shape[0] + shape[1])
-    for q in KERNEL_ORDERS:
+    grid = chain_rule_grid(weights, KERNEL_ORDERS)
+    assert [reports.q.value for reports in grid] == KERNEL_ORDERS
+    for q, from_grid in zip(KERNEL_ORDERS, grid):
         reports = chain_rule_reports(weights, q)
-        assert len(reports) == len(weights)
+        assert len(reports) == len(from_grid) == len(weights)
         for t, w in enumerate(weights):
             lone = chain_rule_report(JointDistribution(w), q)
             row = reports[t]
@@ -385,6 +390,7 @@ def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
                 expected = getattr(lone, name).hex()
                 assert getattr(row, name).hex() == expected, (q, t, name)
                 assert float(getattr(reports, name)[t]).hex() == expected, (q, t, name)
+                assert getattr(from_grid[t], name).hex() == expected, (q, t, name)
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -447,4 +453,18 @@ def test_stack_rejects_what_the_lone_path_rejects(spoil):
         chain_rule_report(JointDistribution(weights[2]), 2.0)
     with pytest.raises(EscortropyError) as stacked:
         chain_rule_reports(weights, 2.0)
-    assert type(stacked.value) is type(lone.value)
+    with pytest.raises(EscortropyError) as gridded:
+        chain_rule_grid(weights, KERNEL_ORDERS)
+    assert type(stacked.value) is type(gridded.value) is type(lone.value)
+
+
+def test_oracles_keep_their_digits_next_to_order_one():
+    # exp(x) - 1 keeps about seven digits when (1 - q) x is near 1e-9, and
+    # then gives the dependent residual the wrong sign; expm1 keeps them.
+    q = 1.0 + 1e-9
+    assert oracles.hybrid(DEPENDENT.weights, q) == pytest.approx(
+        hybrid_joint(DEPENDENT, q).value, abs=1e-12
+    )
+    residual = additivity_residual(DEPENDENT, q)
+    assert residual < 0.0
+    assert oracles.additivity_residual(DEPENDENT.weights, q) < 0.0

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import escortropy
 from escortropy import cli
 from escortropy.cli import SWEEP_HEADER, fmt, main
 
@@ -290,3 +295,80 @@ def test_out_files_end_with_newline(tmp_path, capsys):
     capsys.readouterr()
     with open(path, "rb") as handle:
         assert handle.read().endswith(b"\n")
+
+
+def test_chain_grid_reports_the_first_non_finite_order(capsys, tmp_path):
+    path = write_json(tmp_path, "r.json", {"r": [[0.2, 0.1], [0.3, 0.4]]})
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, ["chain", "--input", path, "--q", "2,900,1000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: order q=900.0 gives non-finite ")
+    assert len(err.splitlines()) == 1
+
+
+def fresh_process_call(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
+    src = str(Path(escortropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from escortropy.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def same_process_call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and argparse errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # The parser is built once per process; each call must still answer as
+    # the first call of a new process does.
+    monkeypatch.setenv("COLUMNS", "80")  # the width of --help
+    monkeypatch.delenv("ESCORTROPY_SEED", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    joint = write_json(tmp_path, "r.json", {"r": [[0.2, 0.1], [0.3, 0.4]]})
+    dist = write_json(tmp_path, "p.json", {"p": [0.5, 0.3, 0.2]})
+    bad = write_json(tmp_path, "bad.json", {"r": [0.5, 0.5]})
+    sweep = ["sweep", "--nb", "4", "--na", "3", "--q", "0.5,1,2", "--trials", "5", "--seed", "3"]
+    calls = [
+        sweep,
+        ["chain", "--input", joint, "--q", "0.5,1,2", "--json"],
+        ["entropy", "--input", dist, "--q", "0.5,2"],
+        ["verify", "--suite", "qcalc", "--trials", "20", "--seed", "4"],
+        ["chain", "--input", bad, "--q", "2"],
+        ["--help"],
+        sweep,
+    ]
+    fresh = {}
+    for argv in calls:
+        key = tuple(argv)
+        if key not in fresh:
+            fresh[key] = fresh_process_call(argv)
+        assert same_process_call(capsys, argv) == fresh[key], argv
+    codes = [fresh[tuple(argv)][0] for argv in calls]
+    assert codes == [0, 0, 0, 0, 2, 0, 0]
+
+    unseeded = sweep[:-2]
+    by_seed = {}
+    for seed in ("3", "8"):
+        monkeypatch.setenv("ESCORTROPY_SEED", seed)
+        by_seed[seed] = same_process_call(capsys, unseeded)
+        monkeypatch.delenv("ESCORTROPY_SEED")
+        assert by_seed[seed] == same_process_call(capsys, unseeded + ["--seed", seed])
+    assert by_seed["3"] == fresh[tuple(sweep)]
+    assert by_seed["3"] != by_seed["8"]
+
+
+def test_rebinding_a_command_function_takes_effect_on_the_shared_parser(monkeypatch):
+    argv = ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "1", "--seed", "0",
+            "--out", os.devnull]
+    assert main(argv) == 0  # the parser now exists
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: 7)
+    assert main(argv) == 7

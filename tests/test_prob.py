@@ -190,6 +190,16 @@ def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
     assert JointStack.of(joints).weights.tobytes() == stack.weights.tobytes()
 
 
+def test_joint_stack_of_one_joint_is_a_read_only_view():
+    # chain evaluates its one joint as a one-joint stack, so that stack must
+    # not copy a large joint.
+    joint = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
+    stack = JointStack.of([joint])
+    assert stack.weights.shape == (1, 2, 2)
+    assert np.shares_memory(stack.weights, joint.weights)
+    assert not stack.weights.flags.writeable
+
+
 @pytest.mark.parametrize(
     "values, error",
     [
