@@ -28,8 +28,14 @@ from .prob import (
     product_joint,
 )
 from .qcalc import kn_map, kn_map_inv, q_add, q_exp, q_log
-from .escort import escort, escort_ratio, joint_escort_correct, joint_escort_naive
-from .chain_rules import chain_rule_reports
+from .escort import (
+    _construction_gap,
+    escort,
+    escort_ratio,
+    joint_escort_correct,
+    joint_escort_naive,
+)
+from .chain_rules import chain_rule_grid
 from .errors import UnreachableFloorError
 from .entropies import hybrid, hybrid_rows
 
@@ -244,15 +250,16 @@ def _random_sizes(rng: np.random.Generator) -> tuple[int, int]:
 
 
 def _abs_residuals(joints: list[JointDistribution], order: QOrder) -> list[float]:
-    """|additivity_residual| of each joint, from one ``chain_rule_reports``
-    call per shape; row t of a stack is bit for bit the lone joint's value."""
+    """|residual| of each joint's chain-rule report, from one
+    ``chain_rule_grid`` call per shape; row t of a stack is bit for bit the
+    lone joint's value."""
     by_shape: dict[tuple[int, int], list[int]] = {}
     for t, joint in enumerate(joints):
         by_shape.setdefault(joint.weights.shape, []).append(t)
     residuals = np.empty(len(joints))
     for members in by_shape.values():
         stack = JointStack.of([joints[t] for t in members])
-        residuals[members] = chain_rule_reports(stack, order).residual
+        residuals[members] = chain_rule_grid(stack, [order])[0].residual
     return np.abs(residuals).tolist()
 
 
@@ -403,11 +410,6 @@ def _suite_qcalc(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckRe
             worst = max(worst, abs(kn_map(x, q) - x) / max(abs(x), 1.0))
     results.append(CheckResult("qcalc", "classical_limit", worst < 1e-4, 1e-4 - worst))
     return results
-
-
-def _construction_gap(joint: JointDistribution, q: float) -> float:
-    """Largest cellwise difference between the two joint escort constructions."""
-    return float(np.abs(joint_escort_naive(joint, q) - joint_escort_correct(joint, q)).max())
 
 
 def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:

@@ -19,17 +19,15 @@ rule holds with the axiomatic conditional precisely when that gap vanishes
 equal power sums); otherwise the exponential tilt ``corrected_conditional``
 closes the residual exactly.
 
-One implementation serves every entry point: ``chain_rule_grid`` evaluates a
-stack of T joints of one shape over a grid of orders, ``chain_rule_reports``
-is its one-order case, and ``chain_rule_report`` runs the same passes on one
-joint. The q-independent passes (p, r_{k|l}, ln r, ln p and ln r_{k|l}) are
-computed once per grid, the q-th powers once per order, and every field is
-derived from them. Each joint's sums run over its own two axes in the same
-order whatever else is in the stack, so a joint's fields have the same bits in
-any stack, alone, and at any position of any grid. The single-quantity
-functions are views of the one-joint report, so call ``chain_rule_report`` once
-when you need more than one field, and ``chain_rule_grid`` once for many joints
-or many orders.
+``chain_rule_grid`` is the one evaluation path. It takes a stack of T joints
+of one shape and a grid of orders. It computes the q-independent passes
+(p, r_{k|l}, ln r, ln p and ln r_{k|l}) once per grid and the q-th powers once
+per order, and derives every field from them as a (T,) array.
+``chain_rule_report`` is row 0 of the grid of one joint at one order. Each
+joint's sums run over its own two axes in the same order whatever else is in
+the stack, so a joint's fields have the same bits in any stack and at any
+position of any grid. Read the fields you need from one ``chain_rule_report``,
+and call ``chain_rule_grid`` once for many joints or many orders.
 
 All intermediate arithmetic is done in the additive scale and converted to the
 deformed scale only at the boundary, which avoids compounding exponentials.
@@ -52,6 +50,22 @@ class ChainRuleReport:
 
     Entropy-like fields are in the additive scale; the residuals are in the
     deformed (D_q) scale.
+
+    * ``conditional_chain`` is AD(A,B) - AD(A); ``conditional_axiomatic`` is
+      the escort-weighted mean of the Aczel-Daroczy entropies of B given each
+      A outcome, and ``gap`` is the second minus the first.
+    * ``s_gap`` is the cross entropy of the correct joint escort against the
+      naive one, minus the naive escort's own Shannon entropy. It is zero iff
+      the two constructions coincide, sign-indefinite in general, and equals
+      q * gap.
+    * ``lower_bound`` <= ``s_gap`` <= ``upper_bound`` is the min-max sandwich:
+      each column's power sum is replaced by the row-wise minimum (maximum)
+      over columns. Always lower <= 0 <= upper; both collapse to zero iff the
+      conditional rows are constant across columns.
+    * ``residual`` is D_q(A,B) minus D_q(A) (+)_q D_q(B|A) with the axiomatic
+      conditional: zero on product joints and at q = 1, nonzero on a generic
+      dependent joint. ``corrected_residual`` is the same defect with the
+      tilted conditional of ``corrected_conditional``, zero up to rounding.
     """
 
     q: QOrder
@@ -98,19 +112,9 @@ class ChainRuleReports:
         return ChainRuleReport(self.q, *(float(getattr(self, name)[t]) for name in _VALUES))
 
 
-def _tilted(axiomatic: float, s_gap_value: float, order: QOrder) -> float:
-    """The axiomatic conditional tilted by exp(-((1-q)/q) * s_gap), deformed scale.
-
-    In the additive scale the tilt subtracts s_gap / q, so it is mapped back
-    once, with no cancellation between exponentially large terms.
-    """
-    return kn_map_inv(axiomatic - s_gap_value / order.value, order)
-
-
-# The B and A axes of a joint, or of each joint in a (T, n_b, n_a) stack. On
-# a contiguous array a sum over both is the pairwise sum of each joint's flat
-# cells, as ``.sum()`` of a lone joint is, so a joint's sums have the same
-# bits in any stack.
+# The B and A axes of each joint in a (T, n_b, n_a) stack. On a contiguous
+# stack a sum over both is the pairwise sum of each joint's own flat cells, so
+# a joint's sums have the same bits in any stack, a stack of one included.
 _CELLS = (-2, -1)
 
 
@@ -126,10 +130,8 @@ def _order_free(w: np.ndarray) -> tuple:
 
 
 def _evaluate(passes: tuple, order: QOrder) -> tuple:
-    """The eight additive-scale fields of ChainRuleReport, in order, from the
-    ``_order_free`` passes: arrays of shape () for an (n_b, n_a) joint, (T,)
-    for a (T, n_b, n_a) stack. A lone joint skips the broadcasting of a
-    one-joint stack."""
+    """The ten value fields of ChainRuleReport, in order, as (T,) arrays from
+    the ``_order_free`` passes over a (T, n_b, n_a) stack."""
     w, p, cond, log_w, log_p, log_cond = passes
     # No branch at q = 1: there every power is the identity, so both joint
     # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
@@ -157,19 +159,18 @@ def _evaluate(passes: tuple, order: QOrder) -> tuple:
     lower = (((row_min - col_sums) / col_sums) * col_entropy).sum(axis=_CELLS)
     upper = (((row_max - col_sums) / col_sums) * col_entropy).sum(axis=_CELLS)
 
-    return joint_ad, marginal_ad, chain, axiomatic, axiomatic - chain, gap_value, lower, upper
-
-
-def _deformed_residuals(values, order: QOrder) -> tuple[float, float]:
-    """The residual and the corrected residual of one joint from its eight
-    additive-scale fields, as floats. The scalar maps reach the deformed
-    scale: math.expm1 and np.expm1 differ in the last bit on some arguments."""
-    joint_ad, marginal_ad, _, axiomatic, _, s_gap_value, _, _ = values
+    # The tilt of the corrected conditional subtracts s_gap / q in the
+    # additive scale and is mapped back once, so no two exponentially large
+    # terms cancel.
     joint_value = kn_map_inv(joint_ad, order)
     marginal_value = kn_map_inv(marginal_ad, order)
     residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, order), order)
-    tilted = _tilted(axiomatic, s_gap_value, order)
-    return residual, joint_value - q_add(marginal_value, tilted, order)
+    tilted = kn_map_inv(axiomatic - gap_value / order.value, order)
+    corrected = joint_value - q_add(marginal_value, tilted, order)
+    return (
+        joint_ad, marginal_ad, chain, axiomatic, axiomatic - chain, gap_value,
+        lower, upper, residual, corrected,
+    )
 
 
 def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
@@ -187,19 +188,7 @@ def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
     stack = weights if isinstance(weights, JointStack) else JointStack(weights)
     orders = [as_order(q) for q in q_grid]
     passes = _order_free(stack.weights)
-    grid = []
-    for order in orders:
-        columns = _evaluate(passes, order)
-        rows = zip(*(column.tolist() for column in columns))
-        residual, corrected = zip(*(_deformed_residuals(row, order) for row in rows))
-        grid.append(ChainRuleReports(order, *columns, np.array(residual), np.array(corrected)))
-    return grid
-
-
-def chain_rule_reports(weights, q: float | QOrder) -> ChainRuleReports:
-    """Evaluate every quantity of the additivity analysis for a stack of
-    joints at one q: the one-order case of ``chain_rule_grid``."""
-    return chain_rule_grid(weights, [q])[0]
+    return [ChainRuleReports(order, *_evaluate(passes, order)) for order in orders]
 
 
 def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
@@ -209,53 +198,9 @@ def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleRepor
     cross entropy of the two joint escorts, so ``gap = s_gap / q`` is checked
     across independent routes. Raises ZeroMarginalColumnError when an A
     outcome has zero probability, since conditioning on it is undefined.
-    This is the one-joint, one-order case of ``chain_rule_grid``.
+    This is row 0 of ``chain_rule_grid`` on the one-joint stack of r.
     """
-    order = as_order(q)
-    values = [float(column) for column in _evaluate(_order_free(r.weights), order)]
-    return ChainRuleReport(order, *values, *_deformed_residuals(values, order))
-
-
-def conditional_chain(r: JointDistribution, q: float | QOrder) -> float:
-    """Additive-scale conditional via subtraction: AD(A,B) - AD(A)."""
-    return chain_rule_report(r, q).conditional_chain
-
-
-def conditional_axiomatic(r: JointDistribution, q: float | QOrder) -> float:
-    """Additive-scale conditional as the escort-weighted mean of per-outcome
-    Aczel-Daroczy entropies of B given each A outcome."""
-    return chain_rule_report(r, q).conditional_axiomatic
-
-
-def s_gap(r: JointDistribution, q: float | QOrder) -> float:
-    """Cross entropy of the correct escort against the naive one, minus the
-    naive escort's own Shannon entropy.
-
-    Zero iff the two joint escort constructions coincide; sign-indefinite in
-    general. Equals q times the difference between the two conditionals.
-    """
-    return chain_rule_report(r, q).s_gap
-
-
-def minmax_bounds(r: JointDistribution, q: float | QOrder) -> tuple[float, float]:
-    """Sandwich on s_gap from the min-max theorem for means.
-
-    Replacing each column's power sum by the row-wise minimum (maximum) over
-    columns bounds the cellwise escort ratio from below (above). The lower
-    bound is always <= 0 and the upper always >= 0; both collapse to zero iff
-    the conditional rows are constant across columns.
-    """
-    report = chain_rule_report(r, q)
-    return report.lower_bound, report.upper_bound
-
-
-def additivity_residual(r: JointDistribution, q: float | QOrder) -> float:
-    """Defect of the q-additive composition rule with the axiomatic conditional.
-
-    D_q(A,B) minus D_q(A) (+)_q D_q(B|A), in the deformed scale. Zero for
-    product joints and at q = 1; nonzero for a generic dependent joint.
-    """
-    return chain_rule_report(r, q).residual
+    return chain_rule_grid(JointStack.of([r]), [q])[0][0]
 
 
 def corrected_conditional(r: JointDistribution, q: float | QOrder) -> float:
@@ -268,4 +213,4 @@ def corrected_conditional(r: JointDistribution, q: float | QOrder) -> float:
     joints, and the map is the identity at q = 1.
     """
     report = chain_rule_report(r, q)
-    return _tilted(report.conditional_axiomatic, report.s_gap, report.q)
+    return kn_map_inv(report.conditional_axiomatic - report.s_gap / report.q.value, report.q)

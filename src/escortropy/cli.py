@@ -44,7 +44,7 @@ SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upp
 # The report fields a sweep prints, in column order.
 SWEEP_FIELDS = SWEEP_HEADER.split(",")[5:]
 # Cells per stack of sweep trials: enough joints that the per-call cost of
-# chain_rule_reports vanishes, few enough that its temporaries stay near 1 MB
+# chain_rule_grid vanishes, few enough that its temporaries stay near 1 MB
 # each, whatever the trial count.
 SWEEP_STACK_CELLS = 1 << 16
 
@@ -115,6 +115,10 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+# Where the q-th powers underflow or overflow, _finite_row refuses the order
+# in one error line; numpy's warnings about the same values are silenced so
+# that line is all of stderr.
+@np.errstate(all="ignore")
 def cmd_entropy(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
     if not isinstance(data, dict) or "p" not in data:
@@ -146,6 +150,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
+@np.errstate(all="ignore")
 def cmd_chain(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
     if not isinstance(data, dict) or "r" not in data:
@@ -229,6 +234,7 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
     return lines
 
 
+@np.errstate(all="ignore")
 def cmd_sweep(args: argparse.Namespace) -> int:
     body = sweep_rows(args.nb, args.na, args.q, args.trials, args.seed)
     text = "\n".join([SWEEP_HEADER] + body) + "\n"

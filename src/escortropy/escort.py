@@ -81,6 +81,11 @@ def escort_ratio(r: JointDistribution, q: float | QOrder) -> np.ndarray:
     return np.tile(mean_power_sum / col_power_sums, (r.n_b, 1))
 
 
+def _construction_gap(r: JointDistribution, q: float | QOrder) -> float:
+    """Largest cellwise difference between the two joint escort constructions."""
+    return float(np.abs(joint_escort_naive(r, q) - joint_escort_correct(r, q)).max())
+
+
 def is_escort_consistent(r: JointDistribution, q: float | QOrder, tol: float = 1e-9) -> bool:
     """True when the two joint escort constructions agree cellwise within tol.
 
@@ -88,5 +93,4 @@ def is_escort_consistent(r: JointDistribution, q: float | QOrder, tol: float = 1
     joint the constructions disagree, though symmetric joints whose conditional
     columns are permutations of one another stay consistent at every order.
     """
-    gap = joint_escort_naive(r, q) - joint_escort_correct(r, q)
-    return float(np.abs(gap).max()) < tol
+    return _construction_gap(r, q) < tol

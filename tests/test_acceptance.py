@@ -28,11 +28,11 @@ import pytest
 from escortropy import (
     Distribution,
     JointDistribution,
-    additivity_residual,
+    JointStack,
+    chain_rule_grid,
     chain_rule_report,
     check_expansibility,
     check_maximality,
-    conditional_axiomatic,
     corrected_conditional,
     escort,
     hybrid,
@@ -63,30 +63,45 @@ def emit(criterion, passed, detail):
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
+def grid_instances(joints, q_grid):
+    """(joint, q, report) for each joint and each order of q_grid, in that
+    order, from one chain_rule_grid call per joint shape."""
+    by_shape = {}
+    for t, joint in enumerate(joints):
+        by_shape.setdefault(joint.weights.shape, []).append(t)
+    rows = [None] * len(joints)
+    for members in by_shape.values():
+        grid = chain_rule_grid(JointStack.of([joints[t] for t in members]), q_grid)
+        for i, t in enumerate(members):
+            rows[t] = [reports[i] for reports in grid]
+    return [
+        (joint, q, report)
+        for joint, reports in zip(joints, rows)
+        for q, report in zip(q_grid, reports)
+    ]
+
+
 @pytest.fixture(scope="module")
 def product_instances():
     """(joint, q, report) for 1000 seeded product joints x the q grid."""
-    instances = []
+    joints = []
     for t in range(TRIALS):
         rng = np.random.default_rng(1_000_000 + t)
         n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        joint = product_joint(
-            Distribution(rng.dirichlet(np.ones(n_a))),
-            Distribution(rng.dirichlet(np.ones(n_b))),
+        joints.append(
+            product_joint(
+                Distribution(rng.dirichlet(np.ones(n_a))),
+                Distribution(rng.dirichlet(np.ones(n_b))),
+            )
         )
-        for q in Q_GRID:
-            instances.append((joint, q, chain_rule_report(joint, q)))
-    return instances
+    return grid_instances(joints, Q_GRID)
 
 
 @pytest.fixture(scope="module")
 def dependent_instances():
     """(joint, 2.0, report) for 1000 seeded joints with mutual information > 0.05."""
-    instances = []
-    for t in range(TRIALS):
-        joint = sample_dependent_joint(20_250_809, t, mi_floor=0.05)
-        instances.append((joint, 2.0, chain_rule_report(joint, 2.0)))
-    return instances
+    joints = [sample_dependent_joint(20_250_809, t, mi_floor=0.05) for t in range(TRIALS)]
+    return grid_instances(joints, [2.0])
 
 
 def test_criterion_01_independence_additivity(product_instances):
@@ -105,7 +120,7 @@ def test_criterion_02_dependence_violation_ensemble(dependent_instances):
 
 
 def test_criterion_02_dependence_violation_fixed_witness():
-    residual = additivity_residual(VIOLATING_WITNESS, 2.0)
+    residual = chain_rule_report(VIOLATING_WITNESS, 2.0).residual
     oracle_residual = oracles.additivity_residual(VIOLATING_WITNESS.weights, 2.0)
     violates = (
         mutual_information(VIOLATING_WITNESS) > 0.0
@@ -116,7 +131,7 @@ def test_criterion_02_dependence_violation_fixed_witness():
     # Counter-witness: dependent, yet escort-consistent, so the rule closes.
     closing = max(
         max(
-            abs(additivity_residual(PERMUTED_COLUMNS_JOINT, q)),
+            abs(chain_rule_report(PERMUTED_COLUMNS_JOINT, q).residual),
             abs(oracles.additivity_residual(PERMUTED_COLUMNS_JOINT.weights, q)),
         )
         for q in Q_GRID
@@ -175,12 +190,9 @@ def test_criterion_06_correction_closure(product_instances, dependent_instances)
         for _, _, report in product_instances + dependent_instances
     )
     identity_worst = 0.0
-    for joint, q, _ in product_instances[:: len(Q_GRID)]:
-        for q_value in Q_GRID:
-            base = kn_map_inv(conditional_axiomatic(joint, q_value), q_value)
-            identity_worst = max(
-                identity_worst, abs(corrected_conditional(joint, q_value) - base)
-            )
+    for joint, q, report in product_instances:
+        base = kn_map_inv(report.conditional_axiomatic, q)
+        identity_worst = max(identity_worst, abs(corrected_conditional(joint, q) - base))
     passed = worst < 1e-9 and identity_worst < 1e-9
     emit(6, passed, f"max corrected residual = {worst:.3e}; max tilt on products = {identity_worst:.3e}")
     assert passed

@@ -5,7 +5,7 @@ from escortropy import (
     Distribution,
     JointDistribution,
     UnreachableFloorError,
-    additivity_residual,
+    chain_rule_report,
     check_additivity_dependent,
     check_additivity_independent,
     check_continuity,
@@ -232,8 +232,8 @@ def test_dependent_sampler_stops_at_attempt_cap(monkeypatch):
 
 
 def test_additivity_independent_matches_the_per_joint_loop():
-    # One chain_rule_reports call per shape must keep the margin and the
-    # witness (the first worst trial) of evaluating the joints one by one.
+    # One chain_rule_grid call per shape must keep the margin and the witness
+    # (the first worst trial) of evaluating the joints one by one.
     for q in (0.5, 2.0, 5.0):
         worst, witness = 0.0, None
         for t in range(60):
@@ -243,7 +243,7 @@ def test_additivity_independent_matches_the_per_joint_loop():
                 Distribution(rng.dirichlet(np.ones(n_a))),
                 Distribution(rng.dirichlet(np.ones(n_b))),
             )
-            residual = abs(additivity_residual(joint, q))
+            residual = abs(chain_rule_report(joint, q).residual)
             if residual > worst:
                 worst, witness = residual, joint
         verdict = check_additivity_independent(q, seed=3, trials=60)
@@ -268,7 +268,7 @@ def test_additivity_independent_fails_on_non_finite_residuals():
                 Distribution(rng.dirichlet(np.ones(n_a))),
                 Distribution(rng.dirichlet(np.ones(n_b))),
             )
-            if not np.isfinite(additivity_residual(joint, 900.0)):
+            if not np.isfinite(chain_rule_report(joint, 900.0).residual):
                 first = joint
                 break
     assert first is not None
@@ -283,7 +283,7 @@ def test_additivity_dependent_matches_the_per_joint_loop(q, caplog):
     expected_lines, witness, violations = [], None, 0
     for t in range(trials):
         joint = sample_dependent_joint(11, t, mi_floor=0.05)
-        residual = abs(additivity_residual(joint, q))
+        residual = abs(chain_rule_report(joint, q).residual)
         if residual > axioms.VIOLATION_FLOOR:
             violations += 1
         else:

@@ -18,10 +18,7 @@ from escortropy import (
     Distribution,
     EscortropyError,
     JointDistribution,
-    additivity_residual,
     chain_rule_report,
-    conditional_axiomatic,
-    conditional_chain,
     conditional_escort,
     corrected_conditional,
     cross_shannon,
@@ -31,19 +28,16 @@ from escortropy import (
     joint_escort_correct,
     aczel_daroczy,
     chain_rule_grid,
-    chain_rule_reports,
     hybrid,
     hybrid_joint,
     joint_escort_naive,
     JointStack,
     kn_map_inv,
     marginal_a,
-    minmax_bounds,
     product_joint,
     q_add,
     random_joint,
     renyi,
-    s_gap,
     shannon,
 )
 
@@ -82,23 +76,25 @@ def test_conditional_chain_on_products_reduces_to_marginal():
     q_b = Distribution(rng.dirichlet(np.ones(3)))
     joint = product_joint(p_a, q_b)
     for q in (0.5, 2.0, 3.0):
-        assert conditional_chain(joint, q) == pytest.approx(
+        assert chain_rule_report(joint, q).conditional_chain == pytest.approx(
             aczel_daroczy(q_b, q).value, abs=1e-12
         )
 
 
 def test_conditional_chain_order_one_is_shannon_conditional():
-    assert conditional_chain(DEPENDENT, 1.0) == pytest.approx(
+    assert chain_rule_report(DEPENDENT, 1.0).conditional_chain == pytest.approx(
         shannon_conditional(DEPENDENT), abs=1e-13
     )
 
 
 def test_conditional_chain_subtraction_oracle():
     for q in (0.5, 2.0):
-        assert conditional_chain(SYMMETRIC, q) == pytest.approx(
+        assert chain_rule_report(SYMMETRIC, q).conditional_chain == pytest.approx(
             oracles.conditional_chain(SYMMETRIC.weights, q), abs=1e-13
         )
-    assert conditional_chain(SYMMETRIC, 2.0) == pytest.approx(0.30469027843890917, abs=1e-13)
+    assert chain_rule_report(SYMMETRIC, 2.0).conditional_chain == pytest.approx(
+        0.30469027843890917, abs=1e-13
+    )
 
 
 def test_conditional_chain_escort_route_identity():
@@ -114,28 +110,30 @@ def test_conditional_chain_escort_route_identity():
             expected = (shannon(naive).value - shannon(p_escort).value) / q - (
                 1.0 - q
             ) / q * (renyi(naive, 1.0 / q).value - renyi(p_escort, 1.0 / q).value)
-            assert abs(conditional_chain(r, q) - expected) < 1e-10
+            assert abs(chain_rule_report(r, q).conditional_chain - expected) < 1e-10
 
 
 def test_conditional_axiomatic_equals_chain_on_products():
     for seed in range(50):
         joint = random_product(seed)
         for q in (0.5, 2.0):
-            assert abs(conditional_axiomatic(joint, q) - conditional_chain(joint, q)) < 1e-12
+            report = chain_rule_report(joint, q)
+            assert abs(report.conditional_axiomatic - report.conditional_chain) < 1e-12
 
 
 def test_conditional_axiomatic_order_one_is_shannon_conditional():
-    assert conditional_axiomatic(DEPENDENT, 1.0) == pytest.approx(
+    assert chain_rule_report(DEPENDENT, 1.0).conditional_axiomatic == pytest.approx(
         shannon_conditional(DEPENDENT), abs=1e-13
     )
 
 
 def test_conditional_axiomatic_direct_summation_oracle():
     for q in (0.5, 2.0):
-        assert conditional_axiomatic(DEPENDENT, q) == pytest.approx(
+        assert chain_rule_report(DEPENDENT, q).conditional_axiomatic == pytest.approx(
             oracles.conditional_axiomatic(DEPENDENT.weights, q), abs=1e-13
         )
-    assert abs(conditional_axiomatic(DEPENDENT, 2.0) - conditional_chain(DEPENDENT, 2.0)) > 1e-3
+    report = chain_rule_report(DEPENDENT, 2.0)
+    assert abs(report.conditional_axiomatic - report.conditional_chain) > 1e-3
 
 
 def test_conditional_axiomatic_escort_route_identity_with_cross_entropy():
@@ -148,31 +146,32 @@ def test_conditional_axiomatic_escort_route_identity_with_cross_entropy():
             expected = (cross_shannon(r, q).value - shannon(p_escort).value) / q - (
                 1.0 - q
             ) / q * (renyi(naive, 1.0 / q).value - renyi(p_escort, 1.0 / q).value)
-            assert abs(conditional_axiomatic(r, q) - expected) < 1e-10
+            assert abs(chain_rule_report(r, q).conditional_axiomatic - expected) < 1e-10
 
 
 def test_two_route_gap_identity():
     for seed in range(200):
         r = random_joint_matrix(seed + 900)
         for q in (0.5, 0.7, 1.5, 2.0, 3.0):
-            gap = conditional_axiomatic(r, q) - conditional_chain(r, q)
-            assert abs(gap - s_gap(r, q) / q) < 1e-10
+            report = chain_rule_report(r, q)
+            gap = report.conditional_axiomatic - report.conditional_chain
+            assert abs(gap - report.s_gap / q) < 1e-10
 
 
 def test_residual_zero_on_products():
     for seed in range(100):
         joint = random_product(seed + 50)
         for q in (0.5, 2.0):
-            assert abs(additivity_residual(joint, q)) < 1e-10
+            assert abs(chain_rule_report(joint, q).residual) < 1e-10
 
 
 def test_residual_zero_at_order_one():
     for seed in range(30):
-        assert abs(additivity_residual(random_joint_matrix(seed), 1.0)) < 1e-10
+        assert abs(chain_rule_report(random_joint_matrix(seed), 1.0).residual) < 1e-10
 
 
 def test_residual_on_dependent_example():
-    value = additivity_residual(DEPENDENT, 2.0)
+    value = chain_rule_report(DEPENDENT, 2.0).residual
     assert value == pytest.approx(-0.006969288155138753, abs=1e-12)
     assert value == pytest.approx(oracles.additivity_residual(DEPENDENT.weights, 2.0), abs=1e-12)
 
@@ -180,52 +179,56 @@ def test_residual_on_dependent_example():
 def test_symmetric_joint_satisfies_additivity_despite_dependence():
     # Escort consistency, not independence, is what the composition rule needs.
     for q in (0.5, 2.0, 3.0):
-        assert abs(additivity_residual(SYMMETRIC, q)) < 1e-14
+        assert abs(chain_rule_report(SYMMETRIC, q).residual) < 1e-14
 
 
 def test_s_gap_examples():
     joint = random_product(7)
-    assert abs(s_gap(joint, 2.0)) < 1e-12
-    assert s_gap(DEPENDENT, 1.0) == 0.0
-    assert s_gap(DEPENDENT, 2.0) == pytest.approx(0.04411917868, abs=1e-9)
-    assert s_gap(DEPENDENT, 2.0) > 0.0
-    assert s_gap(WITH_ZERO, 2.0) == pytest.approx(-0.03580084312044618, abs=1e-12)
-    assert abs(s_gap(SYMMETRIC, 2.0)) < 1e-15
+    assert abs(chain_rule_report(joint, 2.0).s_gap) < 1e-12
+    assert chain_rule_report(DEPENDENT, 1.0).s_gap == 0.0
+    dependent = chain_rule_report(DEPENDENT, 2.0).s_gap
+    assert dependent == pytest.approx(0.04411917868, abs=1e-9)
+    assert dependent > 0.0
+    assert chain_rule_report(WITH_ZERO, 2.0).s_gap == pytest.approx(
+        -0.03580084312044618, abs=1e-12
+    )
+    assert abs(chain_rule_report(SYMMETRIC, 2.0).s_gap) < 1e-15
 
 
 def test_minmax_bounds_product_joint_collapse():
     joint = random_product(11)
-    lower, upper = minmax_bounds(joint, 2.0)
-    assert abs(lower) < 1e-12 and abs(upper) < 1e-12
+    report = chain_rule_report(joint, 2.0)
+    assert abs(report.lower_bound) < 1e-12 and abs(report.upper_bound) < 1e-12
 
 
 def test_minmax_bounds_order_one_straddle_zero():
-    lower, upper = minmax_bounds(DEPENDENT, 1.0)
-    assert lower <= 0.0 <= upper
-    assert lower <= s_gap(DEPENDENT, 1.0) <= upper
+    report = chain_rule_report(DEPENDENT, 1.0)
+    assert report.lower_bound <= 0.0 <= report.upper_bound
+    assert report.lower_bound <= report.s_gap <= report.upper_bound
 
 
 def test_minmax_bounds_enclose_gap_everywhere():
     for seed in range(200):
         r = random_joint_matrix(seed + 2000)
         for q in (0.5, 0.7, 1.5, 2.0, 3.0):
-            lower, upper = minmax_bounds(r, q)
-            gap = s_gap(r, q)
+            report = chain_rule_report(r, q)
+            lower, upper = report.lower_bound, report.upper_bound
+            gap = report.s_gap
             assert lower - 1e-12 <= gap <= upper + 1e-12
             assert lower <= 1e-12 and upper >= -1e-12
 
 
 def test_minmax_bounds_enclose_negative_gap():
-    lower, upper = minmax_bounds(WITH_ZERO, 2.0)
-    assert lower < s_gap(WITH_ZERO, 2.0) < 0.0 < upper
+    report = chain_rule_report(WITH_ZERO, 2.0)
+    assert report.lower_bound < report.s_gap < 0.0 < report.upper_bound
 
 
 def test_corrected_conditional_identity_cases():
     joint = random_product(13)
     for q in (0.5, 2.0):
-        base = kn_map_inv(conditional_axiomatic(joint, q), q)
+        base = kn_map_inv(chain_rule_report(joint, q).conditional_axiomatic, q)
         assert abs(corrected_conditional(joint, q) - base) < 1e-9
-    base = kn_map_inv(conditional_axiomatic(DEPENDENT, 1.0), 1.0)
+    base = kn_map_inv(chain_rule_report(DEPENDENT, 1.0).conditional_axiomatic, 1.0)
     assert corrected_conditional(DEPENDENT, 1.0) == base
 
 
@@ -246,7 +249,7 @@ def test_corrected_conditional_on_dependent_example():
     assert abs(joint_value - q_add(marg_value, corrected, 2.0)) < 1e-12
     # the tilt lands exactly on the chain-route conditional
     assert corrected == pytest.approx(
-        kn_map_inv(conditional_chain(DEPENDENT, 2.0), 2.0), abs=1e-12
+        kn_map_inv(chain_rule_report(DEPENDENT, 2.0).conditional_chain, 2.0), abs=1e-12
     )
 
 
@@ -254,8 +257,9 @@ def test_order_one_collapse_of_all_conditionals():
     for seed in range(30):
         r = random_joint_matrix(seed + 6000)
         reference = shannon_conditional(r)
-        assert abs(conditional_chain(r, 1.0) - reference) < 1e-8
-        assert abs(conditional_axiomatic(r, 1.0) - reference) < 1e-8
+        report = chain_rule_report(r, 1.0)
+        assert abs(report.conditional_chain - reference) < 1e-8
+        assert abs(report.conditional_axiomatic - reference) < 1e-8
         assert abs(corrected_conditional(r, 1.0) - reference) < 1e-8
 
 
@@ -276,7 +280,12 @@ def test_chain_rule_report_fields_are_consistent():
         assert report.gap == pytest.approx(report.s_gap / q, abs=1e-10)
         assert report.lower_bound - 1e-12 <= report.s_gap <= report.upper_bound + 1e-12
         assert report.lower_bound <= 1e-12 and report.upper_bound >= -1e-12
-        assert report.residual == pytest.approx(additivity_residual(r, q), abs=1e-14)
+        # The residual, computed on arrays, against the scalar composition of
+        # the report's own additive-scale fields.
+        composed = kn_map_inv(report.joint_entropy, q) - q_add(
+            kn_map_inv(report.marginal_entropy, q), kn_map_inv(report.conditional_axiomatic, q), q
+        )
+        assert report.residual == pytest.approx(composed, abs=1e-14)
         assert abs(report.corrected_residual) < 1e-9
         assert report.conditional_chain == pytest.approx(
             oracles.conditional_chain(r.weights, q), abs=1e-12
@@ -380,7 +389,7 @@ def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
     grid = chain_rule_grid(weights, KERNEL_ORDERS)
     assert [reports.q.value for reports in grid] == KERNEL_ORDERS
     for q, from_grid in zip(KERNEL_ORDERS, grid):
-        reports = chain_rule_reports(weights, q)
+        reports = chain_rule_grid(weights, [q])[0]
         assert len(reports) == len(from_grid) == len(weights)
         for t, w in enumerate(weights):
             lone = chain_rule_report(JointDistribution(w), q)
@@ -401,7 +410,7 @@ def test_stack_fields_agree_with_oracles(shape):
     # deformed joint entropy, too, which they are differences of.
     weights = joint_stack(shape, seed=100 + 10 * shape[0] + shape[1])
     for q in KERNEL_ORDERS:
-        reports = chain_rule_reports(weights, q)
+        reports = chain_rule_grid(weights, [q])[0]
         for t, w in enumerate(weights):
             expected = oracles.chain_rule_fields(w, q)
             deformed_joint = abs(oracles.kn_map_inv(expected["joint_entropy"], q))
@@ -416,8 +425,8 @@ def test_stack_fields_agree_with_oracles(shape):
 def test_stack_accepts_a_validated_stack_and_plain_arrays_alike():
     weights = joint_stack((4, 3), seed=3)
     joints = [JointDistribution(w) for w in weights]
-    from_array = chain_rule_reports(weights, 2.0)
-    from_joints = chain_rule_reports(JointStack.of(joints), 2.0)
+    from_array = chain_rule_grid(weights, [2.0])[0]
+    from_joints = chain_rule_grid(JointStack.of(joints), [2.0])[0]
     for name in VALUE_FIELDS:
         assert np.array_equal(getattr(from_array, name), getattr(from_joints, name)), name
 
@@ -452,7 +461,7 @@ def test_stack_rejects_what_the_lone_path_rejects(spoil):
     with pytest.raises(EscortropyError) as lone:
         chain_rule_report(JointDistribution(weights[2]), 2.0)
     with pytest.raises(EscortropyError) as stacked:
-        chain_rule_reports(weights, 2.0)
+        chain_rule_grid(weights, [2.0])[0]
     with pytest.raises(EscortropyError) as gridded:
         chain_rule_grid(weights, KERNEL_ORDERS)
     assert type(stacked.value) is type(gridded.value) is type(lone.value)
@@ -465,6 +474,6 @@ def test_oracles_keep_their_digits_next_to_order_one():
     assert oracles.hybrid(DEPENDENT.weights, q) == pytest.approx(
         hybrid_joint(DEPENDENT, q).value, abs=1e-12
     )
-    residual = additivity_residual(DEPENDENT, q)
+    residual = chain_rule_report(DEPENDENT, q).residual
     assert residual < 0.0
     assert oracles.additivity_residual(DEPENDENT.weights, q) < 0.0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,10 +168,14 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv
         path = tmp_path / "in.json"
         path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         argv = argv + ["--input", str(path)]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects bad options by exiting
-        code = exc.code
+    # A warning would add lines to stderr beside the error line, so any
+    # warning fails the test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects bad options by exiting
+            code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert sum("error:" in line for line in err.splitlines()) == 1
