@@ -14,10 +14,13 @@ the conditional term:
 
 The two differ by exactly (1/q) * (cross entropy minus Shannon entropy of the
 naive joint escort), which is the quantity ``s_gap`` below. The composition
-rule holds with the axiomatic conditional precisely when that gap vanishes
-(product joints, q = 1, and dependent joints whose conditional columns have
-equal power sums); otherwise the exponential tilt ``corrected_conditional``
-closes the residual exactly.
+rule holds with the axiomatic conditional precisely when that gap vanishes.
+It vanishes wherever the two joint escort constructions coincide (product
+joints, q = 1, and dependent joints whose conditional columns have equal
+power sums), so escort consistency at q implies closure at q. The converse
+fails at a single order: ``s_gap`` is sign-indefinite and can vanish at one
+order on an escort-inconsistent joint. Wherever it does not vanish, the
+exponential tilt ``corrected_conditional`` closes the residual exactly.
 
 ``chain_rule_grid`` is the one evaluation path. It takes a stack of T joints
 of one shape and a grid of orders. It computes the q-independent passes
@@ -55,9 +58,10 @@ class ChainRuleReport:
       the escort-weighted mean of the Aczel-Daroczy entropies of B given each
       A outcome, and ``gap`` is the second minus the first.
     * ``s_gap`` is the cross entropy of the correct joint escort against the
-      naive one, minus the naive escort's own Shannon entropy. It is zero iff
-      the two constructions coincide, sign-indefinite in general, and equals
-      q * gap.
+      naive one, minus the naive escort's own Shannon entropy. It is zero
+      where the two constructions coincide, sign-indefinite in general, and
+      equals q * gap. The converse fails: a dependent joint whose
+      constructions differ can still have s_gap = 0 at one order.
     * ``lower_bound`` <= ``s_gap`` <= ``upper_bound`` is the min-max sandwich:
       each column's power sum is replaced by the row-wise minimum (maximum)
       over columns. Always lower <= 0 <= upper; both collapse to zero iff the

@@ -13,11 +13,14 @@ same for every column l -- in particular for every product joint -- and
 differ otherwise. Their cellwise ratio has a closed form that depends only on
 the column index, which keeps it finite even on zero cells.
 
-Every function takes an already-validated Distribution or JointDistribution
-and returns a plain array; nothing is revalidated inside. The escort at order
-1/q inverts the escort at order q. Throughout, 0^q = 0 for q > 0: zero
-entries stay zero under every transform. At q = 1 every escort is the
-identity (p^1 = p), so no order needs a branch.
+Every function takes already-validated weights and returns a plain array;
+nothing is revalidated inside. A Distribution is one row (n,) and a
+DistributionStack T rows (T, n); a JointDistribution is one joint
+(n_b, n_a) and a JointStack T joints (T, n_b, n_a). Every sum runs over the
+last axes of one item, so an item's result has the same bits alone and as
+any row of any stack. The escort at order 1/q inverts the escort at order q.
+Throughout, 0^q = 0 for q > 0: zero entries stay zero under every transform.
+At q = 1 every escort is the identity (p^1 = p), so no order needs a branch.
 """
 
 from __future__ import annotations
@@ -26,33 +29,39 @@ import numpy as np
 
 from .prob import (
     Distribution,
+    DistributionStack,
     JointDistribution,
+    JointStack,
     QOrder,
     _marginal_and_conditional,
     as_order,
 )
 
+# The B and A axes of each joint; on a contiguous array a sum over both is the
+# pairwise sum of the joint's own flat cells.
+_CELLS = (-2, -1)
 
-def escort(p: Distribution, q: float | QOrder) -> np.ndarray:
-    """Escort transform P(q)_k = p_k^q / sum_i p_i^q."""
+
+def escort(p: Distribution | DistributionStack, q: float | QOrder) -> np.ndarray:
+    """Escort transform P(q)_k = p_k^q / sum_i p_i^q of each row."""
     w = p.weights ** as_order(q).value
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def joint_escort_naive(r: JointDistribution, q: float | QOrder) -> np.ndarray:
+def joint_escort_naive(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
     """Cellwise power then global normalization: R(q)_{kl} = r_{kl}^q / sum r^q."""
     w = r.weights ** as_order(q).value
-    return w / w.sum()
+    return w / w.sum(axis=_CELLS, keepdims=True)
 
 
-def conditional_escort(r: JointDistribution, q: float | QOrder) -> np.ndarray:
+def conditional_escort(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
     """Column-wise escort of the conditional of B given A."""
     _, cond = _marginal_and_conditional(r.weights)
     w = cond ** as_order(q).value
-    return w / w.sum(axis=0)
+    return w / w.sum(axis=-2, keepdims=True)
 
 
-def joint_escort_correct(r: JointDistribution, q: float | QOrder) -> np.ndarray:
+def joint_escort_correct(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
     """Marginal-times-conditional escort: escort(p)_l times the escorted column l.
 
     Its A-marginal equals the escort of the A-marginal by construction, which
@@ -62,10 +71,10 @@ def joint_escort_correct(r: JointDistribution, q: float | QOrder) -> np.ndarray:
     p, cond = _marginal_and_conditional(r.weights)
     p_q = p**value
     cond_q = cond**value
-    return cond_q / cond_q.sum(axis=0) * (p_q / p_q.sum())
+    return cond_q / cond_q.sum(axis=-2, keepdims=True) * (p_q / p_q.sum(axis=-1, keepdims=True))
 
 
-def escort_ratio(r: JointDistribution, q: float | QOrder) -> np.ndarray:
+def escort_ratio(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
     """Cellwise ratio correct/naive via its closed form, finite on zero cells.
 
     The ratio is constant down each column: it equals the escort-weighted mean
@@ -76,21 +85,28 @@ def escort_ratio(r: JointDistribution, q: float | QOrder) -> np.ndarray:
     value = as_order(q).value
     p, cond = _marginal_and_conditional(r.weights)
     p_q = p**value
-    col_power_sums = (cond**value).sum(axis=0)
-    mean_power_sum = float((p_q / p_q.sum() * col_power_sums).sum())
-    return np.tile(mean_power_sum / col_power_sums, (r.n_b, 1))
+    col_power_sums = (cond**value).sum(axis=-2, keepdims=True)
+    mean_power_sum = (p_q / p_q.sum(axis=-1, keepdims=True) * col_power_sums).sum(
+        axis=-1, keepdims=True
+    )
+    return np.repeat(mean_power_sum / col_power_sums, r.weights.shape[-2], axis=-2)
 
 
-def _construction_gap(r: JointDistribution, q: float | QOrder) -> float:
-    """Largest cellwise difference between the two joint escort constructions."""
-    return float(np.abs(joint_escort_naive(r, q) - joint_escort_correct(r, q)).max())
+def _construction_gap(r: JointDistribution | JointStack, q: float | QOrder) -> float | np.ndarray:
+    """Largest cellwise difference between the two joint escort constructions:
+    a float for a joint, the (T,) array of each joint's value for a stack."""
+    gap = np.abs(joint_escort_naive(r, q) - joint_escort_correct(r, q)).max(axis=_CELLS)
+    return float(gap) if gap.ndim == 0 else gap
 
 
-def is_escort_consistent(r: JointDistribution, q: float | QOrder, tol: float = 1e-9) -> bool:
+def is_escort_consistent(
+    r: JointDistribution | JointStack, q: float | QOrder, tol: float = 1e-9
+) -> bool | np.ndarray:
     """True when the two joint escort constructions agree cellwise within tol.
 
     Identically true at q = 1 and on product joints; on a generic dependent
     joint the constructions disagree, though symmetric joints whose conditional
     columns are permutations of one another stay consistent at every order.
+    A JointStack gives the (T,) boolean array of each joint's answer.
     """
     return _construction_gap(r, q) < tol

@@ -52,16 +52,17 @@ def _checked_weights(values, ndim: int) -> np.ndarray:
     return w
 
 
-def _checked_stack(values) -> np.ndarray:
-    # _checked_weights for each joint of a (T, n_b, n_a) stack: the flat sum
-    # of each joint is the same pairwise sum as a lone joint's, so every
-    # joint gets the bits JointDistribution would give it.
-    w = _finite_nonnegative(values, 3)
+def _checked_stack(values, ndim: int) -> np.ndarray:
+    # _checked_weights for each item of a stack of T ndim-d items: rows
+    # (T, n) or joints (T, n_b, n_a). The flat sum of each item is the same
+    # pairwise sum as a lone item's, so every item gets the bits Distribution
+    # or JointDistribution would give it.
+    w = _finite_nonnegative(values, ndim + 1)
     totals = w.reshape(len(w), -1).sum(axis=1)
     off = np.abs(totals - 1.0) > EPS_NORM
     if np.any(off):
         raise NotNormalizedError(float(totals[off][0] - 1.0))
-    w = w / totals[:, None, None]
+    w = w / totals.reshape((-1,) + (1,) * ndim)
     w.setflags(write=False)
     return w
 
@@ -108,6 +109,21 @@ class JointDistribution:
 
 
 @dataclass(frozen=True, eq=False)
+class DistributionStack:
+    """T probability vectors of one length: ``weights[t]`` is row t.
+
+    Each row is validated by the rules of Distribution and divided by its own
+    sum, so ``DistributionStack(ws).weights[t]`` has the bits of
+    ``Distribution(ws[t]).weights``.
+    """
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _checked_stack(self.weights, 1))
+
+
+@dataclass(frozen=True, eq=False)
 class JointStack:
     """T joint matrices of one shape: ``weights[t]`` is joint t.
 
@@ -119,7 +135,7 @@ class JointStack:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _checked_stack(self.weights))
+        object.__setattr__(self, "weights", _checked_stack(self.weights, 2))
 
     @classmethod
     def of(cls, joints: list[JointDistribution]) -> JointStack:

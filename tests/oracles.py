@@ -3,15 +3,20 @@
 Everything here evaluates the definitional formulas directly (plain powers,
 logs, and sums) without the branch structure, escort shortcuts, or stabilized
 forms the package uses, so agreement is a genuine cross-check rather than a
-tautology. The exception is `maximality_search`, a seeded multi-start ascent
+tautology. The exceptions are `maximality_search`, a seeded multi-start ascent
 that scores points with the package's `hybrid_rows`: it is an independent
 method against the two-value reduction of `check_maximality`, so agreement
-still cross-checks that reduction.
+still cross-checks that reduction; and the per-draw suite loops at the end,
+which call the package on one validated object per draw and are the
+reference that its batched suites must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from escortropy import project_to_simplex
+import escortropy as ep
+from escortropy import axioms, project_to_simplex
 from escortropy.entropies import hybrid_rows
 
 
@@ -273,3 +278,170 @@ def maximality_search(q, n, seed):
     points, values = ascend(np.array(starts), q)
     best = int(np.argmax(values))  # the first of equal values, as a strict > scan keeps
     return points[best], float(values[best])
+
+
+def sample_dependent_joint(seed, index, mi_floor):
+    """The rejection sampler one attempt at a time, each draw validated and
+    judged alone: the accepted joint and the attempt that accepted it."""
+    for attempt in range(axioms.SAMPLER_ATTEMPTS):
+        rng = np.random.default_rng((seed, index, attempt))
+        n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        joint = ep.JointDistribution(
+            rng.dirichlet(np.full(n_b * n_a, axioms.SAMPLER_CONCENTRATION)).reshape(n_b, n_a)
+        )
+        if ep.mutual_information(joint) > mi_floor:
+            return joint, attempt
+    raise ValueError("floor not reached")
+
+
+def construction_gap(joint, q):
+    return float(np.abs(ep.joint_escort_naive(joint, q) - ep.joint_escort_correct(joint, q)).max())
+
+
+def suite_escort(seed, trials):
+    """The escort suite one draw at a time: {check: (passed, margin)} and the
+    construction gap of each joint of the dependent ensemble. Its
+    dependent_joints_inconsistent entry is the minimum-gap form of that check,
+    which required every gap to exceed 1e-6."""
+    rng = np.random.default_rng(seed)
+    results = {}
+
+    worst = 0.0
+    for q in (0.3, 0.5, 2.0, 5.0):
+        for _ in range(trials):
+            n = int(rng.integers(2, 9))
+            p = ep.Distribution(rng.dirichlet(np.ones(n)))
+            back = ep.escort(ep.Distribution(ep.escort(p, q)), 1.0 / q)
+            worst = max(worst, float(np.abs(back - p.weights).max()))
+    results["inverse_round_trip"] = (worst < 1e-10, 1e-10 - worst)
+
+    worst = 0.0
+    for t in range(trials):
+        sub = np.random.default_rng(seed + t)
+        joint = ep.product_joint(
+            ep.Distribution(sub.dirichlet(np.ones(int(sub.integers(2, 9))))),
+            ep.Distribution(sub.dirichlet(np.ones(int(sub.integers(2, 9))))),
+        )
+        worst = max(worst, construction_gap(joint, 2.0))
+    results["product_joints_consistent"] = (worst < 1e-9, 1e-9 - worst)
+
+    gaps = [
+        construction_gap(sample_dependent_joint(seed, t, 0.01)[0], 2.0) for t in range(trials)
+    ]
+    results["dependent_joints_inconsistent"] = (min(gaps) > 1e-6, min(gaps) - 1e-6)
+
+    worst = 0.0
+    for t in range(trials):
+        joint, _ = sample_dependent_joint(seed + 10_000, t, 0.01)
+        for q in (0.5, 2.0):
+            correct = ep.joint_escort_correct(joint, q)
+            target = ep.escort(ep.Distribution(joint.weights.sum(axis=0)), q)
+            worst = max(worst, float(np.abs(correct.sum(axis=0) - target).max()))
+    results["correct_marginal_identity"] = (worst < 1e-12, 1e-12 - worst)
+
+    worst = 0.0
+    for t in range(trials):
+        joint, _ = sample_dependent_joint(seed + 20_000, t, 0.01)
+        for q in (0.5, 2.0):
+            naive = ep.joint_escort_naive(joint, q)
+            correct = ep.joint_escort_correct(joint, q)
+            ratio = ep.escort_ratio(joint, q)
+            mask = naive > 0
+            worst = max(worst, float(np.abs(ratio[mask] * naive[mask] - correct[mask]).max()))
+    results["ratio_cross_check"] = (worst < 1e-10, 1e-10 - worst)
+    return results, gaps
+
+
+def _hybrid_of(row, q):
+    return float(hybrid_rows(row[None, :], q)[0])
+
+
+def continuity(q, n, seed, delta=1e-4):
+    """check_continuity with one `hybrid_rows` call per scored point:
+    (passed, margin, modulus)."""
+    ratios = [1.0]
+    for v in (0.0, delta / 8, delta / 2, 2 * delta, 10 * delta, 0.1):
+        base = np.full(n, (1.0 - v) / (n - 1))
+        base[0] = v
+        base /= base.sum()
+        base_value = _hybrid_of(base, q)
+        for step in (delta, delta / 2, delta / 4):
+            for sign in (1.0, -1.0):
+                moved = base.copy()
+                moved[0] += sign * step
+                moved[1:] -= sign * step / (n - 1)
+                if np.any(moved < 0):
+                    continue
+                distance = float(np.abs(moved - base).sum())
+                ratios.append(abs(_hybrid_of(moved, q) - base_value) / distance)
+    modulus = 2.0 * max(ratios)
+    rng = np.random.default_rng(seed)
+    slacks = []
+    drawn = 0
+    while len(slacks) < axioms.CONTINUITY_PROBES:
+        base = rng.dirichlet(np.ones(n))
+        if drawn % 4 == 3 and n >= 3:
+            base[(drawn // 4) % n] = 0.0
+            base = base / base.sum()
+        drawn += 1
+        direction = rng.normal(size=n)
+        direction -= direction.mean()
+        norm = np.abs(direction).sum()
+        if norm == 0.0:
+            continue
+        moved = project_to_simplex(base + direction * (delta / norm))
+        if np.abs(moved - base).sum() == 0.0:
+            continue
+        slacks.append(modulus * delta - abs(_hybrid_of(moved, q) - _hybrid_of(base, q)))
+    margin = float(min(slacks))
+    return margin >= 0.0, margin, modulus
+
+
+def additivity_independent(q, seed, trials):
+    """check_additivity_independent one chain_rule_report at a time:
+    (margin, witness), the witness being the first worst joint."""
+    worst, witness = 0.0, None
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        joint = ep.product_joint(
+            ep.Distribution(rng.dirichlet(np.ones(n_a))),
+            ep.Distribution(rng.dirichlet(np.ones(n_b))),
+        )
+        residual = abs(ep.chain_rule_report(joint, q).residual)
+        if not math.isfinite(residual):
+            return -math.inf, joint
+        if residual > worst:
+            worst, witness = residual, joint
+    return axioms.RESIDUAL_TOL - worst, witness
+
+
+def suite_axioms(seed, trials, mi_floor=0.05):
+    """The axioms suite one draw at a time: {check: (passed, margin)}."""
+    results = {}
+    for q in (0.6, 2.0):
+        passed, margin, _ = continuity(q, 8, seed)
+        results[f"continuity_q{q}"] = (passed, margin)
+    for q in (1.0, 2.0):
+        for n in (2, 3, 4, 5):
+            verdict = ep.check_maximality(q, n=n)
+            results[f"maximality_q{q}_n{n}"] = (verdict.passed, verdict.margin)
+    rng = np.random.default_rng(seed)
+    for q in (0.5, 2.0):
+        ok, worst = True, np.inf
+        for _ in range(trials):
+            p = ep.Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 9)))))
+            padded = ep.Distribution(np.append(p.weights, 0.0))
+            margin = 1e-12 - abs(ep.hybrid(padded, q).value - ep.hybrid(p, q).value)
+            ok, worst = ok and margin >= 0.0, min(worst, margin)
+        results[f"expansibility_q{q}"] = (ok, worst)
+    for q in (0.5, 2.0):
+        margin, _ = additivity_independent(q, seed, trials)
+        results[f"additivity_independent_q{q}"] = (margin >= 0.0, margin)
+    violations = 0
+    for t in range(trials):
+        joint, _ = sample_dependent_joint(seed, t, mi_floor)
+        violations += abs(ep.chain_rule_report(joint, 2.0).residual) > axioms.VIOLATION_FLOOR
+    margin = violations / trials - 0.99
+    results["additivity_dependent_q2"] = (margin >= 0.0, margin)
+    return results

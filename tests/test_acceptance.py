@@ -7,13 +7,15 @@ criteria through module-scoped fixtures. Two criteria state what the
 mathematics promises, and both verdicts are confirmed against the
 direct-formula oracles in `oracles.py`:
 
-* criterion 2 (fixed witness): the dependent joint [[0.2, 0.1], [0.3, 0.4]]
+* criterion 2 (fixed witnesses): the dependent joint [[0.2, 0.1], [0.3, 0.4]]
   breaks the composition rule at q = 2 (residual -6.969e-3). Dependence alone
   is not enough: [[0.4, 0.1], [0.1, 0.4]] is dependent (mutual information
   0.193), but its conditional columns are permutations of each other, so the
   column power sums coincide at every order, the two joint escort
-  constructions agree, and the rule closes. Escort consistency, not
-  independence, is what the rule needs.
+  constructions agree, and the rule closes. Escort consistency at q, not
+  independence, closes the rule at q. The converse fails at a single order:
+  the dependent 2x3 joint CLOSING_AT_TWO is escort-inconsistent at q = 2, yet
+  its residual there is -1.1e-16, and the rule breaks at q = 0.5, 1.5 and 3.
 * criterion 8 (maximality): the uniform point maximizes the hybrid entropy iff
   q >= q*(n). q*(2) = 1/2, and for n >= 3 the threshold lies above 1/2
   (q* ~ 0.505 at n = 3 up to ~ 0.534 at n = 8), so at q = 0.5 the one-heavy
@@ -57,6 +59,13 @@ Q_GRID = (0.5, 0.7, 1.5, 2.0, 3.0)
 TRIALS = 1000
 VIOLATING_WITNESS = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
 PERMUTED_COLUMNS_JOINT = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+# Found by bisection between the extreme-s_gap joints of a 2x3 ensemble.
+CLOSING_AT_TWO = JointDistribution(
+    [
+        [0.1392314851572052, 0.14300587288686156, 0.056495156146297916],
+        [0.4489888909029194, 0.04105303704601121, 0.17122555786070484],
+    ]
+)
 
 
 def emit(criterion, passed, detail):
@@ -141,15 +150,33 @@ def test_criterion_02_dependence_violation_fixed_witness():
         and all(is_escort_consistent(PERMUTED_COLUMNS_JOINT, q) for q in Q_GRID)
         and closing <= 1e-12
     )
-    passed = violates and closes
+    # Third witness: dependent and escort-inconsistent, yet the rule closes at
+    # q = 2; consistency is sufficient for closure at one order, not necessary.
+    at_two = chain_rule_report(CLOSING_AT_TWO, 2.0).residual
+    oracle_at_two = oracles.additivity_residual(CLOSING_AT_TWO.weights, 2.0)
+    elsewhere = {q: chain_rule_report(CLOSING_AT_TWO, q).residual for q in (0.5, 1.5, 3.0)}
+    closes_at_one_order = (
+        mutual_information(CLOSING_AT_TWO) > 0.05
+        and not is_escort_consistent(CLOSING_AT_TWO, 2.0)
+        and max(abs(at_two), abs(oracle_at_two)) <= 1e-12
+        and all(abs(residual) > 1e-5 for residual in elsewhere.values())
+        and all(
+            abs(residual - oracles.additivity_residual(CLOSING_AT_TWO.weights, q)) < 1e-12
+            for q, residual in elsewhere.items()
+        )
+    )
+    passed = violates and closes and closes_at_one_order
     emit(
         "2 (fixed witness)",
         passed,
         f"witness residual at q=2 = {residual:.3e} (oracle {oracle_residual:.3e}); "
-        f"permuted-column joint max |residual| over q grid = {closing:.3e}",
+        f"permuted-column joint max |residual| over q grid = {closing:.3e}; "
+        f"inconsistent joint residual at q=2 = {at_two:.3e} (oracle {oracle_at_two:.3e}), "
+        f"at q=0.5 = {elsewhere[0.5]:.3e}",
     )
     assert violates, (residual, oracle_residual)
     assert closes, closing
+    assert closes_at_one_order, (at_two, oracle_at_two, elsewhere)
 
 
 def test_criterion_03_iff_characterization(product_instances, dependent_instances):

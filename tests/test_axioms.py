@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from escortropy import (
     sample_dependent_joint,
 )
 from escortropy import axioms
+from escortropy.axioms import run_suite
 from escortropy.entropies import hybrid_rows
 
 import oracles
@@ -325,3 +328,81 @@ def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
     joint = sample_dependent_joint(seed, index, mi_floor=floor)
     assert len(built) == 1
     assert joint.weights.tobytes() == expected.weights.tobytes()
+
+
+@pytest.mark.parametrize("floor", [0.01, 0.05])
+def test_batched_sampler_is_the_lone_index_sampler(floor):
+    seed, count = 1, 60
+    draws = axioms._sample_dependent(seed, range(count), floor)
+    attempts = []
+    for index, draw in enumerate(draws):
+        expected, attempt = oracles.sample_dependent_joint(seed, index, floor)
+        attempts.append(attempt)
+        assert JointDistribution(draw).weights.tobytes() == expected.weights.tobytes()
+        lone = sample_dependent_joint(seed, index, mi_floor=floor)
+        assert lone.weights.tobytes() == expected.weights.tobytes()
+    # Some index is accepted only after its attempt 0 was rejected.
+    assert max(attempts) > 0
+    # An index's draw does not depend on which other indices share its rounds.
+    picked = [attempts.index(max(attempts)), 0, attempts.index(max(attempts))]
+    for index, draw in zip(picked, axioms._sample_dependent(seed, picked, floor)):
+        assert draw.tobytes() == draws[index].tobytes()
+
+
+def test_continuity_matches_the_per_probe_loop():
+    for q, n, seed in ((0.6, 8, 0), (2.0, 8, 3), (0.3, 2, 1), (0.5, 3, 7)):
+        verdict = check_continuity(q, n=n, seed=seed)
+        passed, margin, modulus = oracles.continuity(q, n, seed)
+        assert (verdict.passed, repr(verdict.margin), repr(verdict.modulus)) == (
+            passed, repr(margin), repr(modulus)
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 8000019])
+def test_run_suite_matches_the_per_draw_loops(seed):
+    trials = 200
+    escort_checks, gaps = oracles.suite_escort(seed, trials)
+    reference = {("escort", name): value for name, value in escort_checks.items()}
+    reference.update(
+        {("axioms", name): value for name, value in oracles.suite_axioms(seed, trials).items()}
+    )
+    results = [r for r in run_suite("all", seed, trials) if r.suite != "qcalc"]
+    assert [(r.suite, r.check) for r in results] == list(reference)
+    for result in results:
+        if result.check == "dependent_joints_inconsistent":
+            # The check is a rate now; its per-joint gaps are the reference's.
+            _, batched = axioms._inconsistency_gaps(seed, trials)
+            assert [g.hex() for g in batched.tolist()] == [g.hex() for g in gaps]
+            rate = sum(g > 1e-6 for g in gaps) / trials
+            assert repr(result.margin) == repr(rate - 0.99)
+        else:
+            passed, margin = reference[(result.suite, result.check)]
+            assert (result.passed, repr(result.margin)) == (passed, repr(margin)), result
+
+
+def test_dependent_joints_inconsistent_is_a_rate(caplog):
+    # One of the 200 sampled dependent joints at this seed has a construction
+    # gap of 4.9e-7: the escort-consistent set runs through the dependent
+    # region, so nothing promises every gap exceeds 1e-6, only nearly all.
+    seed = 8000019
+    with caplog.at_level("INFO", logger="escortropy.axioms"):
+        results = {r.check: r for r in run_suite("escort", seed, 200)}
+    check = results["dependent_joints_inconsistent"]
+    assert check.passed
+    assert check.margin == 199 / 200 - 0.99
+    joints, gaps = axioms._inconsistency_gaps(seed, 200)
+    assert np.flatnonzero(gaps <= 1e-6).tolist() == [74]
+    assert 0.0 < gaps[74] < 1e-6
+    assert [record.getMessage() for record in caplog.records] == [
+        "dependent joint with consistent escorts (gap=%.3e, trial 74): %r"
+        % (gaps[74], JointDistribution(joints[74]))
+    ]
+
+
+def test_dependent_joints_inconsistent_fails_when_the_constructions_coincide(monkeypatch):
+    # With the correct construction replaced by the naive one every gap is 0.
+    escort_module = importlib.import_module("escortropy.escort")
+    monkeypatch.setattr(escort_module, "joint_escort_correct", escort_module.joint_escort_naive)
+    check = {r.check: r for r in run_suite("escort", 0, 50)}["dependent_joints_inconsistent"]
+    assert not check.passed
+    assert check.margin == -0.99

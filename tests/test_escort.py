@@ -8,13 +8,18 @@ and the naive and correct joint escorts agree exactly. The asymmetric
 DEPENDENT example has no such symmetry and exhibits every defect.
 """
 
+import importlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escortropy import (
     Distribution,
+    DistributionStack,
     JointDistribution,
+    JointStack,
     condition_on_a,
     conditional_escort,
     escort,
@@ -232,3 +237,46 @@ def test_iff_characterization_over_ensembles():
             Distribution(rng.dirichlet(np.ones(rng.integers(2, 9)))),
         )
         assert is_escort_consistent(joint, 2.0, tol=1e-9)
+
+
+JOINT_FUNCTIONS = (joint_escort_naive, joint_escort_correct, conditional_escort, escort_ratio)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0, 2.0, 5.0])
+def test_escort_functions_on_a_stack_equal_the_lone_joints(q):
+    construction_gap = importlib.import_module("escortropy.escort")._construction_gap
+    rng = np.random.default_rng(8)
+    for n_b in range(1, 9):
+        for n_a in range(1, 9):
+            raw = rng.dirichlet(np.ones(n_b * n_a), size=4).reshape(4, n_b, n_a)
+            if n_b > 1:  # a zero cell, and a zero row, that leave every column positive
+                raw[1, rng.integers(n_b), rng.integers(n_a)] = 0.0
+                raw[2, rng.integers(n_b), :] = 0.0
+                raw /= raw.sum(axis=(1, 2), keepdims=True)
+            stack = JointStack(raw)
+            joints = [JointDistribution(w) for w in raw]
+            for function in JOINT_FUNCTIONS:
+                values = function(stack, q)
+                assert values.shape == raw.shape
+                for t, joint in enumerate(joints):
+                    assert values[t].tobytes() == function(joint, q).tobytes(), function
+            gaps = construction_gap(stack, q)
+            consistent = is_escort_consistent(stack, q)
+            for t, joint in enumerate(joints):
+                assert gaps[t].hex() == construction_gap(joint, q).hex()
+                assert consistent[t] == is_escort_consistent(joint, q)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0, 2.0, 5.0])
+def test_escort_on_a_row_stack_equals_the_lone_rows(q):
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        raw = rng.dirichlet(np.ones(n), size=5)
+        if n > 1:
+            raw[1, rng.integers(n)] = 0.0
+            raw[1] /= raw[1].sum()
+        rows = DistributionStack(raw)
+        values = escort(rows, q)
+        assert values.shape == raw.shape
+        for t, w in enumerate(raw):
+            assert values[t].tobytes() == escort(Distribution(w), q).tobytes()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from escortropy import (
     ConditionalDistribution,
     Distribution,
+    DistributionStack,
     JointDistribution,
     JointStack,
     MalformedWeightsError,
@@ -188,6 +189,33 @@ def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
         assert stack.weights[t].tobytes() == JointDistribution(raw[t]).weights.tobytes()
     joints = [JointDistribution(w) for w in raw]
     assert JointStack.of(joints).weights.tobytes() == stack.weights.tobytes()
+
+
+def test_distribution_stack_normalizes_each_row_as_a_lone_distribution():
+    rng = np.random.default_rng(5)
+    raw = rng.dirichlet(np.ones(9), size=4)
+    raw[2, 3] = 0.0
+    raw = raw / raw.sum(axis=1, keepdims=True) * (1.0 + 1e-10)
+    stack = DistributionStack(raw)
+    assert not stack.weights.flags.writeable
+    for t in range(4):
+        assert stack.weights[t].tobytes() == Distribution(raw[t]).weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        (np.ones(4) / 4, MalformedWeightsError),
+        (np.zeros((0, 2)), MalformedWeightsError),
+        (np.array([[0.5, 0.5], [np.nan, 0.0]]), MalformedWeightsError),
+        (np.array([[0.5, 0.5], [1.5, -0.5]]), NegativeWeightError),
+        (np.array([[0.5, 0.5], [0.5, 0.6]]), NotNormalizedError),
+    ],
+    ids=["one-d", "empty", "nan", "negative", "unnormalized"],
+)
+def test_distribution_stack_rejects_what_a_distribution_rejects(values, error):
+    with pytest.raises(error):
+        DistributionStack(values)
 
 
 def test_joint_stack_of_one_joint_is_a_read_only_view():
