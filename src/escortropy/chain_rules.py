@@ -42,8 +42,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entropies import _masked_log
-from .prob import JointDistribution, JointStack, QOrder, _marginal_and_conditional, as_order
+from .escort import _CELLS, _power_escort
+from .prob import (
+    JointDistribution,
+    JointStack,
+    QOrder,
+    _marginal_and_conditional,
+    _masked_log,
+    as_order,
+)
 from .qcalc import kn_map_inv, q_add
 
 
@@ -90,36 +97,18 @@ _VALUES = tuple(field.name for field in fields(ChainRuleReport))[1:]
 
 
 @dataclass(frozen=True, eq=False)
-class ChainRuleReports:
+class ChainRuleReports(ChainRuleReport):
     """The ChainRuleReport fields of a stack of T joints at one q.
 
-    Each field is a (T,) array whose entry t belongs to joint t, and
+    Each value field is a (T,) array whose entry t belongs to joint t, and
     ``reports[t]`` is joint t's ChainRuleReport.
     """
-
-    q: QOrder
-    joint_entropy: np.ndarray
-    marginal_entropy: np.ndarray
-    conditional_chain: np.ndarray
-    conditional_axiomatic: np.ndarray
-    gap: np.ndarray
-    s_gap: np.ndarray
-    lower_bound: np.ndarray
-    upper_bound: np.ndarray
-    residual: np.ndarray
-    corrected_residual: np.ndarray
 
     def __len__(self) -> int:
         return len(self.joint_entropy)
 
     def __getitem__(self, t: int) -> ChainRuleReport:
         return ChainRuleReport(self.q, *(float(getattr(self, name)[t]) for name in _VALUES))
-
-
-# The B and A axes of each joint in a (T, n_b, n_a) stack. On a contiguous
-# stack a sum over both is the pairwise sum of each joint's own flat cells, so
-# a joint's sums have the same bits in any stack, a stack of one included.
-_CELLS = (-2, -1)
 
 
 def _order_free(w: np.ndarray) -> tuple:
@@ -139,13 +128,10 @@ def _evaluate(passes: tuple, order: QOrder) -> tuple:
     w, p, cond, log_w, log_p, log_cond = passes
     # No branch at q = 1: there every power is the identity, so both joint
     # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
-    cond_q = cond**order.value
-    col_sums = cond_q.sum(axis=-2, keepdims=True)
-    w_q = w**order.value
-    p_q = p**order.value
-    p_escort = p_q / p_q.sum(axis=-1, keepdims=True)
-    naive = w_q / w_q.sum(axis=_CELLS, keepdims=True)
-    correct = cond_q / col_sums * p_escort
+    cond_q, col_sums, cond_escort = _power_escort(cond, order.value, -2)
+    p_escort = _power_escort(p, order.value, -1)[2]
+    naive = _power_escort(w, order.value, _CELLS)[2]
+    correct = cond_escort * p_escort
     log_naive = _masked_log(naive)
 
     joint_ad = -(naive * log_w).sum(axis=_CELLS)

@@ -8,7 +8,8 @@ values bit-exactly. All numbers are printed with 12 significant digits and a
 '.' decimal separator, so identical invocations produce byte-identical output.
 
 The default seed comes from the ESCORTROPY_SEED environment variable when
---seed is not given, falling back to 0.
+--seed is not given, and is 0 when that is unset or empty; any other value
+that is not an integer is bad input (exit 2), as a negative seed is.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ SWEEP_STACK_CELLS = 1 << 16
 def fmt(x: float) -> str:
     """12 significant digits, locale-independent."""
     return format(float(x), ".12g")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("ESCORTROPY_SEED", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def _parse_q_list(text: str) -> list[float]:
@@ -294,7 +287,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "seed" in args:  # verify and sweep
         if args.seed is None:
-            args.seed = _default_seed()
+            raw = os.environ.get("ESCORTROPY_SEED", "")
+            try:
+                args.seed = int(raw) if raw else 0
+            except ValueError:
+                parser.error(f"ESCORTROPY_SEED must be an integer, got {raw!r}")
         if args.seed < 0:
             parser.error(f"seed must be non-negative, got {args.seed}")
     # Looked up at every call rather than stored in the shared parser, so

@@ -15,6 +15,11 @@ implementation of each formula. No formula branches on q = 1: the
 powers p^q are continuous there, the Tsallis sum uses exprel(t) = expm1(t)/t,
 and every other division by 1 - q happens in ``kn_map`` / ``kn_map_inv``;
 each fills its removable singularity with the limit.
+
+The escort weights P(q) of ``aczel_daroczy_rows`` come from the one escort
+formula of the escort module. The cross entropy of the two joint escorts is
+not a functional of its own: it is ``s_gap`` of ``chain_rules`` plus the
+Shannon entropy of the naive joint escort.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import Distribution, JointDistribution, QOrder, as_order, nat_entropy
-from .escort import joint_escort_correct, joint_escort_naive
+from .prob import Distribution, QOrder, _masked_log, as_order, nat_entropy
+from .escort import _power_escort
 from .qcalc import kn_map, kn_map_inv
 
 
@@ -45,19 +50,11 @@ class EntropyValue:
         return f"EntropyValue({self.value!r}, {self.functional}, order={self.order!r})"
 
 
-def _masked_log(w: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(w)
-    np.log(w, out=out, where=w > 0)
-    return out
-
-
 def aczel_daroczy_rows(w: np.ndarray, q: float | QOrder) -> np.ndarray:
     """Aczel-Daroczy entropy of each row: the escort mean -sum P(q)_k ln p_k."""
     order = as_order(q)
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    pw = np.where(w > 0, w**order.value, 0.0)
-    esc = pw / pw.sum(axis=1, keepdims=True)
-    return -(esc * _masked_log(w)).sum(axis=1)
+    return -(_power_escort(w, order.value, 1)[2] * _masked_log(w)).sum(axis=1)
 
 
 def hybrid_rows(w: np.ndarray, q: float | QOrder) -> np.ndarray:
@@ -129,27 +126,3 @@ def hybrid(p: Distribution, q: float | QOrder) -> EntropyValue:
     order = as_order(q)
     value = float(hybrid_rows(p.weights[None, :], order)[0])
     return EntropyValue(value, "hybrid", order.value)
-
-
-def hybrid_joint(r: JointDistribution, q: float | QOrder) -> EntropyValue:
-    """Hybrid entropy of a joint, read as a distribution over all cells."""
-    order = as_order(q)
-    value = float(hybrid_rows(r.weights.ravel()[None, :], order)[0])
-    return EntropyValue(value, "hybrid", order.value)
-
-
-def cross_shannon(r: JointDistribution, q: float | QOrder) -> EntropyValue:
-    """Cross entropy of the correct joint escort against the naive one.
-
-    Cells where the naive escort vanishes also vanish in the correct one (both
-    are zero exactly on the zero cells of r) and contribute nothing. By Gibbs'
-    inequality the value is at least the Shannon entropy of the *correct*
-    escort, with equality iff the two constructions coincide; its difference
-    from the Shannon entropy of the *naive* escort is sign-indefinite.
-    """
-    order = as_order(q)
-    naive = joint_escort_naive(r, order)
-    correct = joint_escort_correct(r, order)
-    mask = naive > 0
-    value = float(-(correct[mask] * np.log(naive[mask])).sum())
-    return EntropyValue(value, "cross_shannon", order.value)

@@ -13,8 +13,11 @@ same for every column l -- in particular for every product joint -- and
 differ otherwise. Their cellwise ratio has a closed form that depends only on
 the column index, which keeps it finite even on zero cells.
 
-Every function takes already-validated weights and returns a plain array;
-nothing is revalidated inside. A Distribution is one row (n,) and a
+Every escort is one formula, ``_power_escort`` (raise to the q-th power,
+then divide by the sum over the escorted axes), and the chain-rule kernel and
+``entropies.aczel_daroczy_rows`` call it too, so it is stated once. Every
+function takes already-validated weights and returns a plain array; nothing
+is revalidated inside. A Distribution is one row (n,) and a
 DistributionStack T rows (T, n); a JointDistribution is one joint
 (n_b, n_a) and a JointStack T joints (T, n_b, n_a). Every sum runs over the
 last axes of one item, so an item's result has the same bits alone and as
@@ -37,28 +40,35 @@ from .prob import (
     as_order,
 )
 
-# The B and A axes of each joint; on a contiguous array a sum over both is the
-# pairwise sum of the joint's own flat cells.
+# The B and A axes of each joint. On a contiguous stack a sum over both is the
+# pairwise sum of each joint's own flat cells, so a joint's sums have the same
+# bits in any stack, a stack of one included.
 _CELLS = (-2, -1)
+
+
+def _power_escort(w: np.ndarray, value: float, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one escort formula: (w^value, its sums over axis kept as length-1
+    axes, their ratio). Every escort of the package, the chain-rule kernel's
+    and the Aczel-Daroczy rows' included, is the ratio of one call."""
+    w_q = w**value
+    sums = w_q.sum(axis=axis, keepdims=True)
+    return w_q, sums, w_q / sums
 
 
 def escort(p: Distribution | DistributionStack, q: float | QOrder) -> np.ndarray:
     """Escort transform P(q)_k = p_k^q / sum_i p_i^q of each row."""
-    w = p.weights ** as_order(q).value
-    return w / w.sum(axis=-1, keepdims=True)
+    return _power_escort(p.weights, as_order(q).value, -1)[2]
 
 
 def joint_escort_naive(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
-    """Cellwise power then global normalization: R(q)_{kl} = r_{kl}^q / sum r^q."""
-    w = r.weights ** as_order(q).value
-    return w / w.sum(axis=_CELLS, keepdims=True)
+    """Cellwise power then global normalization: R(q)_{kl} = r_{kl}^q / sum r^q.
+    Defined on joints with a zero column too."""
+    return _power_escort(r.weights, as_order(q).value, _CELLS)[2]
 
 
 def conditional_escort(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
     """Column-wise escort of the conditional of B given A."""
-    _, cond = _marginal_and_conditional(r.weights)
-    w = cond ** as_order(q).value
-    return w / w.sum(axis=-2, keepdims=True)
+    return _power_escort(_marginal_and_conditional(r.weights)[1], as_order(q).value, -2)[2]
 
 
 def joint_escort_correct(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
@@ -69,9 +79,7 @@ def joint_escort_correct(r: JointDistribution | JointStack, q: float | QOrder) -
     """
     value = as_order(q).value
     p, cond = _marginal_and_conditional(r.weights)
-    p_q = p**value
-    cond_q = cond**value
-    return cond_q / cond_q.sum(axis=-2, keepdims=True) * (p_q / p_q.sum(axis=-1, keepdims=True))
+    return _power_escort(cond, value, -2)[2] * _power_escort(p, value, -1)[2]
 
 
 def escort_ratio(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
@@ -84,11 +92,8 @@ def escort_ratio(r: JointDistribution | JointStack, q: float | QOrder) -> np.nda
     """
     value = as_order(q).value
     p, cond = _marginal_and_conditional(r.weights)
-    p_q = p**value
-    col_power_sums = (cond**value).sum(axis=-2, keepdims=True)
-    mean_power_sum = (p_q / p_q.sum(axis=-1, keepdims=True) * col_power_sums).sum(
-        axis=-1, keepdims=True
-    )
+    col_power_sums = _power_escort(cond, value, -2)[1]
+    mean_power_sum = (_power_escort(p, value, -1)[2] * col_power_sums).sum(axis=-1, keepdims=True)
     return np.repeat(mean_power_sum / col_power_sums, r.weights.shape[-2], axis=-2)
 
 

@@ -196,30 +196,17 @@ def marginal_a(r: JointDistribution) -> Distribution:
     return Distribution(r.weights.sum(axis=0))
 
 
-def marginal_b(r: JointDistribution) -> Distribution:
-    """Marginal of the second variable B: row sums of the joint."""
-    return Distribution(r.weights.sum(axis=1))
-
-
 def _marginal_and_conditional(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The A-marginal p and the conditional columns r_{kl} / p_l of joint
     weights, as arrays. p keeps the summed B axis with length 1, so it
     broadcasts against the cells: (1, n_a) for a joint, (T, 1, n_a) for a
     stack of T joints. Raises ZeroMarginalColumnError when some p_l is 0,
-    since conditioning on that outcome is undefined."""
+    since conditioning on that outcome is undefined; ``drop_zero_columns``
+    removes such columns first."""
     p = w.sum(axis=-2, keepdims=True)
     if not p.all():
         raise ZeroMarginalColumnError(int(np.argwhere(p == 0.0)[0][-1]))
     return p, w / p
-
-
-def condition_on_a(r: JointDistribution) -> ConditionalDistribution:
-    """Conditional probabilities of B given A: column l becomes r_{kl} / p_l.
-
-    A column with zero marginal probability raises ZeroMarginalColumnError;
-    ``drop_zero_columns`` removes such columns first.
-    """
-    return ConditionalDistribution(_marginal_and_conditional(r.weights)[1])
 
 
 def drop_zero_columns(r: JointDistribution) -> tuple[JointDistribution, tuple[int, ...]]:
@@ -272,7 +259,14 @@ def _mutual_information(w: np.ndarray) -> float:
 def _nat_entropy_rows(w: np.ndarray) -> np.ndarray:
     """``nat_entropy`` of each row of a 2-d array; the same bits on a row
     without zero weights."""
-    return -(w * np.log(w, out=np.zeros_like(w), where=w > 0)).sum(axis=1)
+    return -(w * _masked_log(w)).sum(axis=1)
+
+
+def _masked_log(w: np.ndarray) -> np.ndarray:
+    """ln w where w > 0 and 0 elsewhere, so that 0 ln 0 = 0 in every sum."""
+    out = np.zeros_like(w)
+    np.log(w, out=out, where=w > 0)
+    return out
 
 
 def random_distribution(n: int, seed: int, concentration: float = 1.0) -> Distribution:

@@ -159,6 +159,38 @@ def chain_rule_fields(r, q):
     }
 
 
+def mp_s_gap(r, q, dps=50):
+    """s_gap of (r, q) in ``dps`` significant digits, as an mpmath number.
+
+    The float weights are renormalized in mpmath, both joint escorts are
+    built from their definitions, and s_gap is the cross entropy of the
+    correct escort against the naive one minus the naive escort's Shannon
+    entropy, sum (naive - correct) ln naive over the positive cells.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        cells = [[mpmath.mpf(float(x)) for x in row] for row in np.asarray(r, dtype=float)]
+        total = mpmath.fsum(x for row in cells for x in row)
+        cells = [[x / total for x in row] for row in cells]
+        q = mpmath.mpf(q)
+        columns = list(zip(*cells))
+        p = [mpmath.fsum(column) for column in columns]
+        naive_sum = mpmath.fsum(x**q for row in cells for x in row)
+        p_sum = mpmath.fsum(x**q for x in p)
+        column_sums = [
+            mpmath.fsum((x / p_l) ** q for x in column) for column, p_l in zip(columns, p)
+        ]
+        value = mpmath.mpf(0)
+        for row in cells:
+            for x, p_l, column_sum in zip(row, p, column_sums):
+                if x > 0:
+                    naive = x**q / naive_sum
+                    correct = (x / p_l) ** q / column_sum * p_l**q / p_sum
+                    value += (naive - correct) * mpmath.log(naive)
+        return +value
+
+
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 ONE_HEAVY_GRID = 100
 GOLDEN_REFINEMENTS = 40

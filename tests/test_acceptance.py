@@ -179,15 +179,59 @@ def test_criterion_02_dependence_violation_fixed_witness():
     assert closes_at_one_order, (at_two, oracle_at_two, elsewhere)
 
 
+def test_criterion_02_closing_witness_s_gap_in_50_digits():
+    # The rule closes at q exactly where s_gap(q) = 0, so the third witness is
+    # checked against s_gap in 50 digits. At q = 2 the true value is a few
+    # times -1e-17, below double rounding, so there the kernel meets an absolute
+    # bound of a few ulps of the naive escort's entropy (at most ln of the
+    # cell count). Moving 1e-4 between two cells gives s_gap of either sign
+    # at q = 2, well above that bound: the zero is a genuine sign change.
+    pytest.importorskip("mpmath")
+    w = CLOSING_AT_TWO.weights
+    rounding = 8 * np.finfo(float).eps * np.log(w.size)
+    away = {q: float(oracles.mp_s_gap(w, q)) for q in (0.5, 1.5, 3.0)}
+    for q, reference in away.items():
+        assert chain_rule_report(CLOSING_AT_TWO, q).s_gap == pytest.approx(reference, rel=1e-12)
+    reference_at_two = float(oracles.mp_s_gap(w, 2.0))
+    at_two = chain_rule_report(CLOSING_AT_TWO, 2.0).s_gap
+    assert abs(reference_at_two) < 1e-16
+    assert abs(at_two - reference_at_two) < rounding
+    moved = []
+    for source, target in (((0, 1), (0, 0)), ((0, 0), (0, 1))):
+        shifted = w.copy()
+        shifted[source] -= 1e-4
+        shifted[target] += 1e-4
+        reference = float(oracles.mp_s_gap(shifted, 2.0))
+        value = chain_rule_report(JointDistribution(shifted), 2.0).s_gap
+        assert abs(value - reference) < rounding
+        moved.append(value)
+    assert moved[0] < -1e-5 and moved[1] > 1e-5
+    emit(
+        "2 (50 digits)",
+        True,
+        f"s_gap at q=2 = {at_two:.3e} (50 digits {reference_at_two:.3e}); "
+        f"after moving 1e-4 between two cells: {moved[0]:.5e}, {moved[1]:.5e}",
+    )
+
+
 def test_criterion_03_iff_characterization(product_instances, dependent_instances):
     product_ok = all(
         is_escort_consistent(joint, q, tol=1e-9) for joint, q, _ in product_instances
     )
-    dependent_ok = all(
+    # The escort-consistent set passes through the dependent region, so a rare
+    # dependent joint lies within 1e-6 of it; the dependent side is the rate
+    # of the verify check escort:dependent_joints_inconsistent.
+    inconsistent = sum(
         not is_escort_consistent(joint, q, tol=1e-6) for joint, q, _ in dependent_instances
     )
-    passed = product_ok and dependent_ok
-    emit(3, passed, f"products consistent: {product_ok}; dependent inconsistent: {dependent_ok}")
+    rate = inconsistent / len(dependent_instances)
+    passed = product_ok and rate >= 0.99
+    emit(
+        3,
+        passed,
+        f"products consistent: {product_ok}; dependent inconsistent: "
+        f"{inconsistent}/{len(dependent_instances)} (rate {rate:.3f}, floor 0.99)",
+    )
     assert passed
 
 

@@ -21,7 +21,6 @@ from escortropy import (
     chain_rule_report,
     conditional_escort,
     corrected_conditional,
-    cross_shannon,
     escort,
     escort_ratio,
     is_escort_consistent,
@@ -29,7 +28,6 @@ from escortropy import (
     aczel_daroczy,
     chain_rule_grid,
     hybrid,
-    hybrid_joint,
     joint_escort_naive,
     JointStack,
     kn_map_inv,
@@ -143,7 +141,7 @@ def test_conditional_axiomatic_escort_route_identity_with_cross_entropy():
             p_w = marginal_a(r).weights
             p_escort = Distribution(p_w**q / (p_w**q).sum())
             naive = Distribution(joint_escort_naive(r, q).ravel())
-            expected = (cross_shannon(r, q).value - shannon(p_escort).value) / q - (
+            expected = (oracles.cross_shannon(r.weights, q) - shannon(p_escort).value) / q - (
                 1.0 - q
             ) / q * (renyi(naive, 1.0 / q).value - renyi(p_escort, 1.0 / q).value)
             assert abs(chain_rule_report(r, q).conditional_axiomatic - expected) < 1e-10
@@ -236,7 +234,7 @@ def test_corrected_conditional_restores_additivity():
     for seed in range(150):
         r = random_joint_matrix(seed + 4000)
         for q in (0.5, 0.7, 1.5, 2.0, 3.0):
-            joint_value = hybrid_joint(r, q).value
+            joint_value = hybrid(Distribution(r.weights.ravel()), q).value
             marg_value = hybrid(marginal_a(r), q).value
             corrected = corrected_conditional(r, q)
             assert abs(joint_value - q_add(marg_value, corrected, q)) < 1e-9
@@ -244,7 +242,7 @@ def test_corrected_conditional_restores_additivity():
 
 def test_corrected_conditional_on_dependent_example():
     corrected = corrected_conditional(DEPENDENT, 2.0)
-    joint_value = hybrid_joint(DEPENDENT, 2.0).value
+    joint_value = hybrid(Distribution(DEPENDENT.weights.ravel()), 2.0).value
     marg_value = hybrid(marginal_a(DEPENDENT), 2.0).value
     assert abs(joint_value - q_add(marg_value, corrected, 2.0)) < 1e-12
     # the tilt lands exactly on the chain-route conditional
@@ -306,7 +304,6 @@ NO_OBJECT_CASES = {
     "joint_escort_correct": lambda r, p, q: joint_escort_correct(r, q),
     "escort_ratio": lambda r, p, q: escort_ratio(r, q),
     "is_escort_consistent": lambda r, p, q: is_escort_consistent(r, q),
-    "cross_shannon": lambda r, p, q: cross_shannon(r, q),
 }
 
 
@@ -472,7 +469,7 @@ def test_oracles_keep_their_digits_next_to_order_one():
     # then gives the dependent residual the wrong sign; expm1 keeps them.
     q = 1.0 + 1e-9
     assert oracles.hybrid(DEPENDENT.weights, q) == pytest.approx(
-        hybrid_joint(DEPENDENT, q).value, abs=1e-12
+        hybrid(Distribution(DEPENDENT.weights.ravel()), q).value, abs=1e-12
     )
     residual = chain_rule_report(DEPENDENT, q).residual
     assert residual < 0.0

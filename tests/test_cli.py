@@ -293,6 +293,23 @@ def test_seed_env_var_is_default(tmp_path, capsys, monkeypatch):
     assert out_default == out_zero
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", " "], ids=["letters", "decimal", "blank"])
+def test_seed_env_var_that_is_not_an_integer_exits_two(capsys, monkeypatch, raw):
+    args = ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "1"]
+    monkeypatch.setenv("ESCORTROPY_SEED", raw)
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert "ESCORTROPY_SEED" in captured.err
+    # --seed wins over the environment, and an empty value means seed 0.
+    _, out_flag, _ = run(capsys, args + ["--seed", "0"])
+    monkeypatch.setenv("ESCORTROPY_SEED", "")
+    assert run(capsys, args) == (0, out_flag, "")
+
+
 def test_out_files_end_with_newline(tmp_path, capsys):
     path = str(tmp_path / "t.csv")
     assert main(["sweep", "--nb", "2", "--na", "2", "--q", "1", "--trials", "1",

@@ -20,7 +20,6 @@ from escortropy import (
     DistributionStack,
     JointDistribution,
     JointStack,
-    condition_on_a,
     conditional_escort,
     escort,
     escort_ratio,
@@ -156,7 +155,7 @@ def test_both_constructions_normalize():
 
 def test_conditional_escort_examples():
     assert np.allclose(
-        conditional_escort(DEPENDENT, 1.0), condition_on_a(DEPENDENT).weights
+        conditional_escort(DEPENDENT, 1.0), oracles.conditional_on_a(DEPENDENT.weights)
     )
     joint = product_joint(simplex(4, 11), simplex(3, 12))
     ce = conditional_escort(joint, 2.0)
@@ -227,9 +226,15 @@ def test_correct_marginal_identity():
 
 
 def test_iff_characterization_over_ensembles():
-    for t in range(1000):
-        joint = sample_dependent_joint(404, t, mi_floor=0.01)
-        assert not is_escort_consistent(joint, 2.0, tol=1e-6)
+    # The escort-consistent set passes through the dependent region (see the
+    # pinned joint below), so the dependent side is a rate, as in the verify
+    # check escort:dependent_joints_inconsistent; the product side is exact.
+    inconsistent = sum(
+        not is_escort_consistent(sample_dependent_joint(404, t, mi_floor=0.01), 2.0, tol=1e-6)
+        for t in range(1000)
+    )
+    print(f"dependent joints inconsistent at q=2 (gap above 1e-6): {inconsistent}/1000")
+    assert inconsistent / 1000 >= 0.99
     for t in range(1000):
         rng = np.random.default_rng(505 + t)
         joint = product_joint(
@@ -237,6 +242,26 @@ def test_iff_characterization_over_ensembles():
             Distribution(rng.dirichlet(np.ones(rng.integers(2, 9)))),
         )
         assert is_escort_consistent(joint, 2.0, tol=1e-9)
+
+
+def test_a_sampled_dependent_joint_lies_within_1e_6_of_the_consistent_set():
+    # A 7x2 joint of the verify suite's dependent ensemble at seed 8000019: its
+    # mutual information is above both ensemble floors, yet at q = 2 its two
+    # joint escorts differ by less than 1e-6. It is not on the consistent set
+    # (the gap is 4.9e-7, far above rounding), only close to it, and at other
+    # orders the gap is of order 1e-4 and more.
+    joint = sample_dependent_joint(8000019, 74, mi_floor=0.01)
+    assert joint.weights.shape == (7, 2)
+    assert mutual_information(joint) == pytest.approx(0.13017808850683155, abs=1e-12)
+    gap = np.abs(
+        oracles.joint_escort_naive(joint.weights, 2.0)
+        - oracles.joint_escort_correct(joint.weights, 2.0)
+    ).max()
+    assert gap == pytest.approx(4.865663516540053e-07, rel=1e-6)
+    assert is_escort_consistent(joint, 2.0, tol=1e-6)
+    assert not is_escort_consistent(joint, 2.0, tol=1e-7)
+    for q in (0.5, 1.5, 3.0):
+        assert not is_escort_consistent(joint, q, tol=1e-4)
 
 
 JOINT_FUNCTIONS = (joint_escort_naive, joint_escort_correct, conditional_escort, escort_ratio)
