@@ -29,6 +29,7 @@ from .prob import (
     JointDistribution,
     JointStack,
     QOrder,
+    _uniform_simplex,
     as_order,
     mutual_information,
     product_joint,
@@ -52,7 +53,6 @@ VIOLATION_FLOOR = 1e-6    # a dependent joint "violates" above this
 MAXIMALITY_SLACK = 1e-9   # allowed excess over the uniform value
 SAMPLER_ATTEMPTS = 10_000  # rejection-sampler draws per joint before giving up
 MAX_SIDE = 8              # sampled joints have 2..MAX_SIDE outcomes per side
-SAMPLER_CONCENTRATION = 1.0  # Dirichlet concentration of sampled joints (uniform law)
 MAXIMALITY_GRID = 1000    # t-grid cells per two-value maximality family
 GOLDEN_REFINEMENTS = 40   # golden-section steps inside each family's best cell
 CONTINUITY_PROBES = 64    # random perturbations per continuity check
@@ -121,11 +121,21 @@ def check_maximality(q: float | QOrder, n: int) -> AxiomVerdict:
     ``hybrid_rows``. Passes when no point exceeds the uniform value by more
     than MAXIMALITY_SLACK; the best point is always attached as the witness.
     """
+    return _maximality(q, [n])[0]
+
+
+def _maximality(q: float | QOrder, ns) -> list[AxiomVerdict]:
+    """``check_maximality`` at each size of ns. The families run with k
+    outermost, so the n(n - 1)/2 families of size n are the first families of
+    any larger size, and no family's scan depends on n: the families of the
+    largest size are refined once, and each size scores its own."""
     order = as_order(q)
-    if n < 2:
+    ns = list(ns)
+    if min(ns) < 2:
         raise ValueError("maximality needs n >= 2")
+    top = max(ns)
     k, m = np.array(
-        [(k, m) for k in range(2, n + 1) for m in range(1, k)], dtype=float
+        [(k, m) for k in range(2, top + 1) for m in range(1, k)], dtype=float
     ).T[:, :, None]
     power = order.value
     grid = np.arange(1, MAXIMALITY_GRID) / MAXIMALITY_GRID
@@ -136,20 +146,27 @@ def check_maximality(q: float | QOrder, n: int) -> AxiomVerdict:
         keep_left = _two_value_ad(k, m, left, power) >= _two_value_ad(k, m, right, power)
         lo, hi = np.where(keep_left, lo, left), np.where(keep_left, right, hi)
     t = 0.5 * (lo + hi)
-    index = np.arange(n)
-    rows = np.where(index < m, t / m, np.where(index < k, (1.0 - t) / (k - m), 0.0))
-    points = np.vstack([np.full(n, 1.0 / n), rows])
-    values = hybrid_rows(points, order)
-    best = int(np.argmax(values))  # the uniform row wins ties
-    margin = float(values[0]) + MAXIMALITY_SLACK - float(values[best])
-    return AxiomVerdict(
-        axiom="maximality",
-        q=order,
-        n=n,
-        passed=margin >= 0.0,
-        margin=margin,
-        witness=Distribution(points[best]),
-    )
+    verdicts = []
+    for n in ns:
+        families = n * (n - 1) // 2
+        kn, mn, tn = k[:families], m[:families], t[:families]
+        index = np.arange(n)
+        rows = np.where(index < mn, tn / mn, np.where(index < kn, (1.0 - tn) / (kn - mn), 0.0))
+        points = np.vstack([np.full(n, 1.0 / n), rows])
+        values = hybrid_rows(points, order)
+        best = int(np.argmax(values))  # the uniform row wins ties
+        margin = float(values[0]) + MAXIMALITY_SLACK - float(values[best])
+        verdicts.append(
+            AxiomVerdict(
+                axiom="maximality",
+                q=order,
+                n=n,
+                passed=margin >= 0.0,
+                margin=margin,
+                witness=Distribution(points[best]),
+            )
+        )
+    return verdicts
 
 
 def _expansibility_margins(order: QOrder, w: np.ndarray) -> np.ndarray:
@@ -174,12 +191,12 @@ def check_expansibility(q: float | QOrder, p: Distribution) -> AxiomVerdict:
     )
 
 
-def _calibrate_modulus(order: QOrder, n: int, delta: float) -> float:
-    """Modulus estimate from a designed scan of the worst configurations at
-    the probe scale: probability delta moved into or out of a coordinate
-    sitting near the boundary, where the entropy gradient peaks (unboundedly
-    so for q < 1, like v^(q-1)). Every scanned point is scored in one
-    ``hybrid_rows`` call."""
+def _calibrate_moduli(orders: list[QOrder], n: int, delta: float) -> list[float]:
+    """Modulus estimate at each order from a designed scan of the worst
+    configurations at the probe scale: probability delta moved into or out of
+    a coordinate sitting near the boundary, where the entropy gradient peaks
+    (unboundedly so for q < 1, like v^(q-1)). The scanned points are built
+    once, and each order scores all of them in one ``hybrid_rows`` call."""
     bases, moved_rows, owners = [], [], []
     for v in (0.0, delta / 8, delta / 2, 2 * delta, 10 * delta, 0.1):
         base = np.full(n, (1.0 - v) / (n - 1))
@@ -195,10 +212,14 @@ def _calibrate_modulus(order: QOrder, n: int, delta: float) -> float:
                     continue
                 moved_rows.append(moved)
                 owners.append(len(bases) - 1)
-    values = hybrid_rows(np.vstack(bases + moved_rows), order)
+    points = np.vstack(bases + moved_rows)
     distances = np.abs(np.array(moved_rows) - np.array(bases)[owners]).sum(axis=1)
-    changes = np.abs(values[len(bases):] - values[owners])
-    return 2.0 * max([1.0, *(changes / distances).tolist()])
+    moduli = []
+    for order in orders:
+        values = hybrid_rows(points, order)
+        changes = np.abs(values[len(bases):] - values[owners])
+        moduli.append(2.0 * max([1.0, *(changes / distances).tolist()]))
+    return moduli
 
 
 def check_continuity(
@@ -214,48 +235,71 @@ def check_continuity(
     probes, bases with a zero coordinate included, must then satisfy
     |change| <= L * delta. The probes are drawn first and scored in one
     ``hybrid_rows`` call.
+
+    delta must lie in [1e-12, 1e-3]. Below 1e-12 a move of delta is close
+    to the rounding of the coordinates it moves: it can vanish, leaving the
+    scan a 0/0, and the changes it causes are rounding noise.
     Advisory by construction: sampling cannot prove continuity.
     """
-    if not 0.0 < delta <= 1e-3:
-        raise ValueError("delta must lie in (0, 1e-3]")
+    return _continuity([q], n, seed, delta)[0]
+
+
+def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
+    """``check_continuity`` at each order of qs. The probes depend only on
+    (n, seed, delta), so they are drawn once and projected in one stacked
+    call, and each order scores them in one ``hybrid_rows`` call."""
+    if not 1e-12 <= delta <= 1e-3:
+        raise ValueError("delta must lie in [1e-12, 1e-3]")
     if n < 2:
         raise ValueError("continuity needs n >= 2")
-    order = as_order(q)
-    modulus = _calibrate_modulus(order, n, delta)
+    orders = [as_order(q) for q in qs]
+    moduli = _calibrate_moduli(orders, n, delta)
     rng = np.random.default_rng(seed)
     bases, moved_rows = [], []
     drawn = 0
     while len(bases) < CONTINUITY_PROBES:
-        base = rng.dirichlet(np.ones(n))
-        if drawn % 4 == 3 and n >= 3:
-            base[(drawn // 4) % n] = 0.0
-            base = base / base.sum()
-        drawn += 1
-        direction = rng.normal(size=n)
-        direction -= direction.mean()
-        norm = np.abs(direction).sum()
-        if norm == 0.0:
-            continue
-        moved = project_to_simplex(base + direction * (delta / norm))
-        if np.abs(moved - base).sum() == 0.0:
-            continue
-        bases.append(base)
-        moved_rows.append(moved)
-    values = hybrid_rows(np.vstack(moved_rows + bases), order)
-    changes = np.abs(values[:CONTINUITY_PROBES] - values[CONTINUITY_PROBES:])
-    slacks = (modulus * delta - changes).tolist()
-    margin = float(min(slacks))
-    passed = margin >= 0.0
-    witness = None if passed else Distribution(bases[int(np.argmin(slacks))])
-    return AxiomVerdict(
-        axiom="continuity",
-        q=order,
-        n=n,
-        passed=passed,
-        margin=margin,
-        witness=witness,
-        modulus=modulus,
-    )
+        # Each round draws as many candidates as probes are missing. A
+        # candidate whose projection is its base is dropped and a later round
+        # replaces it, so the probes are those of a one-at-a-time loop.
+        candidates, shifted = [], []
+        for _ in range(CONTINUITY_PROBES - len(bases)):
+            base = _uniform_simplex(rng, n)
+            if drawn % 4 == 3 and n >= 3:
+                base[(drawn // 4) % n] = 0.0
+                base = base / base.sum()
+            drawn += 1
+            direction = rng.normal(size=n)
+            direction -= direction.mean()
+            norm = np.abs(direction).sum()
+            if norm == 0.0:
+                continue
+            candidates.append(base)
+            shifted.append(base + direction * (delta / norm))
+        for base, moved in zip(candidates, project_to_simplex(np.reshape(shifted, (-1, n)))):
+            if np.abs(moved - base).sum() != 0.0:
+                bases.append(base)
+                moved_rows.append(moved)
+    points = np.vstack(moved_rows + bases)
+    verdicts = []
+    for order, modulus in zip(orders, moduli):
+        values = hybrid_rows(points, order)
+        changes = np.abs(values[:CONTINUITY_PROBES] - values[CONTINUITY_PROBES:])
+        slacks = (modulus * delta - changes).tolist()
+        margin = float(min(slacks))
+        passed = margin >= 0.0
+        witness = None if passed else Distribution(bases[int(np.argmin(slacks))])
+        verdicts.append(
+            AxiomVerdict(
+                axiom="continuity",
+                q=order,
+                n=n,
+                passed=passed,
+                margin=margin,
+                witness=witness,
+                modulus=modulus,
+            )
+        )
+    return verdicts
 
 
 def _random_sizes(rng: np.random.Generator) -> tuple[int, int]:
@@ -263,16 +307,17 @@ def _random_sizes(rng: np.random.Generator) -> tuple[int, int]:
 
 
 def _grouped(
-    stack_type, items: list[np.ndarray]
+    make_stack, items: list[np.ndarray]
 ) -> list[tuple[list[int], DistributionStack | JointStack]]:
     """The indices of each shape among items, in order of first appearance,
-    each with the ``stack_type`` (DistributionStack or JointStack) of its
-    items. Every item is validated as Distribution or JointDistribution
-    would validate it alone, and gets the same bits."""
+    each with the stack that ``make_stack`` builds of its items.
+    DistributionStack and JointStack validate every item as Distribution or
+    JointDistribution would validate it alone, with the same bits;
+    ``JointStack._of_weights`` stacks joints that were validated already."""
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for t, item in enumerate(items):
         by_shape.setdefault(item.shape, []).append(t)
-    return [(members, stack_type([items[t] for t in members])) for members in by_shape.values()]
+    return [(members, make_stack([items[t] for t in members])) for members in by_shape.values()]
 
 
 def _product_stacks(
@@ -296,7 +341,7 @@ def _additivity_independent(orders: list[QOrder], seed: int, trials: int) -> lis
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         n_b, n_a = _random_sizes(rng)
-        draws.append((rng.dirichlet(np.ones(n_a)), rng.dirichlet(np.ones(n_b))))
+        draws.append((_uniform_simplex(rng, n_a), _uniform_simplex(rng, n_b)))
     residuals = np.zeros((len(orders), trials))
     for members, stack in _product_stacks(draws):
         residuals[:, members] = [reports.residual for reports in chain_rule_grid(stack, orders)]
@@ -333,11 +378,17 @@ def check_additivity_independent(q: float | QOrder, seed: int, trials: int) -> A
     return _additivity_independent([as_order(q)], seed, trials)[0]
 
 
-def _sample_dependent(seed: int, indices, mi_floor: float) -> list[np.ndarray]:
-    """The (n_b, n_a) draw that ``sample_dependent_joint`` accepts for each
-    index, unnormalized. Each round draws attempt a of every index still
-    rejected and judges them with ``mutual_information`` of one JointStack
-    per shape, which is each joint's value alone bit for bit."""
+def _sample_dependent(
+    seed: int, indices, mi_floor: float
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """For each index, the (n_b, n_a) draw that ``sample_dependent_joint``
+    accepts, as drawn, and its validated weights, which have the bits of
+    ``JointDistribution(draw).weights``. Each round draws attempt a of every
+    index still rejected and judges them with ``mutual_information`` of one
+    JointStack per shape, which is each joint's value alone bit for bit. The
+    accepted rows of those stacks are kept, so stack them with
+    ``JointStack._of_weights``: validating them again would divide them by
+    their sums a second time."""
     if math.isnan(mi_floor) or mi_floor >= math.log(MAX_SIDE):
         raise UnreachableFloorError(
             mi_floor, f"is unreachable: no joint of at most {MAX_SIDE} outcomes a side "
@@ -352,33 +403,50 @@ def _sample_dependent(seed: int, indices, mi_floor: float) -> list[np.ndarray]:
         for index in pending:
             rng = np.random.default_rng((seed, index, attempt))
             n_b, n_a = _random_sizes(rng)
-            draws.append(rng.dirichlet(np.full(n_b * n_a, SAMPLER_CONCENTRATION)).reshape(n_b, n_a))
+            draws.append(_uniform_simplex(rng, n_b * n_a).reshape(n_b, n_a))
         information = np.empty(len(draws))
+        joints = [None] * len(draws)
         for members, stack in _grouped(JointStack, draws):
             information[members] = mutual_information(stack)
+            for t, joint in zip(members, stack.weights):
+                joints[t] = joint
         above = information > mi_floor
-        accepted.update((index, draw) for index, draw, ok in zip(pending, draws, above) if ok)
+        accepted.update(
+            (index, (draw, joint))
+            for index, draw, joint, ok in zip(pending, draws, joints, above)
+            if ok
+        )
         pending = [index for index, ok in zip(pending, above) if not ok]
     if pending:
         raise UnreachableFloorError(
             mi_floor,
             f"was not exceeded in {SAMPLER_ATTEMPTS} draws (seed {seed}, index {pending[0]})",
         )
-    return [accepted[index] for index in indices]
+    return [accepted[index][0] for index in indices], [accepted[index][1] for index in indices]
 
 
 def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistribution:
     """Deterministic rejection sampler for joints with mutual information above
     mi_floor. Each attempt reseeds from (seed, index, attempt), so the stream
     for a given (seed, index) never depends on how other indices were consumed.
-    This is the one-index case of the batched sampler the suites use, and only
-    the accepted draw is validated.
+    This is the one-index case of the batched sampler the suites use, and the
+    accepted draw is the only JointDistribution it builds.
 
     Raises UnreachableFloorError when mi_floor is NaN or at least
     ln(MAX_SIDE), which no joint of at most MAX_SIDE outcomes per side can
     exceed, and when SAMPLER_ATTEMPTS draws all fall at or below the floor.
     """
-    return JointDistribution(_sample_dependent(seed, [index], mi_floor)[0])
+    draws, _ = _sample_dependent(seed, [index], mi_floor)
+    return JointDistribution(draws[0])
+
+
+def _sampled_stacks(
+    seed: int, trials: int, mi_floor: float
+) -> tuple[list[np.ndarray], list[tuple[list[int], JointStack]]]:
+    """The draws of ``_sample_dependent`` for trials 0..trials-1, and their
+    validated weights stacked by shape as ``_grouped`` groups them."""
+    draws, joints = _sample_dependent(seed, range(trials), mi_floor)
+    return draws, _grouped(JointStack._of_weights, joints)
 
 
 def _rate_verdict(
@@ -409,12 +477,12 @@ def check_additivity_dependent(
     the verdict reports that honestly rather than being meaningful.
     """
     order = as_order(q)
-    joints = _sample_dependent(seed, range(trials), mi_floor)
+    draws, stacks = _sampled_stacks(seed, trials, mi_floor)
     residuals = np.empty(trials)
-    for members, stack in _grouped(JointStack, joints):
+    for members, stack in stacks:
         residuals[members] = chain_rule_grid(stack, [order])[0].residual
     margin, witness = _rate_verdict(
-        np.abs(residuals), VIOLATION_FLOOR, joints,
+        np.abs(residuals), VIOLATION_FLOOR, draws,
         "dependent joint without violation (|residual|=%.3e, trial %d): %r",
     )
     return AxiomVerdict(
@@ -438,23 +506,24 @@ class CheckResult:
 
 
 def _suite_qcalc(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
+    # Each order's draws come from one call, which gives the stream of one
+    # draw at a time. The checks stay scalar: this suite checks the scalar
+    # functions, on Python floats.
     rng = np.random.default_rng(seed)
     results = []
 
     worst = 0.0
     for q in (0.3, 0.5, 1.0, 1.5, 2.0):
-        for _ in range(trials):
-            bound = 1.0 / abs(1.0 - q) if q != 1.0 else 10.0
-            a = float(rng.uniform(-0.9 * bound if q < 1 else -10.0, 10.0 if q < 1 else 0.9 * bound))
-            b = float(rng.uniform(-0.9 * bound if q < 1 else -10.0, 10.0 if q < 1 else 0.9 * bound))
+        bound = 1.0 / abs(1.0 - q) if q != 1.0 else 10.0
+        lo, hi = (-0.9 * bound, 10.0) if q < 1 else (-10.0, 0.9 * bound)
+        for a, b in rng.uniform(lo, hi, size=(trials, 2)).tolist():
             err = abs(kn_map(q_add(a, b, q), q) - kn_map(a, q) - kn_map(b, q))
             worst = max(worst, err)
     results.append(CheckResult("qcalc", "kn_map_homomorphism", worst < 1e-10, 1e-10 - worst))
 
     worst = 0.0
     for q in (0.3, 0.5, 1.0, 1.5, 2.0):
-        for _ in range(trials):
-            x = float(rng.uniform(-2.0, 2.0))
+        for x in rng.uniform(-2.0, 2.0, size=trials).tolist():
             if 1.0 + (1.0 - q) * x > 1e-6:
                 worst = max(worst, abs(q_log(q_exp(x, q), q) - x))
             worst = max(worst, abs(kn_map(kn_map_inv(x, q), q) - x))
@@ -470,13 +539,13 @@ def _suite_qcalc(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckRe
 
 
 def _inconsistency_gaps(seed: int, trials: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The dependent ensemble of the escort suite, unnormalized, and the
+    """The dependent ensemble of the escort suite, as drawn, and the
     construction gap of each of its joints at q = 2, in trial order."""
-    joints = _sample_dependent(seed, range(trials), 0.01)
+    draws, stacks = _sampled_stacks(seed, trials, 0.01)
     gaps = np.empty(trials)
-    for members, stack in _grouped(JointStack, joints):
+    for members, stack in stacks:
         gaps[members] = _construction_gap(stack, 2.0)
-    return joints, gaps
+    return draws, gaps
 
 
 def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
@@ -486,7 +555,7 @@ def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
 
     worst = 0.0
     for q in (0.3, 0.5, 2.0, 5.0):
-        rows = [rng.dirichlet(np.ones(int(rng.integers(2, 9)))) for _ in range(trials)]
+        rows = [_uniform_simplex(rng, int(rng.integers(2, 9))) for _ in range(trials)]
         for _, p in _grouped(DistributionStack, rows):
             back = escort(DistributionStack(escort(p, q)), 1.0 / q)
             worst = max(worst, float(np.abs(back - p.weights).max()))
@@ -495,8 +564,8 @@ def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
     draws = []
     for t in range(trials):
         sub = np.random.default_rng(seed + t)
-        p_a = sub.dirichlet(np.ones(int(sub.integers(2, 9))))
-        draws.append((p_a, sub.dirichlet(np.ones(int(sub.integers(2, 9))))))
+        p_a = _uniform_simplex(sub, int(sub.integers(2, 9)))
+        draws.append((p_a, _uniform_simplex(sub, int(sub.integers(2, 9)))))
     worst = 0.0
     for _, stack in _product_stacks(draws):
         worst = max(worst, float(_construction_gap(stack, 2.0).max()))
@@ -511,7 +580,7 @@ def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
     results.append(CheckResult("escort", "dependent_joints_inconsistent", margin >= 0.0, margin))
 
     worst = 0.0
-    for _, joints in _grouped(JointStack, _sample_dependent(seed + 10_000, range(trials), 0.01)):
+    for _, joints in _sampled_stacks(seed + 10_000, trials, 0.01)[1]:
         for q in (0.5, 2.0):
             correct = joint_escort_correct(joints, q)
             target = escort(DistributionStack(joints.weights.sum(axis=-2)), q)
@@ -519,7 +588,7 @@ def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
     results.append(CheckResult("escort", "correct_marginal_identity", worst < 1e-12, 1e-12 - worst))
 
     worst = 0.0
-    for _, joints in _grouped(JointStack, _sample_dependent(seed + 20_000, range(trials), 0.01)):
+    for _, joints in _sampled_stacks(seed + 20_000, trials, 0.01)[1]:
         for q in (0.5, 2.0):
             naive = joint_escort_naive(joints, q)
             correct = joint_escort_correct(joints, q)
@@ -532,18 +601,16 @@ def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
 
 def _suite_axioms(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
     results = []
-    for q in (0.6, 2.0):
-        verdict = check_continuity(q, n=8, seed=seed, delta=1e-4)
-        results.append(CheckResult("axioms", f"continuity_q{q}", verdict.passed, verdict.margin))
+    for verdict in _continuity([0.6, 2.0], n=8, seed=seed, delta=1e-4):
+        name = f"continuity_q{verdict.q.value}"
+        results.append(CheckResult("axioms", name, verdict.passed, verdict.margin))
     for q in (1.0, 2.0):
-        for n in (2, 3, 4, 5):
-            verdict = check_maximality(q, n=n)
-            results.append(
-                CheckResult("axioms", f"maximality_q{q}_n{n}", verdict.passed, verdict.margin)
-            )
+        for verdict in _maximality(q, (2, 3, 4, 5)):
+            name = f"maximality_q{q}_n{verdict.n}"
+            results.append(CheckResult("axioms", name, verdict.passed, verdict.margin))
     rng = np.random.default_rng(seed)
     for q in (0.5, 2.0):
-        rows = [rng.dirichlet(np.ones(int(rng.integers(2, 9)))) for _ in range(trials)]
+        rows = [_uniform_simplex(rng, int(rng.integers(2, 9))) for _ in range(trials)]
         margins = np.concatenate(
             [
                 _expansibility_margins(as_order(q), p.weights)

@@ -141,11 +141,15 @@ class JointStack:
     def of(cls, joints: list[JointDistribution]) -> JointStack:
         """Stack joints of one shape that are already validated, as they are.
         A lone joint's stack is a read-only view of its weights, not a copy."""
+        return cls._of_weights([joint.weights for joint in joints])
+
+    @classmethod
+    def _of_weights(cls, items: list[np.ndarray]) -> JointStack:
+        """``of`` for joint weights of one shape that were validated already,
+        as the rows of another stack: each is stacked as it is, never divided
+        by its sum again."""
         stack = object.__new__(cls)
-        if len(joints) == 1:
-            weights = joints[0].weights[None]
-        else:
-            weights = np.stack([joint.weights for joint in joints])
+        weights = items[0][None] if len(items) == 1 else np.stack(items)
         weights.setflags(write=False)
         object.__setattr__(stack, "weights", weights)
         return stack
@@ -269,34 +273,37 @@ def _masked_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_distribution(n: int, seed: int, concentration: float = 1.0) -> Distribution:
-    """A seeded draw from the symmetric Dirichlet law on the n-simplex.
+def _uniform_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
+    """A draw from the uniform law on the k-simplex: ``rng.dirichlet(np.ones(k))``
+    bit for bit, leaving rng in the same state, without its argument checks.
 
-    Deterministic for fixed (n, seed, concentration); concentration 1 is the
-    uniform law on the simplex.
+    numpy draws each coordinate of an all-ones Dirichlet as a standard
+    gamma of shape 1, which is a standard exponential, sums them in order
+    and multiplies by the reciprocal of the sum.
     """
+    e = rng.standard_exponential(k)
+    return e * (1.0 / e.cumsum()[-1])
+
+
+def random_distribution(n: int, seed: int) -> Distribution:
+    """A seeded draw from the uniform law on the n-simplex, deterministic for
+    fixed (n, seed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
-    rng = np.random.default_rng(seed)
-    return Distribution(rng.dirichlet(np.full(n, float(concentration))))
+    return Distribution(_uniform_simplex(np.random.default_rng(seed), n))
 
 
-def random_joint(n_b: int, n_a: int, seed: int, concentration: float = 1.0) -> JointDistribution:
-    """A seeded Dirichlet draw on the (n_b * n_a)-simplex, reshaped to a joint."""
-    return JointDistribution(_dirichlet_joint(n_b, n_a, seed, concentration))
+def random_joint(n_b: int, n_a: int, seed: int) -> JointDistribution:
+    """A seeded uniform draw on the (n_b * n_a)-simplex, reshaped to a joint."""
+    return JointDistribution(_dirichlet_joint(n_b, n_a, seed))
 
 
 def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
     """``random_joint(n_b, n_a, s)`` for each seed s, as one stack."""
-    return JointStack([_dirichlet_joint(n_b, n_a, s, 1.0) for s in seeds])
+    return JointStack([_dirichlet_joint(n_b, n_a, s) for s in seeds])
 
 
-def _dirichlet_joint(n_b: int, n_a: int, seed: int, concentration: float) -> np.ndarray:
+def _dirichlet_joint(n_b: int, n_a: int, seed: int) -> np.ndarray:
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.full(n_b * n_a, float(concentration))).reshape(n_b, n_a)
+    return _uniform_simplex(np.random.default_rng(seed), n_b * n_a).reshape(n_b, n_a)

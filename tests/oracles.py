@@ -319,7 +319,7 @@ def sample_dependent_joint(seed, index, mi_floor):
         rng = np.random.default_rng((seed, index, attempt))
         n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         joint = ep.JointDistribution(
-            rng.dirichlet(np.full(n_b * n_a, axioms.SAMPLER_CONCENTRATION)).reshape(n_b, n_a)
+            rng.dirichlet(np.ones(n_b * n_a)).reshape(n_b, n_a)
         )
         if ep.mutual_information(joint) > mi_floor:
             return joint, attempt
@@ -407,10 +407,24 @@ def continuity(q, n, seed, delta=1e-4):
                 distance = float(np.abs(moved - base).sum())
                 ratios.append(abs(_hybrid_of(moved, q) - base_value) / distance)
     modulus = 2.0 * max(ratios)
-    rng = np.random.default_rng(seed)
     slacks = []
+    for base, shifted in continuity_candidates(n, seed, delta):
+        moved = project_to_simplex(shifted)
+        if np.abs(moved - base).sum() == 0.0:
+            continue
+        slacks.append(modulus * delta - abs(_hybrid_of(moved, q) - _hybrid_of(base, q)))
+        if len(slacks) == axioms.CONTINUITY_PROBES:
+            break
+    margin = float(min(slacks))
+    return margin >= 0.0, margin, modulus
+
+
+def continuity_candidates(n, seed, delta):
+    """The candidate probes of check_continuity, one at a time and without
+    end: each base, and the base moved by delta before it is projected."""
+    rng = np.random.default_rng(seed)
     drawn = 0
-    while len(slacks) < axioms.CONTINUITY_PROBES:
+    while True:
         base = rng.dirichlet(np.ones(n))
         if drawn % 4 == 3 and n >= 3:
             base[(drawn // 4) % n] = 0.0
@@ -421,12 +435,7 @@ def continuity(q, n, seed, delta=1e-4):
         norm = np.abs(direction).sum()
         if norm == 0.0:
             continue
-        moved = project_to_simplex(base + direction * (delta / norm))
-        if np.abs(moved - base).sum() == 0.0:
-            continue
-        slacks.append(modulus * delta - abs(_hybrid_of(moved, q) - _hybrid_of(base, q)))
-    margin = float(min(slacks))
-    return margin >= 0.0, margin, modulus
+        yield base, base + direction * (delta / norm)
 
 
 def additivity_independent(q, seed, trials):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ def test_continuity_rejects_bad_delta():
         check_continuity(2.0, n=4, seed=0, delta=0.1)
 
 
+def test_continuity_rejects_a_delta_it_cannot_resolve():
+    # At 1e-17 a move of the modulus scan rounds away, and the scan divides
+    # 0 by 0; 1e-12 still resolves, with room to spare.
+    with pytest.raises(ValueError, match=r"\[1e-12, 1e-3\]"):
+        check_continuity(2.0, n=8, seed=0, delta=1e-17)
+    for q in (0.6, 2.0):
+        verdict = check_continuity(q, n=8, seed=0, delta=1e-12)
+        assert verdict.passed and verdict.margin > 0.0
+
+
 def test_additivity_independent_passes():
     for q in (0.5, 3.0):
         verdict = check_additivity_independent(q, seed=0, trials=300)
@@ -312,7 +323,7 @@ def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
     for attempt in range(axioms.SAMPLER_ATTEMPTS):
         rng = np.random.default_rng((seed, index, attempt))
         n_b, n_a = axioms._random_sizes(rng)
-        flat = rng.dirichlet(np.full(n_b * n_a, axioms.SAMPLER_CONCENTRATION))
+        flat = rng.dirichlet(np.ones(n_b * n_a))
         expected = JointDistribution(flat.reshape(n_b, n_a))
         if mutual_information(expected) > floor:
             break
@@ -333,20 +344,23 @@ def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
 @pytest.mark.parametrize("floor", [0.01, 0.05])
 def test_batched_sampler_is_the_lone_index_sampler(floor):
     seed, count = 1, 60
-    draws = axioms._sample_dependent(seed, range(count), floor)
+    draws, joints = axioms._sample_dependent(seed, range(count), floor)
     attempts = []
-    for index, draw in enumerate(draws):
+    for index, (draw, joint) in enumerate(zip(draws, joints)):
         expected, attempt = oracles.sample_dependent_joint(seed, index, floor)
         attempts.append(attempt)
         assert JointDistribution(draw).weights.tobytes() == expected.weights.tobytes()
+        # The validated weights are kept as they are, not divided again.
+        assert joint.tobytes() == expected.weights.tobytes()
         lone = sample_dependent_joint(seed, index, mi_floor=floor)
         assert lone.weights.tobytes() == expected.weights.tobytes()
     # Some index is accepted only after its attempt 0 was rejected.
     assert max(attempts) > 0
     # An index's draw does not depend on which other indices share its rounds.
     picked = [attempts.index(max(attempts)), 0, attempts.index(max(attempts))]
-    for index, draw in zip(picked, axioms._sample_dependent(seed, picked, floor)):
+    for index, draw, joint in zip(picked, *axioms._sample_dependent(seed, picked, floor)):
         assert draw.tobytes() == draws[index].tobytes()
+        assert joint.tobytes() == joints[index].tobytes()
 
 
 def test_continuity_matches_the_per_probe_loop():
@@ -356,6 +370,56 @@ def test_continuity_matches_the_per_probe_loop():
         assert (verdict.passed, repr(verdict.margin), repr(verdict.modulus)) == (
             passed, repr(margin), repr(modulus)
         )
+
+
+def _assert_continuity_is_the_oracle(orders, n, seed, delta):
+    verdicts = axioms._continuity(orders, n, seed, delta)
+    assert [verdict.q.value for verdict in verdicts] == list(orders)
+    for q, verdict in zip(orders, verdicts):
+        passed, margin, modulus = oracles.continuity(q, n, seed, delta)
+        assert (verdict.passed, repr(verdict.margin), repr(verdict.modulus)) == (
+            passed, repr(margin), repr(modulus)
+        )
+
+
+def test_continuity_over_orders_is_the_per_probe_loop_at_each_order():
+    for n, seed, delta in ((8, 0, 1e-4), (3, 7, 1e-3), (2, 1, 1e-4)):
+        _assert_continuity_is_the_oracle([0.6, 2.0], n, seed, delta)
+
+
+def test_continuity_replaces_a_probe_that_projects_to_its_base(monkeypatch):
+    # No sampled probe projects back onto its base, so the projection is
+    # patched to return the base of every third candidate. Those candidates
+    # are dropped and replaced by later draws, as the one-at-a-time loop does.
+    n, seed, delta = 8, 4, 1e-4
+    candidates = itertools.islice(oracles.continuity_candidates(n, seed, delta), 120)
+    bases = {shifted.tobytes(): base for t, (base, shifted) in enumerate(candidates) if t % 3 == 1}
+    dropped = []
+
+    def projection(v):
+        rows = np.atleast_2d(v)
+        out = project_to_simplex(rows)
+        for t, row in enumerate(rows):
+            if row.tobytes() in bases:
+                out[t] = bases[row.tobytes()]
+                dropped.append(row.tobytes())
+        return out if np.ndim(v) == 2 else out[0]
+
+    monkeypatch.setattr(axioms, "project_to_simplex", projection)
+    monkeypatch.setattr(oracles, "project_to_simplex", projection)
+    axioms._continuity([0.6], n, seed, delta)
+    assert len(dropped) > 20
+    _assert_continuity_is_the_oracle([0.6, 2.0], n, seed, delta)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.52, 0.6, 1.0, 1.0 + 1e-9, 2.0, 5.0])
+def test_maximality_over_sizes_is_each_size_alone(q):
+    verdicts = axioms._maximality(q, range(2, 17))
+    assert [verdict.n for verdict in verdicts] == list(range(2, 17))
+    for verdict in verdicts:
+        alone = check_maximality(q, verdict.n)
+        assert (verdict.passed, repr(verdict.margin)) == (alone.passed, repr(alone.margin))
+        assert verdict.witness.weights.tobytes() == alone.witness.weights.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 8000019])

@@ -22,7 +22,7 @@ from escortropy import (
     random_joint,
     random_joints,
 )
-from escortropy.prob import _marginal_and_conditional
+from escortropy.prob import _marginal_and_conditional, _uniform_simplex
 
 import oracles
 
@@ -150,10 +150,10 @@ def test_mutual_information_nonnegative_and_zero_iff_product():
 
 
 def test_random_distribution_deterministic():
-    a = random_distribution(6, 42, 1.0)
-    b = random_distribution(6, 42, 1.0)
+    a = random_distribution(6, 42)
+    b = random_distribution(6, 42)
     assert np.array_equal(a.weights, b.weights)
-    c = random_distribution(6, 43, 1.0)
+    c = random_distribution(6, 43)
     assert not np.array_equal(a.weights, c.weights)
 
 
@@ -166,6 +166,27 @@ def test_random_distribution_always_valid():
         d = random_distribution(5, seed)
         assert np.all(d.weights >= 0)
         assert abs(d.weights.sum() - 1.0) < 1e-12
+
+
+def test_uniform_simplex_is_numpys_all_ones_dirichlet():
+    # Pins numpy's algorithm: each coordinate is a standard gamma of shape 1,
+    # a standard exponential, and the sum is taken in order. Each draw of the
+    # chain also checks that the one before left both generators in one state.
+    for seed in range(1000):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(1, 65):
+            assert _uniform_simplex(ours, k).tobytes() == numpys.dirichlet(np.ones(k)).tobytes()
+        assert ours.random() == numpys.random()
+
+
+def test_random_draws_are_the_seeded_dirichlet_draws():
+    for seed in range(50):
+        n_b, n_a = 1 + seed % 5, 1 + seed % 7
+        flat = np.random.default_rng(seed).dirichlet(np.ones(n_b * n_a))
+        expected = JointDistribution(flat.reshape(n_b, n_a)).weights
+        assert random_joint(n_b, n_a, seed).weights.tobytes() == expected.tobytes()
+        row = Distribution(np.random.default_rng(seed).dirichlet(np.ones(n_a)))
+        assert random_distribution(n_a, seed).weights.tobytes() == row.weights.tobytes()
 
 
 def test_random_joint_shape_and_determinism():
