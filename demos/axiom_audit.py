@@ -22,7 +22,7 @@ from escortropy import (
 def describe(verdict):
     state = "pass" if verdict.passed else "FAIL"
     extra = f" modulus={verdict.modulus:.3f}" if verdict.modulus is not None else ""
-    print(f"  [{state}] {verdict.axiom} q={verdict.q.value} n={verdict.n} "
+    print(f"  [{state}] {verdict.axiom} q={verdict.q} n={verdict.n} "
           f"margin={verdict.margin:+.3e}{extra}")
 
 
@@ -47,8 +47,8 @@ for q, n in ((0.3, 2), (0.5, 2), (0.5, 4), (0.5, 8)):
         best = verdict.witness.weights
         uniform = Distribution(np.full(n, 1.0 / n))
         print(f"         best point {np.round(best, 4).tolist()}")
-        print(f"         value {hybrid(verdict.witness, q).value:.6f} "
-              f"vs uniform {hybrid(uniform, q).value:.6f}")
+        print(f"         value {hybrid(verdict.witness, verdict.q):.6f} "
+              f"vs uniform {hybrid(uniform, verdict.q):.6f}")
 
 print("\ncomposition rule over seeded ensembles:")
 for q in (0.5, 2.0):

@@ -28,9 +28,8 @@ from .prob import (
     DistributionStack,
     JointDistribution,
     JointStack,
-    QOrder,
+    _order,
     _uniform_simplex,
-    as_order,
     mutual_information,
     product_joint,
 )
@@ -56,6 +55,7 @@ MAX_SIDE = 8              # sampled joints have 2..MAX_SIDE outcomes per side
 MAXIMALITY_GRID = 1000    # t-grid cells per two-value maximality family
 GOLDEN_REFINEMENTS = 40   # golden-section steps inside each family's best cell
 CONTINUITY_PROBES = 64    # random perturbations per continuity check
+MI_FLOOR = 0.05           # default mutual-information floor of the dependent ensemble
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -71,7 +71,7 @@ class AxiomVerdict:
     """
 
     axiom: str
-    q: QOrder
+    q: float
     n: int
     passed: bool
     margin: float
@@ -105,7 +105,7 @@ def _two_value_ad(k: np.ndarray, m: np.ndarray, t: np.ndarray, q: float) -> np.n
     return -(wa * np.log(a) + wb * np.log(b)) / (wa + wb)
 
 
-def check_maximality(q: float | QOrder, n: int) -> AxiomVerdict:
+def check_maximality(q: float, n: int) -> AxiomVerdict:
     """Decide whether the uniform distribution maximizes the hybrid entropy.
 
     With A = sum p^q ln p and S = sum p^q, the Aczel-Daroczy gradient is
@@ -124,12 +124,12 @@ def check_maximality(q: float | QOrder, n: int) -> AxiomVerdict:
     return _maximality(q, [n])[0]
 
 
-def _maximality(q: float | QOrder, ns) -> list[AxiomVerdict]:
+def _maximality(q: float, ns) -> list[AxiomVerdict]:
     """``check_maximality`` at each size of ns. The families run with k
     outermost, so the n(n - 1)/2 families of size n are the first families of
     any larger size, and no family's scan depends on n: the families of the
     largest size are refined once, and each size scores its own."""
-    order = as_order(q)
+    q = _order(q)
     ns = list(ns)
     if min(ns) < 2:
         raise ValueError("maximality needs n >= 2")
@@ -137,13 +137,12 @@ def _maximality(q: float | QOrder, ns) -> list[AxiomVerdict]:
     k, m = np.array(
         [(k, m) for k in range(2, top + 1) for m in range(1, k)], dtype=float
     ).T[:, :, None]
-    power = order.value
     grid = np.arange(1, MAXIMALITY_GRID) / MAXIMALITY_GRID
-    cell = np.argmax(_two_value_ad(k, m, grid, power), axis=1, keepdims=True)
+    cell = np.argmax(_two_value_ad(k, m, grid, q), axis=1, keepdims=True)
     lo, hi = cell / MAXIMALITY_GRID, (cell + 2) / MAXIMALITY_GRID
     for _ in range(GOLDEN_REFINEMENTS):
         left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        keep_left = _two_value_ad(k, m, left, power) >= _two_value_ad(k, m, right, power)
+        keep_left = _two_value_ad(k, m, left, q) >= _two_value_ad(k, m, right, q)
         lo, hi = np.where(keep_left, lo, left), np.where(keep_left, right, hi)
     t = 0.5 * (lo + hi)
     verdicts = []
@@ -153,13 +152,13 @@ def _maximality(q: float | QOrder, ns) -> list[AxiomVerdict]:
         index = np.arange(n)
         rows = np.where(index < mn, tn / mn, np.where(index < kn, (1.0 - tn) / (kn - mn), 0.0))
         points = np.vstack([np.full(n, 1.0 / n), rows])
-        values = hybrid_rows(points, order)
+        values = hybrid_rows(points, q)
         best = int(np.argmax(values))  # the uniform row wins ties
         margin = float(values[0]) + MAXIMALITY_SLACK - float(values[best])
         verdicts.append(
             AxiomVerdict(
                 axiom="maximality",
-                q=order,
+                q=q,
                 n=n,
                 passed=margin >= 0.0,
                 margin=margin,
@@ -169,21 +168,21 @@ def _maximality(q: float | QOrder, ns) -> list[AxiomVerdict]:
     return verdicts
 
 
-def _expansibility_margins(order: QOrder, w: np.ndarray) -> np.ndarray:
+def _expansibility_margins(q: float, w: np.ndarray) -> np.ndarray:
     """1e-12 minus the change in the hybrid entropy when a zero-probability
     outcome is appended, for each row of validated (T, n) weights."""
     padded = DistributionStack(np.concatenate([w, np.zeros((len(w), 1))], axis=1))
-    return 1e-12 - np.abs(hybrid_rows(padded.weights, order) - hybrid_rows(w, order))
+    return 1e-12 - np.abs(hybrid_rows(padded.weights, q) - hybrid_rows(w, q))
 
 
-def check_expansibility(q: float | QOrder, p: Distribution) -> AxiomVerdict:
+def check_expansibility(q: float, p: Distribution) -> AxiomVerdict:
     """Appending a zero-probability outcome must not change the entropy."""
-    order = as_order(q)
-    margin = float(_expansibility_margins(order, p.weights[None, :])[0])
+    q = _order(q)
+    margin = float(_expansibility_margins(q, p.weights[None, :])[0])
     passed = margin >= 0.0
     return AxiomVerdict(
         axiom="expansibility",
-        q=order,
+        q=q,
         n=p.size,
         passed=passed,
         margin=margin,
@@ -191,7 +190,7 @@ def check_expansibility(q: float | QOrder, p: Distribution) -> AxiomVerdict:
     )
 
 
-def _calibrate_moduli(orders: list[QOrder], n: int, delta: float) -> list[float]:
+def _calibrate_moduli(orders: list[float], n: int, delta: float) -> list[float]:
     """Modulus estimate at each order from a designed scan of the worst
     configurations at the probe scale: probability delta moved into or out of
     a coordinate sitting near the boundary, where the entropy gradient peaks
@@ -223,7 +222,7 @@ def _calibrate_moduli(orders: list[QOrder], n: int, delta: float) -> list[float]
 
 
 def check_continuity(
-    q: float | QOrder,
+    q: float,
     n: int,
     seed: int,
     delta: float = 1e-4,
@@ -252,7 +251,7 @@ def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
         raise ValueError("delta must lie in [1e-12, 1e-3]")
     if n < 2:
         raise ValueError("continuity needs n >= 2")
-    orders = [as_order(q) for q in qs]
+    orders = [_order(q) for q in qs]
     moduli = _calibrate_moduli(orders, n, delta)
     rng = np.random.default_rng(seed)
     bases, moved_rows = [], []
@@ -333,7 +332,7 @@ def _product_stacks(
     return _grouped(JointStack, [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])])
 
 
-def _additivity_independent(orders: list[QOrder], seed: int, trials: int) -> list[AxiomVerdict]:
+def _additivity_independent(orders: list[float], seed: int, trials: int) -> list[AxiomVerdict]:
     """``check_additivity_independent`` at each order of the list, from one
     product ensemble and one ``chain_rule_grid`` call per joint shape. Trial t
     draws its marginals from ``default_rng(seed + t)``."""
@@ -368,14 +367,17 @@ def _additivity_independent(orders: list[QOrder], seed: int, trials: int) -> lis
     return verdicts
 
 
-def check_additivity_independent(q: float | QOrder, seed: int, trials: int) -> AxiomVerdict:
+def check_additivity_independent(q: float, seed: int, trials: int) -> AxiomVerdict:
     """Sampled product joints must satisfy the composition rule to RESIDUAL_TOL.
 
     The witness of a failed verdict is the first joint with the largest
     |residual|. A non-finite residual fails the verdict with margin -inf, and
-    the first such joint is the witness.
+    the first such joint is the witness. Raises ValueError for trials < 1.
     """
-    return _additivity_independent([as_order(q)], seed, trials)[0]
+    q = _order(q)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return _additivity_independent([q], seed, trials)[0]
 
 
 def _sample_dependent(
@@ -464,30 +466,33 @@ def _rate_verdict(
 
 
 def check_additivity_dependent(
-    q: float | QOrder,
+    q: float,
     seed: int,
     trials: int,
-    mi_floor: float = 0.05,
+    mi_floor: float = MI_FLOOR,
 ) -> AxiomVerdict:
     """Sampled dependent joints should violate the composition rule.
 
     Passes when at least 99% of the trials show |residual| > VIOLATION_FLOOR;
     exceptions are logged with their joints and the first one becomes the
     witness. At q = 1 the rule holds exactly, so the observed rate is zero and
-    the verdict reports that honestly rather than being meaningful.
+    the verdict reports that honestly rather than being meaningful. Raises
+    ValueError for trials < 1.
     """
-    order = as_order(q)
+    q = _order(q)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     draws, stacks = _sampled_stacks(seed, trials, mi_floor)
     residuals = np.empty(trials)
     for members, stack in stacks:
-        residuals[members] = chain_rule_grid(stack, [order])[0].residual
+        residuals[members] = chain_rule_grid(stack, [q])[0].residual
     margin, witness = _rate_verdict(
         np.abs(residuals), VIOLATION_FLOOR, draws,
         "dependent joint without violation (|residual|=%.3e, trial %d): %r",
     )
     return AxiomVerdict(
         axiom="additivity_dependent",
-        q=order,
+        q=q,
         n=MAX_SIDE,
         passed=margin >= 0.0,
         margin=margin,
@@ -505,7 +510,7 @@ class CheckResult:
     margin: float
 
 
-def _suite_qcalc(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
+def _suite_qcalc(seed: int, trials: int) -> list[CheckResult]:
     # Each order's draws come from one call, which gives the stream of one
     # draw at a time. The checks stay scalar: this suite checks the scalar
     # functions, on Python floats.
@@ -548,7 +553,7 @@ def _inconsistency_gaps(seed: int, trials: int) -> tuple[list[np.ndarray], np.nd
     return draws, gaps
 
 
-def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
+def _suite_escort(seed: int, trials: int) -> list[CheckResult]:
     # Each ensemble is drawn in full, then evaluated with one call per shape.
     rng = np.random.default_rng(seed)
     results = []
@@ -599,10 +604,10 @@ def _suite_escort(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
     return results
 
 
-def _suite_axioms(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
+def _suite_axioms(seed: int, trials: int, mi_floor: float) -> list[CheckResult]:
     results = []
     for verdict in _continuity([0.6, 2.0], n=8, seed=seed, delta=1e-4):
-        name = f"continuity_q{verdict.q.value}"
+        name = f"continuity_q{verdict.q}"
         results.append(CheckResult("axioms", name, verdict.passed, verdict.margin))
     for q in (1.0, 2.0):
         for verdict in _maximality(q, (2, 3, 4, 5)):
@@ -613,29 +618,33 @@ def _suite_axioms(seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckR
         rows = [_uniform_simplex(rng, int(rng.integers(2, 9))) for _ in range(trials)]
         margins = np.concatenate(
             [
-                _expansibility_margins(as_order(q), p.weights)
+                _expansibility_margins(q, p.weights)
                 for _, p in _grouped(DistributionStack, rows)
             ]
         )
         passed = bool(np.all(margins >= 0.0))
         results.append(CheckResult("axioms", f"expansibility_q{q}", passed, float(margins.min())))
-    for verdict in _additivity_independent([as_order(0.5), as_order(2.0)], seed, trials):
-        name = f"additivity_independent_q{verdict.q.value}"
+    for verdict in _additivity_independent([0.5, 2.0], seed, trials):
+        name = f"additivity_independent_q{verdict.q}"
         results.append(CheckResult("axioms", name, verdict.passed, verdict.margin))
     verdict = check_additivity_dependent(2.0, seed=seed, trials=trials, mi_floor=mi_floor)
     results.append(CheckResult("axioms", "additivity_dependent_q2", verdict.passed, verdict.margin))
     return results
 
 
-_SUITES = {
-    "qcalc": _suite_qcalc,
-    "escort": _suite_escort,
-    "axioms": _suite_axioms,
-}
+def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> list[CheckResult]:
+    """Run one verification suite (or all of them) and collect the results.
 
-
-def run_suite(name: str, seed: int, trials: int, mi_floor: float = 0.05) -> list[CheckResult]:
-    """Run one verification suite (or all of them) and collect the results."""
+    mi_floor is the floor of the axioms suite's dependent ensemble; the
+    escort suite's three ensembles keep their fixed floor of 0.01.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    suites = {
+        "qcalc": lambda: _suite_qcalc(seed, trials),
+        "escort": lambda: _suite_escort(seed, trials),
+        "axioms": lambda: _suite_axioms(seed, trials, mi_floor),
+    }
     if name == "all":
-        return [result for suite in _SUITES.values() for result in suite(seed, trials, mi_floor)]
-    return _SUITES[name](seed, trials, mi_floor)
+        return [result for suite in suites.values() for result in suite()]
+    return suites[name]()

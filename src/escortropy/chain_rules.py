@@ -46,10 +46,9 @@ from .escort import _CELLS, _power_escort
 from .prob import (
     JointDistribution,
     JointStack,
-    QOrder,
     _marginal_and_conditional,
     _masked_log,
-    as_order,
+    _order,
 )
 from .qcalc import kn_map_inv, q_add
 
@@ -79,7 +78,7 @@ class ChainRuleReport:
       tilted conditional of ``corrected_conditional``, zero up to rounding.
     """
 
-    q: QOrder
+    q: float
     joint_entropy: float
     marginal_entropy: float
     conditional_chain: float
@@ -122,15 +121,15 @@ def _order_free(w: np.ndarray) -> tuple:
     return w, p, cond, log_w, log_p, log_cond
 
 
-def _evaluate(passes: tuple, order: QOrder) -> tuple:
+def _evaluate(passes: tuple, q: float) -> tuple:
     """The ten value fields of ChainRuleReport, in order, as (T,) arrays from
     the ``_order_free`` passes over a (T, n_b, n_a) stack."""
     w, p, cond, log_w, log_p, log_cond = passes
     # No branch at q = 1: there every power is the identity, so both joint
     # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
-    cond_q, col_sums, cond_escort = _power_escort(cond, order.value, -2)
-    p_escort = _power_escort(p, order.value, -1)[2]
-    naive = _power_escort(w, order.value, _CELLS)[2]
+    cond_q, col_sums, cond_escort = _power_escort(cond, q, -2)
+    p_escort = _power_escort(p, q, -1)[2]
+    naive = _power_escort(w, q, _CELLS)[2]
     correct = cond_escort * p_escort
     log_naive = _masked_log(naive)
 
@@ -152,11 +151,11 @@ def _evaluate(passes: tuple, order: QOrder) -> tuple:
     # The tilt of the corrected conditional subtracts s_gap / q in the
     # additive scale and is mapped back once, so no two exponentially large
     # terms cancel.
-    joint_value = kn_map_inv(joint_ad, order)
-    marginal_value = kn_map_inv(marginal_ad, order)
-    residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, order), order)
-    tilted = kn_map_inv(axiomatic - gap_value / order.value, order)
-    corrected = joint_value - q_add(marginal_value, tilted, order)
+    joint_value = kn_map_inv(joint_ad, q)
+    marginal_value = kn_map_inv(marginal_ad, q)
+    residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, q), q)
+    tilted = kn_map_inv(axiomatic - gap_value / q, q)
+    corrected = joint_value - q_add(marginal_value, tilted, q)
     return (
         joint_ad, marginal_ad, chain, axiomatic, axiomatic - chain, gap_value,
         lower, upper, residual, corrected,
@@ -176,12 +175,12 @@ def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
     probability.
     """
     stack = weights if isinstance(weights, JointStack) else JointStack(weights)
-    orders = [as_order(q) for q in q_grid]
+    orders = [_order(q) for q in q_grid]
     passes = _order_free(stack.weights)
     return [ChainRuleReports(order, *_evaluate(passes, order)) for order in orders]
 
 
-def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleReport:
+def chain_rule_report(r: JointDistribution, q: float) -> ChainRuleReport:
     """Evaluate every quantity of the additivity analysis for (r, q) in one pass.
 
     The two conditionals come from Aczel-Daroczy sums and ``s_gap`` from the
@@ -193,7 +192,7 @@ def chain_rule_report(r: JointDistribution, q: float | QOrder) -> ChainRuleRepor
     return chain_rule_grid(JointStack.of([r]), [q])[0][0]
 
 
-def corrected_conditional(r: JointDistribution, q: float | QOrder) -> float:
+def corrected_conditional(r: JointDistribution, q: float) -> float:
     """The axiomatic conditional after the exponential tilt that restores
     q-additivity, in the deformed scale.
 
@@ -203,4 +202,4 @@ def corrected_conditional(r: JointDistribution, q: float | QOrder) -> float:
     joints, and the map is the identity at q = 1.
     """
     report = chain_rule_report(r, q)
-    return kn_map_inv(report.conditional_axiomatic - report.s_gap / report.q.value, report.q)
+    return kn_map_inv(report.conditional_axiomatic - report.s_gap / report.q, report.q)

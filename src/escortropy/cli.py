@@ -29,15 +29,14 @@ from .prob import (
     Distribution,
     JointDistribution,
     JointStack,
-    QOrder,
-    as_order,
+    _order,
     drop_zero_columns,
     mutual_information,
     random_joints,
 )
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
 from .chain_rules import ChainRuleReport, chain_rule_grid
-from .axioms import run_suite
+from .axioms import MI_FLOOR, run_suite
 
 # The chain table prints the order as given, then every other report field.
 CHAIN_COLUMNS = [field.name for field in fields(ChainRuleReport)]
@@ -57,7 +56,7 @@ def fmt(x: float) -> str:
 
 def _parse_q_list(text: str) -> list[float]:
     try:
-        values = [QOrder(float(part)).value for part in text.split(",") if part.strip() != ""]
+        values = [_order(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}: {exc}") from exc
     if not values:
@@ -119,16 +118,15 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     p = Distribution(data["p"])
     rows = []
     for q in args.q:
-        order = as_order(q)
         rows.append(
             _finite_row(
                 {
                     "q": q,
-                    "shannon": shannon(p).value,
-                    "renyi_1_over_q": renyi(p, 1.0 / order.value).value,
-                    "tsallis": tsallis(p, order).value,
-                    "hybrid": hybrid(p, order).value,
-                    "aczel_daroczy": aczel_daroczy(p, order).value,
+                    "shannon": shannon(p),
+                    "renyi_1_over_q": renyi(p, 1.0 / q),
+                    "tsallis": tsallis(p, q),
+                    "hybrid": hybrid(p, q),
+                    "aczel_daroczy": aczel_daroczy(p, q),
                 }
             )
         )
@@ -267,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all", choices=["qcalc", "escort", "axioms", "all"])
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--trials", type=_positive_int, default=200)
-    verify.add_argument("--mi-floor", type=_mi_floor, default=0.05,
-                        help="mutual-information floor for the dependent ensemble")
+    verify.add_argument(
+        "--mi-floor", type=_mi_floor, default=MI_FLOOR,
+        help="mutual-information floor of the axioms:additivity_dependent_q2 ensemble only",
+    )
     verify.add_argument("--out", default=None)
     verify.add_argument("--json", action="store_true")
 

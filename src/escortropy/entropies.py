@@ -24,48 +24,28 @@ Shannon entropy of the naive joint escort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .prob import Distribution, QOrder, _masked_log, as_order, nat_entropy
+from .prob import Distribution, _masked_log, _order, nat_entropy
 from .escort import _power_escort
 from .qcalc import kn_map, kn_map_inv
 
 
-@dataclass(frozen=True, eq=False)
-class EntropyValue:
-    """A computed entropy in nats, tagged with its functional and order."""
-
-    value: float
-    functional: str
-    order: float | None = None
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        if self.order is None:
-            return f"EntropyValue({self.value!r}, {self.functional})"
-        return f"EntropyValue({self.value!r}, {self.functional}, order={self.order!r})"
-
-
-def aczel_daroczy_rows(w: np.ndarray, q: float | QOrder) -> np.ndarray:
+def aczel_daroczy_rows(w: np.ndarray, q: float) -> np.ndarray:
     """Aczel-Daroczy entropy of each row: the escort mean -sum P(q)_k ln p_k."""
-    order = as_order(q)
+    q = _order(q)
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    return -(_power_escort(w, order.value, 1)[2] * _masked_log(w)).sum(axis=1)
+    return -(_power_escort(w, q, 1)[2] * _masked_log(w)).sum(axis=1)
 
 
-def hybrid_rows(w: np.ndarray, q: float | QOrder) -> np.ndarray:
+def hybrid_rows(w: np.ndarray, q: float) -> np.ndarray:
     """Hybrid entropy of each row: the deformed-scale image of its Aczel-Daroczy entropy."""
-    order = as_order(q)
-    return kn_map_inv(aczel_daroczy_rows(w, order), order)
+    return kn_map_inv(aczel_daroczy_rows(w, q), q)
 
 
-def shannon(p: Distribution) -> EntropyValue:
+def shannon(p: Distribution) -> float:
     """Shannon entropy -sum p ln p in nats."""
-    return EntropyValue(nat_entropy(p.weights), "shannon")
+    return nat_entropy(p.weights)
 
 
 def _tsallis_value(w: np.ndarray, q: float) -> float:
@@ -85,7 +65,7 @@ def _tsallis_value(w: np.ndarray, q: float) -> float:
     return float(terms.sum()) + 0.0
 
 
-def renyi(p: Distribution, alpha: float) -> EntropyValue:
+def renyi(p: Distribution, alpha: float) -> float:
     """Renyi entropy ln(sum p^alpha)/(1-alpha), continuous through alpha = 1.
 
     Where sum p^alpha is within 1/2 of 1 it is kn_map of the Tsallis entropy,
@@ -93,36 +73,28 @@ def renyi(p: Distribution, alpha: float) -> EntropyValue:
     elsewhere the power sum is taken relative to the largest weight, in the
     log domain, so it neither underflows nor overflows at extreme orders.
     """
-    alpha = as_order(alpha).value
+    alpha = _order(alpha)
     w = p.weights[p.weights > 0]
     one_m_a = 1.0 - alpha
     tsallis_value = _tsallis_value(w, alpha)
     if abs(one_m_a * tsallis_value) < 0.5:
-        value = kn_map(tsallis_value, alpha)
-    else:
-        log_w = np.log(w)
-        log_top = log_w.max()
-        power_sum = np.exp(alpha * (log_w - log_top)).sum()
-        value = float((alpha * log_top + np.log(power_sum)) / one_m_a)
-    return EntropyValue(value, "renyi", alpha)
+        return kn_map(tsallis_value, alpha)
+    log_w = np.log(w)
+    log_top = log_w.max()
+    power_sum = np.exp(alpha * (log_w - log_top)).sum()
+    return float((alpha * log_top + np.log(power_sum)) / one_m_a)
 
 
-def tsallis(p: Distribution, q: float | QOrder) -> EntropyValue:
+def tsallis(p: Distribution, q: float) -> float:
     """Tsallis entropy (sum p^q - 1)/(1-q), continuous through q = 1 (Shannon)."""
-    order = as_order(q)
-    value = _tsallis_value(p.weights[p.weights > 0], order.value)
-    return EntropyValue(value, "tsallis", order.value)
+    return _tsallis_value(p.weights[p.weights > 0], _order(q))
 
 
-def aczel_daroczy(p: Distribution, q: float | QOrder) -> EntropyValue:
+def aczel_daroczy(p: Distribution, q: float) -> float:
     """The additive-scale image of the hybrid entropy: -sum p^q ln p / sum p^q."""
-    order = as_order(q)
-    value = float(aczel_daroczy_rows(p.weights[None, :], order)[0])
-    return EntropyValue(value, "aczel_daroczy", order.value)
+    return float(aczel_daroczy_rows(p.weights[None, :], q)[0])
 
 
-def hybrid(p: Distribution, q: float | QOrder) -> EntropyValue:
+def hybrid(p: Distribution, q: float) -> float:
     """Hybrid entropy D_q; equals kn_map_inv(aczel_daroczy(p, q))."""
-    order = as_order(q)
-    value = float(hybrid_rows(p.weights[None, :], order)[0])
-    return EntropyValue(value, "hybrid", order.value)
+    return float(hybrid_rows(p.weights[None, :], q)[0])

@@ -35,9 +35,8 @@ from .prob import (
     DistributionStack,
     JointDistribution,
     JointStack,
-    QOrder,
     _marginal_and_conditional,
-    as_order,
+    _order,
 )
 
 # The B and A axes of each joint. On a contiguous stack a sum over both is the
@@ -55,34 +54,34 @@ def _power_escort(w: np.ndarray, value: float, axis) -> tuple[np.ndarray, np.nda
     return w_q, sums, w_q / sums
 
 
-def escort(p: Distribution | DistributionStack, q: float | QOrder) -> np.ndarray:
+def escort(p: Distribution | DistributionStack, q: float) -> np.ndarray:
     """Escort transform P(q)_k = p_k^q / sum_i p_i^q of each row."""
-    return _power_escort(p.weights, as_order(q).value, -1)[2]
+    return _power_escort(p.weights, _order(q), -1)[2]
 
 
-def joint_escort_naive(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
+def joint_escort_naive(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Cellwise power then global normalization: R(q)_{kl} = r_{kl}^q / sum r^q.
     Defined on joints with a zero column too."""
-    return _power_escort(r.weights, as_order(q).value, _CELLS)[2]
+    return _power_escort(r.weights, _order(q), _CELLS)[2]
 
 
-def conditional_escort(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
+def conditional_escort(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Column-wise escort of the conditional of B given A."""
-    return _power_escort(_marginal_and_conditional(r.weights)[1], as_order(q).value, -2)[2]
+    return _power_escort(_marginal_and_conditional(r.weights)[1], _order(q), -2)[2]
 
 
-def joint_escort_correct(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
+def joint_escort_correct(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Marginal-times-conditional escort: escort(p)_l times the escorted column l.
 
     Its A-marginal equals the escort of the A-marginal by construction, which
     is exactly the property the naive construction loses on dependent joints.
     """
-    value = as_order(q).value
+    q = _order(q)
     p, cond = _marginal_and_conditional(r.weights)
-    return _power_escort(cond, value, -2)[2] * _power_escort(p, value, -1)[2]
+    return _power_escort(cond, q, -2)[2] * _power_escort(p, q, -1)[2]
 
 
-def escort_ratio(r: JointDistribution | JointStack, q: float | QOrder) -> np.ndarray:
+def escort_ratio(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Cellwise ratio correct/naive via its closed form, finite on zero cells.
 
     The ratio is constant down each column: it equals the escort-weighted mean
@@ -90,14 +89,14 @@ def escort_ratio(r: JointDistribution | JointStack, q: float | QOrder) -> np.nda
     Cellwise division of the two constructions reproduces it wherever the
     naive matrix is positive.
     """
-    value = as_order(q).value
+    q = _order(q)
     p, cond = _marginal_and_conditional(r.weights)
-    col_power_sums = _power_escort(cond, value, -2)[1]
-    mean_power_sum = (_power_escort(p, value, -1)[2] * col_power_sums).sum(axis=-1, keepdims=True)
+    col_power_sums = _power_escort(cond, q, -2)[1]
+    mean_power_sum = (_power_escort(p, q, -1)[2] * col_power_sums).sum(axis=-1, keepdims=True)
     return np.repeat(mean_power_sum / col_power_sums, r.weights.shape[-2], axis=-2)
 
 
-def _construction_gap(r: JointDistribution | JointStack, q: float | QOrder) -> float | np.ndarray:
+def _construction_gap(r: JointDistribution | JointStack, q: float) -> float | np.ndarray:
     """Largest cellwise difference between the two joint escort constructions:
     a float for a joint, the (T,) array of each joint's value for a stack."""
     gap = np.abs(joint_escort_naive(r, q) - joint_escort_correct(r, q)).max(axis=_CELLS)
@@ -105,7 +104,7 @@ def _construction_gap(r: JointDistribution | JointStack, q: float | QOrder) -> f
 
 
 def is_escort_consistent(
-    r: JointDistribution | JointStack, q: float | QOrder, tol: float = 1e-9
+    r: JointDistribution | JointStack, q: float, tol: float = 1e-9
 ) -> bool | np.ndarray:
     """True when the two joint escort constructions agree cellwise within tol.
 

@@ -172,27 +172,17 @@ class ConditionalDistribution:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class QOrder:
-    """The entropic order q > 0.
+def _order(q: float) -> float:
+    """The entropic order q > 0 as a built-in float.
 
     Every consumer evaluates one formula at every order, q = 1 included: the
     q-th powers are continuous there, and the division by 1 - q is confined
     to ``qcalc.kn_map`` / ``kn_map_inv``, which fill q = 1 with the limit.
     """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError(f"entropic order must be a positive real, got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-
-def as_order(q: float | QOrder) -> QOrder:
-    """Coerce a plain number to a validated QOrder."""
-    return q if isinstance(q, QOrder) else QOrder(float(q))
+    value = float(q)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"entropic order must be a positive real, got {value!r}")
+    return value
 
 
 def marginal_a(r: JointDistribution) -> Distribution:

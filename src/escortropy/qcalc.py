@@ -11,6 +11,7 @@ places that divide by 1 - q; they evaluate log1p(u)/(1-q) and
 expm1((1-q)x)/(1-q), which keep full relative precision for q arbitrarily
 close to 1 (1 - q is exact there), and fill the removable singularity at
 exactly q = 1 with its limit. ``q_exp`` and ``q_log`` are built from them.
+They take any real order; only the entropy layer restricts q to q > 0.
 """
 
 from __future__ import annotations
@@ -20,16 +21,9 @@ import math
 import numpy as np
 
 from .errors import DomainCutoffError, NonpositiveArgumentError
-from .prob import QOrder
 
 
-def _order_value(q: float | QOrder) -> float:
-    # The deformed algebra is defined for any real order; only the entropy
-    # layer restricts to q > 0, so no QOrder coercion here.
-    return q.value if isinstance(q, QOrder) else float(q)
-
-
-def q_exp(x: float, q: float | QOrder) -> float:
+def q_exp(x: float, q: float) -> float:
     """Deformed exponential [1 + (1-q)x]^(1/(1-q)) = exp(kn_map(x, q)).
 
     Raises DomainCutoffError when 1 + (1-q)x <= 0; a cutoff always signals an
@@ -38,7 +32,7 @@ def q_exp(x: float, q: float | QOrder) -> float:
     return math.exp(kn_map(x, q))
 
 
-def q_log(y: float, q: float | QOrder) -> float:
+def q_log(y: float, q: float) -> float:
     """Deformed logarithm (y^(1-q) - 1)/(1-q) = kn_map_inv(ln y, q).
 
     Inverse of q_exp on its domain. Requires y > 0.
@@ -48,28 +42,27 @@ def q_log(y: float, q: float | QOrder) -> float:
     return kn_map_inv(math.log(y), q)
 
 
-def kn_map(x: float, q: float | QOrder) -> float:
+def kn_map(x: float, q: float) -> float:
     """Map to the additive scale: ln[1 + (1-q)x] / (1-q); identity at q = 1."""
-    value = _order_value(q)
-    one_m_q = 1.0 - value
+    one_m_q = 1.0 - float(q)
     u = one_m_q * x
     if 1.0 + u <= 0.0:
-        raise DomainCutoffError(f"1 + (1-q)x = {1.0 + u!r} <= 0 for x={x!r}, q={value!r}")
+        raise DomainCutoffError(f"1 + (1-q)x = {1.0 + u!r} <= 0 for x={x!r}, q={float(q)!r}")
     return math.log1p(u) / one_m_q if one_m_q else float(x)
 
 
-def kn_map_inv(x, q: float | QOrder):
+def kn_map_inv(x, q: float):
     """Inverse of kn_map: (e^((1-q)x) - 1)/(1-q); identity at q = 1.
 
     Defined on the whole real line. Takes a float or an array of them and
     returns the same kind.
     """
-    one_m_q = 1.0 - _order_value(q)
+    one_m_q = 1.0 - float(q)
     if isinstance(x, np.ndarray):
         return np.expm1(one_m_q * x) / one_m_q if one_m_q else x.astype(float)
     return math.expm1(one_m_q * x) / one_m_q if one_m_q else float(x)
 
 
-def q_add(a: float, b: float, q: float | QOrder) -> float:
+def q_add(a: float, b: float, q: float) -> float:
     """Deformed addition a + b + (1-q)ab; commutative, with neutral element 0."""
-    return a + b + (1.0 - _order_value(q)) * a * b
+    return a + b + (1.0 - float(q)) * a * b

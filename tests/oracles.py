@@ -473,7 +473,7 @@ def suite_axioms(seed, trials, mi_floor=0.05):
         for _ in range(trials):
             p = ep.Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 9)))))
             padded = ep.Distribution(np.append(p.weights, 0.0))
-            margin = 1e-12 - abs(ep.hybrid(padded, q).value - ep.hybrid(p, q).value)
+            margin = 1e-12 - abs(ep.hybrid(padded, q) - ep.hybrid(p, q))
             ok, worst = ok and margin >= 0.0, min(worst, margin)
         results[f"expansibility_q{q}"] = (ok, worst)
     for q in (0.5, 2.0):

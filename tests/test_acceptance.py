@@ -276,10 +276,10 @@ def test_criterion_07_bridge_and_decomposition():
         rng = np.random.default_rng(3_000_000 + t)
         p = Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 17)))))
         q = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        ad_value = aczel_daroczy(p, q).value
-        worst_bridge = max(worst_bridge, abs(kn_map(hybrid(p, q).value, q) - ad_value))
+        ad_value = aczel_daroczy(p, q)
+        worst_bridge = max(worst_bridge, abs(kn_map(hybrid(p, q), q) - ad_value))
         esc = Distribution(escort(p, q))
-        decomposed = shannon(esc).value / q - (1.0 - q) / q * renyi(esc, 1.0 / q).value
+        decomposed = shannon(esc) / q - (1.0 - q) / q * renyi(esc, 1.0 / q)
         worst_decomposition = max(worst_decomposition, abs(ad_value - decomposed))
     passed = worst_bridge < 1e-10 and worst_decomposition < 1e-10
     emit(7, passed, f"bridge err = {worst_bridge:.3e}; decomposition err = {worst_decomposition:.3e} over 10^4 pairs")
@@ -371,19 +371,19 @@ def test_criterion_09_closed_forms_and_collapse():
         uniform = Distribution(np.full(n, 1.0 / n))
         for q in (0.5, 0.7, 1.0, 1.5, 2.0, 5.0):
             worst_uniform = max(
-                worst_uniform, abs(hybrid(uniform, q).value - q_log(float(n), q))
+                worst_uniform, abs(hybrid(uniform, q) - q_log(float(n), q))
             )
     worst_collapse = 0.0
     for seed in range(50):
         rng = np.random.default_rng(6_000_000 + seed)
         p = Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 17)))))
-        s = shannon(p).value
+        s = shannon(p)
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
             for value in (
-                hybrid(p, q).value,
-                tsallis(p, q).value,
-                aczel_daroczy(p, q).value,
-                renyi(p, 1.0 / q).value,
+                hybrid(p, q),
+                tsallis(p, q),
+                aczel_daroczy(p, q),
+                renyi(p, 1.0 / q),
             ):
                 worst_collapse = max(worst_collapse, abs(value - s))
     passed = worst_uniform < 1e-12 and worst_collapse < 1e-5

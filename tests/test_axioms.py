@@ -138,8 +138,8 @@ def test_maximality_fails_at_low_order():
     verdict = check_maximality(0.3, n=2)
     assert not verdict.passed
     assert verdict.margin < -0.1
-    witness_value = hybrid(verdict.witness, 0.3).value
-    uniform_value = hybrid(Distribution([0.5, 0.5]), 0.3).value
+    witness_value = hybrid(verdict.witness, 0.3)
+    uniform_value = hybrid(Distribution([0.5, 0.5]), 0.3)
     assert witness_value > uniform_value
 
 
@@ -147,7 +147,7 @@ def test_maximality_fails_at_exactly_half_order_for_three_or_more():
     # The one-heavy configuration beats the uniform point at q = 1/2, n >= 3.
     verdict = check_maximality(0.5, n=4)
     assert not verdict.passed
-    assert hybrid(verdict.witness, 0.5).value > hybrid(Distribution([0.25] * 4), 0.5).value
+    assert hybrid(verdict.witness, 0.5) > hybrid(Distribution([0.25] * 4), 0.5)
 
 
 def test_maximality_witness_is_on_simplex():
@@ -195,6 +195,38 @@ def test_continuity_rejects_a_delta_it_cannot_resolve():
     for q in (0.6, 2.0):
         verdict = check_continuity(q, n=8, seed=0, delta=1e-12)
         assert verdict.passed and verdict.margin > 0.0
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda trials: check_additivity_independent(2.0, seed=0, trials=trials),
+        lambda trials: check_additivity_dependent(2.0, seed=0, trials=trials),
+        *(
+            lambda trials, name=name: run_suite(name, seed=0, trials=trials)
+            for name in ("qcalc", "escort", "axioms", "all")
+        ),
+    ],
+    ids=["independent", "dependent", "suite-qcalc", "suite-escort", "suite-axioms", "suite-all"],
+)
+def test_ensemble_checks_reject_fewer_than_one_trial(check, trials):
+    # With no trials a pass would rest on no evidence, and a rate would
+    # divide by zero.
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        check(trials)
+
+
+@pytest.mark.parametrize("q", [2, np.float64(2.0)])
+def test_verdict_orders_are_builtin_floats(q):
+    verdicts = [
+        check_maximality(q, 3),
+        check_expansibility(q, Distribution([0.5, 0.5])),
+        check_continuity(q, 3, seed=0),
+        check_additivity_independent(q, seed=0, trials=3),
+        check_additivity_dependent(q, seed=0, trials=3),
+    ]
+    assert [type(verdict.q) for verdict in verdicts] == [float] * 5
 
 
 def test_additivity_independent_passes():
@@ -374,7 +406,7 @@ def test_continuity_matches_the_per_probe_loop():
 
 def _assert_continuity_is_the_oracle(orders, n, seed, delta):
     verdicts = axioms._continuity(orders, n, seed, delta)
-    assert [verdict.q.value for verdict in verdicts] == list(orders)
+    assert [verdict.q for verdict in verdicts] == list(orders)
     for q, verdict in zip(orders, verdicts):
         passed, margin, modulus = oracles.continuity(q, n, seed, delta)
         assert (verdict.passed, repr(verdict.margin), repr(verdict.modulus)) == (

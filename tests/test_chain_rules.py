@@ -75,7 +75,7 @@ def test_conditional_chain_on_products_reduces_to_marginal():
     joint = product_joint(p_a, q_b)
     for q in (0.5, 2.0, 3.0):
         assert chain_rule_report(joint, q).conditional_chain == pytest.approx(
-            aczel_daroczy(q_b, q).value, abs=1e-12
+            aczel_daroczy(q_b, q), abs=1e-12
         )
 
 
@@ -105,9 +105,9 @@ def test_conditional_chain_escort_route_identity():
                 np.where(marginal_a(r).weights > 0, marginal_a(r).weights**q, 0.0)
                 / (marginal_a(r).weights**q).sum()
             )
-            expected = (shannon(naive).value - shannon(p_escort).value) / q - (
+            expected = (shannon(naive) - shannon(p_escort)) / q - (
                 1.0 - q
-            ) / q * (renyi(naive, 1.0 / q).value - renyi(p_escort, 1.0 / q).value)
+            ) / q * (renyi(naive, 1.0 / q) - renyi(p_escort, 1.0 / q))
             assert abs(chain_rule_report(r, q).conditional_chain - expected) < 1e-10
 
 
@@ -141,9 +141,9 @@ def test_conditional_axiomatic_escort_route_identity_with_cross_entropy():
             p_w = marginal_a(r).weights
             p_escort = Distribution(p_w**q / (p_w**q).sum())
             naive = Distribution(joint_escort_naive(r, q).ravel())
-            expected = (oracles.cross_shannon(r.weights, q) - shannon(p_escort).value) / q - (
+            expected = (oracles.cross_shannon(r.weights, q) - shannon(p_escort)) / q - (
                 1.0 - q
-            ) / q * (renyi(naive, 1.0 / q).value - renyi(p_escort, 1.0 / q).value)
+            ) / q * (renyi(naive, 1.0 / q) - renyi(p_escort, 1.0 / q))
             assert abs(chain_rule_report(r, q).conditional_axiomatic - expected) < 1e-10
 
 
@@ -234,16 +234,16 @@ def test_corrected_conditional_restores_additivity():
     for seed in range(150):
         r = random_joint_matrix(seed + 4000)
         for q in (0.5, 0.7, 1.5, 2.0, 3.0):
-            joint_value = hybrid(Distribution(r.weights.ravel()), q).value
-            marg_value = hybrid(marginal_a(r), q).value
+            joint_value = hybrid(Distribution(r.weights.ravel()), q)
+            marg_value = hybrid(marginal_a(r), q)
             corrected = corrected_conditional(r, q)
             assert abs(joint_value - q_add(marg_value, corrected, q)) < 1e-9
 
 
 def test_corrected_conditional_on_dependent_example():
     corrected = corrected_conditional(DEPENDENT, 2.0)
-    joint_value = hybrid(Distribution(DEPENDENT.weights.ravel()), 2.0).value
-    marg_value = hybrid(marginal_a(DEPENDENT), 2.0).value
+    joint_value = hybrid(Distribution(DEPENDENT.weights.ravel()), 2.0)
+    marg_value = hybrid(marginal_a(DEPENDENT), 2.0)
     assert abs(joint_value - q_add(marg_value, corrected, 2.0)) < 1e-12
     # the tilt lands exactly on the chain-route conditional
     assert corrected == pytest.approx(
@@ -265,7 +265,7 @@ def test_chain_rule_report_fields_are_consistent():
     for seed, q in ((1, 0.5), (2, 2.0), (3, 3.0)):
         r = random_joint_matrix(seed + 8000)
         report = chain_rule_report(r, q)
-        assert report.q.value == q
+        assert report.q == q
         assert report.joint_entropy == pytest.approx(
             oracles.aczel_daroczy(r.weights.ravel(), q), abs=1e-12
         )
@@ -377,6 +377,14 @@ def joint_stack(shape, seed, count=5):
     return w / w.sum(axis=(1, 2), keepdims=True)
 
 
+@pytest.mark.parametrize("q", [2, np.float64(2.0), np.float32(0.5)])
+def test_report_orders_are_builtin_floats(q):
+    report = chain_rule_report(DEPENDENT, q)
+    reports = chain_rule_grid(JointStack.of([DEPENDENT]), [q])[0]
+    assert type(report.q) is type(reports.q) is type(reports[0].q) is float
+    assert report.q == reports.q == float(q)
+
+
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
     # Each joint's row must depend neither on the other joints of its stack
@@ -384,7 +392,7 @@ def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
     # passes.
     weights = joint_stack(shape, seed=10 * shape[0] + shape[1])
     grid = chain_rule_grid(weights, KERNEL_ORDERS)
-    assert [reports.q.value for reports in grid] == KERNEL_ORDERS
+    assert [reports.q for reports in grid] == KERNEL_ORDERS
     for q, from_grid in zip(KERNEL_ORDERS, grid):
         reports = chain_rule_grid(weights, [q])[0]
         assert len(reports) == len(from_grid) == len(weights)
@@ -469,7 +477,7 @@ def test_oracles_keep_their_digits_next_to_order_one():
     # then gives the dependent residual the wrong sign; expm1 keeps them.
     q = 1.0 + 1e-9
     assert oracles.hybrid(DEPENDENT.weights, q) == pytest.approx(
-        hybrid(Distribution(DEPENDENT.weights.ravel()), q).value, abs=1e-12
+        hybrid(Distribution(DEPENDENT.weights.ravel()), q), abs=1e-12
     )
     residual = chain_rule_report(DEPENDENT, q).residual
     assert residual < 0.0

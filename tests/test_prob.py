@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from escortropy import (
     MalformedWeightsError,
     NegativeWeightError,
     NotNormalizedError,
-    QOrder,
     ZeroMarginalColumnError,
     drop_zero_columns,
     marginal_a,
@@ -22,6 +23,8 @@ from escortropy import (
     random_joint,
     random_joints,
 )
+import escortropy as ep
+from escortropy.entropies import aczel_daroczy_rows, hybrid_rows
 from escortropy.prob import _marginal_and_conditional, _uniform_simplex
 
 import oracles
@@ -62,11 +65,40 @@ def test_weights_are_renormalized_exactly_and_frozen():
         d.weights[0] = 0.9
 
 
-def test_qorder_requires_positive():
-    with pytest.raises(ValueError):
-        QOrder(0.0)
-    with pytest.raises(ValueError):
-        QOrder(-2.0)
+_P = Distribution([0.5, 0.3, 0.2])
+_R = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
+
+# Every public function that takes an entropic order, called at order q.
+ORDER_TAKERS = {
+    "renyi": lambda q: ep.renyi(_P, q),
+    "tsallis": lambda q: ep.tsallis(_P, q),
+    "aczel_daroczy": lambda q: ep.aczel_daroczy(_P, q),
+    "hybrid": lambda q: ep.hybrid(_P, q),
+    "aczel_daroczy_rows": lambda q: aczel_daroczy_rows(_P.weights, q),
+    "hybrid_rows": lambda q: hybrid_rows(_P.weights, q),
+    "escort": lambda q: ep.escort(_P, q),
+    "joint_escort_naive": lambda q: ep.joint_escort_naive(_R, q),
+    "joint_escort_correct": lambda q: ep.joint_escort_correct(_R, q),
+    "conditional_escort": lambda q: ep.conditional_escort(_R, q),
+    "escort_ratio": lambda q: ep.escort_ratio(_R, q),
+    "is_escort_consistent": lambda q: ep.is_escort_consistent(_R, q),
+    "chain_rule_report": lambda q: ep.chain_rule_report(_R, q),
+    "chain_rule_grid": lambda q: ep.chain_rule_grid(JointStack.of([_R]), [2.0, q]),
+    "corrected_conditional": lambda q: ep.corrected_conditional(_R, q),
+    "check_maximality": lambda q: ep.check_maximality(q, 3),
+    "check_expansibility": lambda q: ep.check_expansibility(q, _P),
+    "check_continuity": lambda q: ep.check_continuity(q, 3, seed=0),
+    "check_additivity_independent": lambda q: ep.check_additivity_independent(q, 0, 2),
+    "check_additivity_dependent": lambda q: ep.check_additivity_dependent(q, 0, 2),
+}
+
+
+@pytest.mark.parametrize("q", [0, -2, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", list(ORDER_TAKERS))
+def test_every_order_taker_rejects_a_nonpositive_or_nonfinite_order(name, q):
+    message = re.escape(f"entropic order must be a positive real, got {float(q)!r}")
+    with pytest.raises(ValueError, match=message):
+        ORDER_TAKERS[name](q)
 
 
 def test_marginals():

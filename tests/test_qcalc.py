@@ -52,6 +52,15 @@ def test_kn_map_inv_examples():
     assert kn_map_inv(0.81093, 0.5) == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("q", [0.0, -2.0])
+def test_deformed_algebra_takes_orders_below_the_entropy_range(q):
+    # Only the entropy layer restricts q to q > 0.
+    assert q_add(1.0, 1.0, q) == 3.0 - q
+    assert kn_map(0.5, q) == math.log1p((1.0 - q) * 0.5) / (1.0 - q)
+    assert kn_map_inv(kn_map(0.5, q), q) == pytest.approx(0.5, abs=1e-15)
+    assert q_exp(0.5, q) == math.exp(kn_map(0.5, q))
+
+
 def test_q_add_examples():
     assert q_add(2.0, 3.0, 1.0) == 5.0
     assert q_add(2.0, 3.0, 0.5) == pytest.approx(8.0, abs=1e-12)
