@@ -4,9 +4,11 @@ The composition rule D(A,B) = D(A) (+)_q D(B|A) needs a conditional entropy.
 Defining it by subtraction in the additive scale always closes the rule;
 defining it as the escort-weighted mean over A outcomes (the axiomatic route)
 closes the rule at order q exactly where s_gap vanishes at q. That holds
-whenever the two joint escort constructions coincide at q, and also at
-isolated orders of joints where they do not. The difference between the routes is exactly (1/q) times the s_gap quantity, it is
-sandwiched by min/max bounds, and an explicit exponential tilt repairs it.
+whenever the two joint escort constructions coincide at q, and also on joints
+where they do not: at isolated orders of some, and at every order of others,
+such as [[1/3, 1/3], [1/3, 0]]. The difference between the routes is exactly
+(1/q) times the s_gap quantity, it is sandwiched by min/max bounds, and an
+explicit exponential tilt repairs it.
 """
 
 import numpy as np

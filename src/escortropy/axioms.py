@@ -28,6 +28,7 @@ from .prob import (
     DistributionStack,
     JointDistribution,
     JointStack,
+    _non_negative,
     _order,
     _uniform_simplex,
     mutual_information,
@@ -252,8 +253,8 @@ def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
     if n < 2:
         raise ValueError("continuity needs n >= 2")
     orders = [_order(q) for q in qs]
+    rng = np.random.default_rng(_non_negative(seed, "seed"))
     moduli = _calibrate_moduli(orders, n, delta)
-    rng = np.random.default_rng(seed)
     bases, moved_rows = [], []
     drawn = 0
     while len(bases) < CONTINUITY_PROBES:
@@ -336,6 +337,7 @@ def _additivity_independent(orders: list[float], seed: int, trials: int) -> list
     """``check_additivity_independent`` at each order of the list, from one
     product ensemble and one ``chain_rule_grid`` call per joint shape. Trial t
     draws its marginals from ``default_rng(seed + t)``."""
+    _non_negative(seed, "seed")
     draws = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
@@ -372,12 +374,21 @@ def check_additivity_independent(q: float, seed: int, trials: int) -> AxiomVerdi
 
     The witness of a failed verdict is the first joint with the largest
     |residual|. A non-finite residual fails the verdict with margin -inf, and
-    the first such joint is the witness. Raises ValueError for trials < 1.
+    the first such joint is the witness. Raises ValueError for trials < 1
+    or a negative seed.
     """
     q = _order(q)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return _additivity_independent([q], seed, trials)[0]
+
+
+def _floor(mi_floor: float) -> float:
+    """mi_floor, refused when negative as ``verify --mi-floor`` refuses it:
+    below 0 every first draw passes, so nothing is filtered for dependence."""
+    if mi_floor < 0.0:
+        raise ValueError(f"mi_floor must be finite and non-negative, got {mi_floor!r}")
+    return mi_floor
 
 
 def _sample_dependent(
@@ -391,6 +402,8 @@ def _sample_dependent(
     accepted rows of those stacks are kept, so stack them with
     ``JointStack._of_weights``: validating them again would divide them by
     their sums a second time."""
+    _non_negative(seed, "seed")
+    _floor(mi_floor)
     if math.isnan(mi_floor) or mi_floor >= math.log(MAX_SIDE):
         raise UnreachableFloorError(
             mi_floor, f"is unreachable: no joint of at most {MAX_SIDE} outcomes a side "
@@ -434,11 +447,12 @@ def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistr
     This is the one-index case of the batched sampler the suites use, and the
     accepted draw is the only JointDistribution it builds.
 
-    Raises UnreachableFloorError when mi_floor is NaN or at least
+    Raises ValueError for a negative seed, index or mi_floor, and
+    UnreachableFloorError when mi_floor is NaN or at least
     ln(MAX_SIDE), which no joint of at most MAX_SIDE outcomes per side can
     exceed, and when SAMPLER_ATTEMPTS draws all fall at or below the floor.
     """
-    draws, _ = _sample_dependent(seed, [index], mi_floor)
+    draws, _ = _sample_dependent(seed, [_non_negative(index, "index")], mi_floor)
     return JointDistribution(draws[0])
 
 
@@ -477,7 +491,7 @@ def check_additivity_dependent(
     exceptions are logged with their joints and the first one becomes the
     witness. At q = 1 the rule holds exactly, so the observed rate is zero and
     the verdict reports that honestly rather than being meaningful. Raises
-    ValueError for trials < 1.
+    ValueError for trials < 1, a negative seed or a negative mi_floor.
     """
     q = _order(q)
     if trials < 1:
@@ -636,15 +650,21 @@ def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> 
     """Run one verification suite (or all of them) and collect the results.
 
     mi_floor is the floor of the axioms suite's dependent ensemble; the
-    escort suite's three ensembles keep their fixed floor of 0.01.
+    escort suite's three ensembles keep their fixed floor of 0.01. Raises
+    ValueError for an unknown suite name, trials < 1, a negative seed or a
+    negative mi_floor, as ``verify`` refuses them.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _non_negative(seed, "seed")
+    _floor(mi_floor)
     suites = {
         "qcalc": lambda: _suite_qcalc(seed, trials),
         "escort": lambda: _suite_escort(seed, trials),
         "axioms": lambda: _suite_axioms(seed, trials, mi_floor),
     }
+    if name not in (*suites, "all"):
+        raise ValueError(f"invalid suite {name!r} (choose from 'qcalc', 'escort', 'axioms', 'all')")
     if name == "all":
         return [result for suite in suites.values() for result in suite()]
     return suites[name]()

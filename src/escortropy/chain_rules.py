@@ -18,14 +18,15 @@ rule holds with the axiomatic conditional precisely when that gap vanishes.
 It vanishes wherever the two joint escort constructions coincide (product
 joints, q = 1, and dependent joints whose conditional columns have equal
 power sums), so escort consistency at q implies closure at q. The converse
-fails at a single order: ``s_gap`` is sign-indefinite and can vanish at one
-order on an escort-inconsistent joint. Wherever it does not vanish, the
+fails, at one order and at every order: ``s_gap`` is sign-indefinite, and on
+some escort-inconsistent joints it vanishes at one order, on others, such as
+[[1/3, 1/3], [1/3, 0]], at every order. Wherever it does not vanish, the
 exponential tilt ``corrected_conditional`` closes the residual exactly.
 
-``chain_rule_grid`` is the one evaluation path. It takes a stack of T joints
-of one shape and a grid of orders. It computes the q-independent passes
-(p, r_{k|l}, ln r, ln p and ln r_{k|l}) once per grid and the q-th powers once
-per order, and derives every field from them as a (T,) array.
+``chain_rule_grid`` is the one evaluation path, for a stack of T joints of
+one shape and a grid of orders. Its q-independent passes run once per grid;
+per order only r_{k|l} and p are raised to the q-th power, and each field is
+a (T,) sum over the A columns, with no joint escort matrix formed.
 ``chain_rule_report`` is row 0 of the grid of one joint at one order. Each
 joint's sums run over its own two axes in the same order whatever else is in
 the stack, so a joint's fields have the same bits in any stack and at any
@@ -42,14 +43,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .escort import _CELLS, _power_escort
-from .prob import (
-    JointDistribution,
-    JointStack,
-    _marginal_and_conditional,
-    _masked_log,
-    _order,
-)
+from .escort import _CELLS, _power_escort, _power_sums
+from .prob import JointDistribution, JointStack, _marginal_and_conditional, _masked_log, _order
 from .qcalc import kn_map_inv, q_add
 
 
@@ -67,7 +62,7 @@ class ChainRuleReport:
       naive one, minus the naive escort's own Shannon entropy. It is zero
       where the two constructions coincide, sign-indefinite in general, and
       equals q * gap. The converse fails: a dependent joint whose
-      constructions differ can still have s_gap = 0 at one order.
+      constructions differ can still have s_gap = 0, at one order or at all.
     * ``lower_bound`` <= ``s_gap`` <= ``upper_bound`` is the min-max sandwich:
       each column's power sum is replaced by the row-wise minimum (maximum)
       over columns. Always lower <= 0 <= upper; both collapse to zero iff the
@@ -111,55 +106,60 @@ class ChainRuleReports(ChainRuleReport):
 
 
 def _order_free(w: np.ndarray) -> tuple:
-    """The q-independent passes over validated joint weights, shared by every
-    order: (w, p, r_{k|l}, ln r, ln p, ln r_{k|l}). Raises
+    """The q-independent passes over validated joint weights: p, -ln p,
+    r_{k|l}, ln(r_{k|l} / m_l), m_l, -ln m_l with m_l the largest r_{k|l} of
+    column l, the index of the largest p_l, and each row's min and max over
+    the columns; x^q keeps every max, min and argmax. Raises
     ZeroMarginalColumnError when some p_l is 0."""
     p, cond = _marginal_and_conditional(w)
-    log_w = _masked_log(w)
-    log_p = np.log(p)
-    log_cond = np.where(w > 0, log_w - log_p, 0.0)
-    return w, p, cond, log_w, log_p, log_cond
+    top = cond.max(axis=-2, keepdims=True)
+    extremes = np.concatenate([cond.min(axis=-1)[:, None], cond.max(axis=-1)[:, None]], axis=-2)
+    lead = (np.arange(len(w))[:, None, None], 0, p.argmax(axis=-1, keepdims=True))
+    return p, -np.log(p), cond, _masked_log(cond / top), top, -np.log(top), lead, extremes
 
 
 def _evaluate(passes: tuple, q: float) -> tuple:
     """The ten value fields of ChainRuleReport, in order, as (T,) arrays from
     the ``_order_free`` passes over a (T, n_b, n_a) stack."""
-    w, p, cond, log_w, log_p, log_cond = passes
-    # No branch at q = 1: there every power is the identity, so both joint
-    # escorts are r up to rounding and s_gap, the gap and the bounds vanish.
-    cond_q, col_sums, cond_escort = _power_escort(cond, q, -2)
-    p_escort = _power_escort(p, q, -1)[2]
-    naive = _power_escort(w, q, _CELLS)[2]
-    correct = cond_escort * p_escort
-    log_naive = _masked_log(naive)
+    p, neg_log_p, cond, log_rel, top, neg_log_top, lead, extremes = passes
+    # No branch at q = 1: there every power is the identity, each column
+    # power sum S_l is 1 up to rounding, and s_gap, gap and the bounds vanish.
+    cond_q, col_sums = _power_sums(cond, q, -2)
+    p_escort = _power_escort(p, q, -1)
+    # Escort means of ln(r_{k|l} / m_l), of -ln r_{k|l} and of -ln r_{kl} over
+    # column l (-mu_l): each adds terms of one sign, so no digits cancel.
+    rel_mean = (cond_q * log_rel).sum(axis=-2, keepdims=True) / col_sums
+    cond_entropy = neg_log_top - rel_mean
+    col_entropy = cond_entropy + neg_log_p
+    # N_l = P_l S_l / S-bar, S-bar = sum_j P_j S_j, is the naive escort's A-marginal.
+    # P - N takes each S_l less that of the lead column, where P is largest.
+    weighted = p_escort * col_sums
+    mean_sum = weighted.sum(axis=-1, keepdims=True)
+    shift = col_sums - col_sums[lead]
+    deficit = p_escort * ((p_escort * shift).sum(axis=-1, keepdims=True) - shift) / mean_sum
+    naive_mass = weighted / mean_sum
+    # H_l, the Shannon entropy of escorted column l, less ln N_l. S_l cancels,
+    # leaving -ln of the column's largest naive escort cell, P_l m_l^q / S-bar.
+    info = -q * rel_mean - np.log(p_escort * top**q / mean_sum)
 
-    joint_ad = -(naive * log_w).sum(axis=_CELLS)
-    marginal_ad = -(p_escort * log_p).sum(axis=_CELLS)
-    chain = joint_ad - marginal_ad
-    axiomatic = -(correct * log_cond).sum(axis=_CELLS)
-    naive_terms = naive * log_naive
-    # Cross entropy of the correct escort against the naive one, minus the
-    # naive escort's Shannon entropy.
-    gap_value = naive_terms.sum(axis=_CELLS) - (correct * log_naive).sum(axis=_CELLS)
+    joint_ad = (naive_mass * col_entropy).sum(axis=_CELLS)
+    marginal_ad = (p_escort * neg_log_p).sum(axis=_CELLS)
+    axiomatic = (p_escort * cond_entropy).sum(axis=_CELLS)
+    gap = (deficit * col_entropy).sum(axis=_CELLS)
+    s_gap = (deficit * info).sum(axis=_CELLS)
+    # The sandwich weights each naive escort column's entropy, N_l info_l,
+    # by the change of S_l when each row takes its min (max) over columns.
+    row_sums = (extremes**q).sum(axis=-1, keepdims=True)
+    lower, upper = (((row_sums - col_sums) / col_sums) * (naive_mass * info)).sum(axis=-1).T
 
-    col_entropy = -naive_terms.sum(axis=-2, keepdims=True)
-    row_min = cond_q.min(axis=-1, keepdims=True).sum(axis=-2, keepdims=True)
-    row_max = cond_q.max(axis=-1, keepdims=True).sum(axis=-2, keepdims=True)
-    lower = (((row_min - col_sums) / col_sums) * col_entropy).sum(axis=_CELLS)
-    upper = (((row_max - col_sums) / col_sums) * col_entropy).sum(axis=_CELLS)
-
-    # The tilt of the corrected conditional subtracts s_gap / q in the
-    # additive scale and is mapped back once, so no two exponentially large
-    # terms cancel.
+    # The tilt subtracts s_gap / q in the additive scale and is mapped back
+    # once, so no two exponentially large terms cancel.
     joint_value = kn_map_inv(joint_ad, q)
     marginal_value = kn_map_inv(marginal_ad, q)
     residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, q), q)
-    tilted = kn_map_inv(axiomatic - gap_value / q, q)
-    corrected = joint_value - q_add(marginal_value, tilted, q)
-    return (
-        joint_ad, marginal_ad, chain, axiomatic, axiomatic - chain, gap_value,
-        lower, upper, residual, corrected,
-    )
+    corrected = joint_value - q_add(marginal_value, kn_map_inv(axiomatic - s_gap / q, q), q)
+    chain = joint_ad - marginal_ad
+    return joint_ad, marginal_ad, chain, axiomatic, gap, s_gap, lower, upper, residual, corrected
 
 
 def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
@@ -183,10 +183,10 @@ def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
 def chain_rule_report(r: JointDistribution, q: float) -> ChainRuleReport:
     """Evaluate every quantity of the additivity analysis for (r, q) in one pass.
 
-    The two conditionals come from Aczel-Daroczy sums and ``s_gap`` from the
-    cross entropy of the two joint escorts, so ``gap = s_gap / q`` is checked
-    across independent routes. Raises ZeroMarginalColumnError when an A
-    outcome has zero probability, since conditioning on it is undefined.
+    ``gap`` and ``s_gap`` share the column excess N - P, so ``gap = s_gap /
+    q`` holds by algebra; the direct-formula oracles check both. Raises
+    ZeroMarginalColumnError when an A outcome has zero probability, since
+    conditioning on it is undefined.
     This is row 0 of ``chain_rule_grid`` on the one-joint stack of r.
     """
     return chain_rule_grid(JointStack.of([r]), [q])[0][0]

@@ -14,8 +14,10 @@ differ otherwise. Their cellwise ratio has a closed form that depends only on
 the column index, which keeps it finite even on zero cells.
 
 Every escort is one formula, ``_power_escort`` (raise to the q-th power,
-then divide by the sum over the escorted axes), and the chain-rule kernel and
-``entropies.aczel_daroczy_rows`` call it too, so it is stated once. Every
+then divide by the sum over the escorted axes), and
+``entropies.aczel_daroczy_rows`` and the chain-rule kernel call it too, so it
+is stated once; the kernel takes its column power sums from the same power
+pass, ``_power_sums``, and never forms a joint escort matrix. Every
 function takes already-validated weights and returns a plain array; nothing
 is revalidated inside. A Distribution is one row (n,) and a
 DistributionStack T rows (T, n); a JointDistribution is one joint
@@ -45,29 +47,34 @@ from .prob import (
 _CELLS = (-2, -1)
 
 
-def _power_escort(w: np.ndarray, value: float, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one escort formula: (w^value, its sums over axis kept as length-1
-    axes, their ratio). Every escort of the package, the chain-rule kernel's
-    and the Aczel-Daroczy rows' included, is the ratio of one call."""
+def _power_sums(w: np.ndarray, value: float, axis) -> tuple[np.ndarray, np.ndarray]:
+    """(w^value, its sums over axis kept as length-1 axes): the power pass of
+    every escort, and the column power sums of the chain-rule kernel."""
     w_q = w**value
-    sums = w_q.sum(axis=axis, keepdims=True)
-    return w_q, sums, w_q / sums
+    return w_q, w_q.sum(axis=axis, keepdims=True)
+
+
+def _power_escort(w: np.ndarray, value: float, axis) -> np.ndarray:
+    """The one escort formula: w^value divided by its sums over axis. Every
+    escort of the package, the Aczel-Daroczy rows' included, is one call."""
+    w_q, sums = _power_sums(w, value, axis)
+    return w_q / sums
 
 
 def escort(p: Distribution | DistributionStack, q: float) -> np.ndarray:
     """Escort transform P(q)_k = p_k^q / sum_i p_i^q of each row."""
-    return _power_escort(p.weights, _order(q), -1)[2]
+    return _power_escort(p.weights, _order(q), -1)
 
 
 def joint_escort_naive(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Cellwise power then global normalization: R(q)_{kl} = r_{kl}^q / sum r^q.
     Defined on joints with a zero column too."""
-    return _power_escort(r.weights, _order(q), _CELLS)[2]
+    return _power_escort(r.weights, _order(q), _CELLS)
 
 
 def conditional_escort(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Column-wise escort of the conditional of B given A."""
-    return _power_escort(_marginal_and_conditional(r.weights)[1], _order(q), -2)[2]
+    return _power_escort(_marginal_and_conditional(r.weights)[1], _order(q), -2)
 
 
 def joint_escort_correct(r: JointDistribution | JointStack, q: float) -> np.ndarray:
@@ -78,7 +85,7 @@ def joint_escort_correct(r: JointDistribution | JointStack, q: float) -> np.ndar
     """
     q = _order(q)
     p, cond = _marginal_and_conditional(r.weights)
-    return _power_escort(cond, q, -2)[2] * _power_escort(p, q, -1)[2]
+    return _power_escort(cond, q, -2) * _power_escort(p, q, -1)
 
 
 def escort_ratio(r: JointDistribution | JointStack, q: float) -> np.ndarray:
@@ -91,8 +98,8 @@ def escort_ratio(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """
     q = _order(q)
     p, cond = _marginal_and_conditional(r.weights)
-    col_power_sums = _power_escort(cond, q, -2)[1]
-    mean_power_sum = (_power_escort(p, q, -1)[2] * col_power_sums).sum(axis=-1, keepdims=True)
+    col_power_sums = _power_sums(cond, q, -2)[1]
+    mean_power_sum = (_power_escort(p, q, -1) * col_power_sums).sum(axis=-1, keepdims=True)
     return np.repeat(mean_power_sum / col_power_sums, r.weights.shape[-2], axis=-2)
 
 

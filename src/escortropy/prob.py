@@ -185,6 +185,14 @@ def _order(q: float) -> float:
     return value
 
 
+def _non_negative(value: int, name: str) -> int:
+    """A seed or sampler index, refused with its name when negative, as
+    ``--seed`` is refused: numpy's own message names no argument."""
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def marginal_a(r: JointDistribution) -> Distribution:
     """Marginal of the first variable A: p_l = sum_k r_{kl} (column sums)."""
     return Distribution(r.weights.sum(axis=0))
@@ -280,7 +288,7 @@ def random_distribution(n: int, seed: int) -> Distribution:
     fixed (n, seed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Distribution(_uniform_simplex(np.random.default_rng(seed), n))
+    return Distribution(_uniform_simplex(np.random.default_rng(_non_negative(seed, "seed")), n))
 
 
 def random_joint(n_b: int, n_a: int, seed: int) -> JointDistribution:
@@ -296,4 +304,5 @@ def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
 def _dirichlet_joint(n_b: int, n_a: int, seed: int) -> np.ndarray:
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
-    return _uniform_simplex(np.random.default_rng(seed), n_b * n_a).reshape(n_b, n_a)
+    rng = np.random.default_rng(_non_negative(seed, "seed"))
+    return _uniform_simplex(rng, n_b * n_a).reshape(n_b, n_a)

@@ -159,13 +159,16 @@ def chain_rule_fields(r, q):
     }
 
 
-def mp_s_gap(r, q, dps=50):
-    """s_gap of (r, q) in ``dps`` significant digits, as an mpmath number.
+def mp_chain_rule_fields(r, q, dps=50):
+    """Every ChainRuleReport value field of (r, q) in ``dps`` significant
+    digits, as mpmath numbers, from the definitions.
 
-    The float weights are renormalized in mpmath, both joint escorts are
-    built from their definitions, and s_gap is the cross entropy of the
-    correct escort against the naive one minus the naive escort's Shannon
-    entropy, sum (naive - correct) ln naive over the positive cells.
+    The float weights are renormalized in mpmath. Both joint escorts are built
+    cell by cell, and s_gap is the cross entropy of the correct escort against
+    the naive one minus the naive escort's Shannon entropy, sum (naive -
+    correct) ln naive over the positive cells. The bounds replace each
+    column's power sum by the sum of the row-wise minima (maxima) over the
+    columns and weight the change by the column's entropy of the naive escort.
     """
     import mpmath
 
@@ -176,19 +179,58 @@ def mp_s_gap(r, q, dps=50):
         q = mpmath.mpf(q)
         columns = list(zip(*cells))
         p = [mpmath.fsum(column) for column in columns]
-        naive_sum = mpmath.fsum(x**q for row in cells for x in row)
-        p_sum = mpmath.fsum(x**q for x in p)
-        column_sums = [
-            mpmath.fsum((x / p_l) ** q for x in column) for column, p_l in zip(columns, p)
-        ]
-        value = mpmath.mpf(0)
-        for row in cells:
-            for x, p_l, column_sum in zip(row, p, column_sums):
-                if x > 0:
-                    naive = x**q / naive_sum
-                    correct = (x / p_l) ** q / column_sum * p_l**q / p_sum
-                    value += (naive - correct) * mpmath.log(naive)
-        return +value
+        conditional = [[x / p_l for x in column] for column, p_l in zip(columns, p)]
+
+        def power(x):
+            return x**q if x > 0 else mpmath.mpf(0)
+
+        def ad(weights):
+            positive = [x for x in weights if x > 0]
+            return -mpmath.fsum(x**q * mpmath.log(x) for x in positive) / mpmath.fsum(
+                x**q for x in positive
+            )
+
+        def deformed(x):
+            return x if q == 1 else mpmath.expm1((1 - q) * x) / (1 - q)
+
+        def q_add(a, b):
+            return a + b + (1 - q) * a * b
+
+        naive_sum = mpmath.fsum(power(x) for row in cells for x in row)
+        p_escort = [power(x) / mpmath.fsum(power(y) for y in p) for x in p]
+        column_sums = [mpmath.fsum(power(x) for x in column) for column in conditional]
+        naive = [[power(x) / naive_sum for x in column] for column in columns]
+        s_gap = mpmath.fsum(
+            (n - power(c) / s * weight) * mpmath.log(n)
+            for column, cond, s, weight in zip(naive, conditional, column_sums, p_escort)
+            for n, c in zip(column, cond)
+            if n > 0
+        )
+        column_entropies = [-mpmath.fsum(n * mpmath.log(n) for n in col if n > 0) for col in naive]
+        rows = list(zip(*conditional))
+
+        def bound(pick):
+            row_sum = mpmath.fsum(power(pick(row)) for row in rows)
+            return mpmath.fsum(
+                (row_sum - s) / s * h for s, h in zip(column_sums, column_entropies)
+            )
+
+        joint = ad([x for row in cells for x in row])
+        marginal = ad(p)
+        axiomatic = mpmath.fsum(weight * ad(c) for weight, c in zip(p_escort, conditional))
+        tilted = axiomatic - s_gap / q
+        return {
+            "joint_entropy": joint,
+            "marginal_entropy": marginal,
+            "conditional_chain": joint - marginal,
+            "conditional_axiomatic": axiomatic,
+            "gap": axiomatic - joint + marginal,
+            "s_gap": s_gap,
+            "lower_bound": bound(min),
+            "upper_bound": bound(max),
+            "residual": deformed(joint) - q_add(deformed(marginal), deformed(axiomatic)),
+            "corrected_residual": deformed(joint) - q_add(deformed(marginal), deformed(tilted)),
+        }
 
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -13,9 +13,11 @@ direct-formula oracles in `oracles.py`:
   0.193), but its conditional columns are permutations of each other, so the
   column power sums coincide at every order, the two joint escort
   constructions agree, and the rule closes. Escort consistency at q, not
-  independence, closes the rule at q. The converse fails at a single order:
-  the dependent 2x3 joint CLOSING_AT_TWO is escort-inconsistent at q = 2, yet
-  its residual there is -1.1e-16, and the rule breaks at q = 0.5, 1.5 and 3.
+  independence, closes the rule at q. The converse fails at one order and at
+  every order: the dependent 2x3 joint CLOSING_AT_TWO is escort-inconsistent
+  at q = 2, yet its residual there is -1.1e-16, and the rule breaks at
+  q = 0.5, 1.5 and 3; CLOSING_EVERYWHERE (mutual information 0.174) is
+  escort-inconsistent at every order of the grid and closes at all of them.
 * criterion 8 (maximality): the uniform point maximizes the hybrid entropy iff
   q >= q*(n). q*(2) = 1/2, and for n >= 3 the threshold lies above 1/2
   (q* ~ 0.505 at n = 3 up to ~ 0.534 at n = 8), so at q = 0.5 the one-heavy
@@ -66,6 +68,9 @@ CLOSING_AT_TWO = JointDistribution(
         [0.4489888909029194, 0.04105303704601121, 0.17122555786070484],
     ]
 )
+# Uniform on an irregular support: the naive escort is the joint itself at
+# every order, and ln of it is constant on the support, so s_gap vanishes.
+CLOSING_EVERYWHERE = JointDistribution([[1 / 3, 1 / 3], [1 / 3, 0.0]])
 
 
 def emit(criterion, passed, detail):
@@ -165,18 +170,28 @@ def test_criterion_02_dependence_violation_fixed_witness():
             for q, residual in elsewhere.items()
         )
     )
-    passed = violates and closes and closes_at_one_order
+    # Fourth witness: dependent and escort-inconsistent at every order, yet
+    # the rule closes at every order.
+    everywhere = max(abs(chain_rule_report(CLOSING_EVERYWHERE, q).residual) for q in Q_GRID)
+    closes_everywhere = (
+        mutual_information(CLOSING_EVERYWHERE) > 0.17
+        and not any(is_escort_consistent(CLOSING_EVERYWHERE, q) for q in Q_GRID)
+        and everywhere <= 1e-15
+    )
+    passed = violates and closes and closes_at_one_order and closes_everywhere
     emit(
         "2 (fixed witness)",
         passed,
         f"witness residual at q=2 = {residual:.3e} (oracle {oracle_residual:.3e}); "
         f"permuted-column joint max |residual| over q grid = {closing:.3e}; "
         f"inconsistent joint residual at q=2 = {at_two:.3e} (oracle {oracle_at_two:.3e}), "
-        f"at q=0.5 = {elsewhere[0.5]:.3e}",
+        f"at q=0.5 = {elsewhere[0.5]:.3e}; "
+        f"max |residual| of the everywhere-closing joint over q grid = {everywhere:.3e}",
     )
     assert violates, (residual, oracle_residual)
     assert closes, closing
     assert closes_at_one_order, (at_two, oracle_at_two, elsewhere)
+    assert closes_everywhere, everywhere
 
 
 def test_criterion_02_closing_witness_s_gap_in_50_digits():
@@ -189,10 +204,10 @@ def test_criterion_02_closing_witness_s_gap_in_50_digits():
     pytest.importorskip("mpmath")
     w = CLOSING_AT_TWO.weights
     rounding = 8 * np.finfo(float).eps * np.log(w.size)
-    away = {q: float(oracles.mp_s_gap(w, q)) for q in (0.5, 1.5, 3.0)}
+    away = {q: float(oracles.mp_chain_rule_fields(w, q)["s_gap"]) for q in (0.5, 1.5, 3.0)}
     for q, reference in away.items():
         assert chain_rule_report(CLOSING_AT_TWO, q).s_gap == pytest.approx(reference, rel=1e-12)
-    reference_at_two = float(oracles.mp_s_gap(w, 2.0))
+    reference_at_two = float(oracles.mp_chain_rule_fields(w, 2.0)["s_gap"])
     at_two = chain_rule_report(CLOSING_AT_TWO, 2.0).s_gap
     assert abs(reference_at_two) < 1e-16
     assert abs(at_two - reference_at_two) < rounding
@@ -201,16 +216,22 @@ def test_criterion_02_closing_witness_s_gap_in_50_digits():
         shifted = w.copy()
         shifted[source] -= 1e-4
         shifted[target] += 1e-4
-        reference = float(oracles.mp_s_gap(shifted, 2.0))
+        reference = float(oracles.mp_chain_rule_fields(shifted, 2.0)["s_gap"])
         value = chain_rule_report(JointDistribution(shifted), 2.0).s_gap
         assert abs(value - reference) < rounding
         moved.append(value)
     assert moved[0] < -1e-5 and moved[1] > 1e-5
+    # The fourth witness closes at every order of the grid in 50 digits too.
+    everywhere = max(
+        abs(oracles.mp_chain_rule_fields(CLOSING_EVERYWHERE.weights, q)["s_gap"]) for q in Q_GRID
+    )
+    assert everywhere < 1e-50
     emit(
         "2 (50 digits)",
         True,
         f"s_gap at q=2 = {at_two:.3e} (50 digits {reference_at_two:.3e}); "
-        f"after moving 1e-4 between two cells: {moved[0]:.5e}, {moved[1]:.5e}",
+        f"after moving 1e-4 between two cells: {moved[0]:.5e}, {moved[1]:.5e}; "
+        f"everywhere-closing joint max |s_gap| over q grid = {float(everywhere):.1e}",
     )
 
 
@@ -242,6 +263,20 @@ def test_criterion_04_two_route_gap_identity(product_instances, dependent_instan
     )
     passed = worst < 1e-10
     emit(4, passed, f"max |gap - s_gap/q| = {worst:.3e}")
+    assert passed
+
+
+def test_criterion_04_gap_and_s_gap_against_50_digits(product_instances, dependent_instances):
+    # gap and s_gap share the column excess N - P, so gap = s_gap / q holds by
+    # algebra; each is also checked against its definition in 50 digits.
+    pytest.importorskip("mpmath")
+    worst = 0.0
+    for joint, q, report in product_instances[:50] + dependent_instances[:50]:
+        reference = oracles.mp_chain_rule_fields(joint.weights, q)
+        for name in ("gap", "s_gap"):
+            worst = max(worst, float(abs(getattr(report, name) - reference[name])))
+    passed = worst < 1e-13
+    emit("4 (50 digits)", passed, f"max |error| of gap and s_gap on 100 instances = {worst:.3e}")
     assert passed
 
 

@@ -271,6 +271,44 @@ def test_dependent_sampler_rejects_unreachable_floor(floor):
         sample_dependent_joint(0, 0, mi_floor=floor)
 
 
+# Each entry point refuses, in the words of ``verify``, what the CLI refuses.
+NEGATIVE_FLOOR_CALLS = {
+    "check_additivity_dependent": lambda: check_additivity_dependent(2.0, 0, 3, mi_floor=-1.0),
+    "sample_dependent_joint": lambda: sample_dependent_joint(0, 0, mi_floor=-1.0),
+    "run_suite": lambda: run_suite("axioms", 0, 3, mi_floor=-1.0),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_FLOOR_CALLS.values(), ids=NEGATIVE_FLOOR_CALLS)
+def test_negative_mi_floor_is_refused(call):
+    # Below 0 every first draw is accepted, so nothing is filtered for
+    # dependence and the verdict means nothing.
+    with pytest.raises(ValueError, match=r"mi_floor must be finite and non-negative, got -1\.0"):
+        call()
+
+
+def test_unknown_suite_is_refused_with_the_suite_names():
+    with pytest.raises(ValueError, match="invalid suite 'bogus'") as info:
+        run_suite("bogus", 0, 10)
+    assert all(name in str(info.value) for name in ("qcalc", "escort", "axioms", "all"))
+
+
+NEGATIVE_SEED_CALLS = {
+    "check_additivity_independent": (lambda: check_additivity_independent(2.0, -5, 10), "seed"),
+    "check_additivity_dependent": (lambda: check_additivity_dependent(2.0, -5, 10), "seed"),
+    "check_continuity": (lambda: check_continuity(2.0, 3, seed=-1), "seed"),
+    "sample_dependent_joint-seed": (lambda: sample_dependent_joint(-1, 0, 0.05), "seed"),
+    "sample_dependent_joint-index": (lambda: sample_dependent_joint(0, -1, 0.05), "index"),
+    "run_suite": (lambda: run_suite("qcalc", -1, 10), "seed"),
+}
+
+
+@pytest.mark.parametrize("call, name", NEGATIVE_SEED_CALLS.values(), ids=NEGATIVE_SEED_CALLS)
+def test_negative_seed_or_index_is_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -"):
+        call()
+
+
 def test_dependent_sampler_stops_at_attempt_cap(monkeypatch):
     monkeypatch.setattr(axioms, "SAMPLER_ATTEMPTS", 5)
     with pytest.raises(UnreachableFloorError, match="1.5 was not exceeded in 5 draws"):

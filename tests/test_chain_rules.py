@@ -427,6 +427,27 @@ def test_stack_fields_agree_with_oracles(shape):
                 assert abs(got - value) <= 1e-12 * scale, (q, t, name, got, value)
 
 
+ACCURACY_ORDERS = [1e-3, 0.05, 0.5, 2.0, 5.0, 20.0, 60.0]
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (6, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_gap_and_s_gap_keep_nine_digits_against_50_digits(shape):
+    # Both come from the column excess N - P, formed from the column power
+    # sums less the lead column's. A difference of two entropies (axiomatic -
+    # chain) or of two sums over the cells would lose every digit of q * gap
+    # at q = 60.
+    pytest.importorskip("mpmath")
+    n_b, n_a = shape
+    weights = np.random.default_rng(n_b * n_a).dirichlet(np.ones(n_b * n_a), size=5)
+    weights = weights.reshape(5, n_b, n_a)
+    grid = chain_rule_grid(weights, ACCURACY_ORDERS)
+    for q, reports in zip(ACCURACY_ORDERS, grid):
+        for t, w in enumerate(weights):
+            reference = float(oracles.mp_chain_rule_fields(w, q)["s_gap"])
+            for name, value in (("s_gap", reports.s_gap[t]), ("q * gap", q * reports.gap[t])):
+                assert abs(value - reference) <= 1e-9 * abs(reference), (q, t, name, value)
+
+
 def test_stack_accepts_a_validated_stack_and_plain_arrays_alike():
     weights = joint_stack((4, 3), seed=3)
     joints = [JointDistribution(w) for w in weights]

@@ -144,7 +144,7 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         (None, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--seed", "-1"]),
         (b'\xff{"p": [1.0]}', ["entropy", "--q", "2"]),
         ({"p": [0.25, 0.25, 0.25, 0.25]}, ["entropy", "--q", "1000"]),
-        ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2,900"]),
+        ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2,1100"]),
         (None, ["sweep", "--nb", "4", "--na", "3", "--q", "2,900", "--trials", "2"]),
     ],
     ids=[
@@ -322,11 +322,24 @@ def test_out_files_end_with_newline(tmp_path, capsys):
 def test_chain_grid_reports_the_first_non_finite_order(capsys, tmp_path):
     path = write_json(tmp_path, "r.json", {"r": [[0.2, 0.1], [0.3, 0.4]]})
     with np.errstate(all="ignore"):
-        code, out, err = run(capsys, ["chain", "--input", path, "--q", "2,900,1000"])
+        code, out, err = run(capsys, ["chain", "--input", path, "--q", "2,1100,1200"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: order q=900.0 gives non-finite ")
+    assert err.startswith("error: order q=1100.0 gives non-finite ")
     assert len(err.splitlines()) == 1
+
+
+def test_chain_at_order_900_is_finite_and_matches_50_digits(capsys, tmp_path):
+    # No cell's q-th power is formed, only the conditional columns' and the
+    # marginal's, and 0.5^900 is a normal float; 0.5^1100 is not.
+    pytest.importorskip("mpmath")
+    r = [[0.2, 0.1], [0.3, 0.4]]
+    path = write_json(tmp_path, "r.json", {"r": r})
+    code, out, err = run(capsys, ["chain", "--input", path, "--q", "900", "--json"])
+    assert (code, err) == (0, "")
+    s_gap = json.loads(out)["rows"][0]["s_gap"]
+    reference = float(oracles.mp_chain_rule_fields(r, 900.0)["s_gap"])
+    assert abs(s_gap - reference) <= 1e-12 * abs(reference)
 
 
 def fresh_process_call(argv):

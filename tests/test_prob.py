@@ -221,6 +221,17 @@ def test_random_draws_are_the_seeded_dirichlet_draws():
         assert random_distribution(n_a, seed).weights.tobytes() == row.weights.tobytes()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: random_joint(2, 2, -1), lambda: random_joints(2, 2, [0, -3]),
+     lambda: random_distribution(3, -1)],
+    ids=["random_joint", "random_joints", "random_distribution"],
+)
+def test_negative_seed_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -"):
+        call()
+
+
 def test_random_joint_shape_and_determinism():
     r = random_joint(3, 4, 9)
     assert r.weights.shape == (3, 4)
