@@ -30,6 +30,7 @@ from .prob import (
     JointStack,
     _non_negative,
     _order,
+    _rng,
     _uniform_simplex,
     mutual_information,
     product_joint,
@@ -253,7 +254,7 @@ def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
     if n < 2:
         raise ValueError("continuity needs n >= 2")
     orders = [_order(q) for q in qs]
-    rng = np.random.default_rng(_non_negative(seed, "seed"))
+    rng = _rng(seed)
     moduli = _calibrate_moduli(orders, n, delta)
     bases, moved_rows = [], []
     drawn = 0
@@ -337,10 +338,9 @@ def _additivity_independent(orders: list[float], seed: int, trials: int) -> list
     """``check_additivity_independent`` at each order of the list, from one
     product ensemble and one ``chain_rule_grid`` call per joint shape. Trial t
     draws its marginals from ``default_rng(seed + t)``."""
-    _non_negative(seed, "seed")
     draws = []
     for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+        rng = _rng(seed + t)
         n_b, n_a = _random_sizes(rng)
         draws.append((_uniform_simplex(rng, n_a), _uniform_simplex(rng, n_b)))
     residuals = np.zeros((len(orders), trials))
@@ -385,9 +385,10 @@ def check_additivity_independent(q: float, seed: int, trials: int) -> AxiomVerdi
 
 def _floor(mi_floor: float) -> float:
     """mi_floor, refused when negative as ``verify --mi-floor`` refuses it:
-    below 0 every first draw passes, so nothing is filtered for dependence."""
+    below 0 every first draw passes, so nothing is filtered for dependence.
+    NaN and +inf pass here and are refused as unreachable by the sampler."""
     if mi_floor < 0.0:
-        raise ValueError(f"mi_floor must be finite and non-negative, got {mi_floor!r}")
+        raise ValueError(f"mi_floor must be non-negative, got {mi_floor!r}")
     return mi_floor
 
 
@@ -401,9 +402,7 @@ def _sample_dependent(
     JointStack per shape, which is each joint's value alone bit for bit. The
     accepted rows of those stacks are kept, so stack them with
     ``JointStack._of_weights``: validating them again would divide them by
-    their sums a second time."""
-    _non_negative(seed, "seed")
-    _floor(mi_floor)
+    their sums a second time. The caller checks mi_floor with ``_floor``."""
     if math.isnan(mi_floor) or mi_floor >= math.log(MAX_SIDE):
         raise UnreachableFloorError(
             mi_floor, f"is unreachable: no joint of at most {MAX_SIDE} outcomes a side "
@@ -416,7 +415,7 @@ def _sample_dependent(
             break
         draws = []
         for index in pending:
-            rng = np.random.default_rng((seed, index, attempt))
+            rng = _rng(seed, index, attempt)
             n_b, n_a = _random_sizes(rng)
             draws.append(_uniform_simplex(rng, n_b * n_a).reshape(n_b, n_a))
         information = np.empty(len(draws))
@@ -452,7 +451,7 @@ def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistr
     ln(MAX_SIDE), which no joint of at most MAX_SIDE outcomes per side can
     exceed, and when SAMPLER_ATTEMPTS draws all fall at or below the floor.
     """
-    draws, _ = _sample_dependent(seed, [_non_negative(index, "index")], mi_floor)
+    draws, _ = _sample_dependent(seed, [_non_negative(index, "index")], _floor(mi_floor))
     return JointDistribution(draws[0])
 
 
@@ -496,6 +495,11 @@ def check_additivity_dependent(
     q = _order(q)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    return _additivity_dependent(q, seed, trials, _floor(mi_floor))
+
+
+def _additivity_dependent(q: float, seed: int, trials: int, mi_floor: float) -> AxiomVerdict:
+    """``check_additivity_dependent`` of checked arguments."""
     draws, stacks = _sampled_stacks(seed, trials, mi_floor)
     residuals = np.empty(trials)
     for members, stack in stacks:
@@ -528,7 +532,7 @@ def _suite_qcalc(seed: int, trials: int) -> list[CheckResult]:
     # Each order's draws come from one call, which gives the stream of one
     # draw at a time. The checks stay scalar: this suite checks the scalar
     # functions, on Python floats.
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     results = []
 
     worst = 0.0
@@ -569,7 +573,7 @@ def _inconsistency_gaps(seed: int, trials: int) -> tuple[list[np.ndarray], np.nd
 
 def _suite_escort(seed: int, trials: int) -> list[CheckResult]:
     # Each ensemble is drawn in full, then evaluated with one call per shape.
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     results = []
 
     worst = 0.0
@@ -582,7 +586,7 @@ def _suite_escort(seed: int, trials: int) -> list[CheckResult]:
 
     draws = []
     for t in range(trials):
-        sub = np.random.default_rng(seed + t)
+        sub = _rng(seed + t)
         p_a = _uniform_simplex(sub, int(sub.integers(2, 9)))
         draws.append((p_a, _uniform_simplex(sub, int(sub.integers(2, 9)))))
     worst = 0.0
@@ -627,7 +631,7 @@ def _suite_axioms(seed: int, trials: int, mi_floor: float) -> list[CheckResult]:
         for verdict in _maximality(q, (2, 3, 4, 5)):
             name = f"maximality_q{q}_n{verdict.n}"
             results.append(CheckResult("axioms", name, verdict.passed, verdict.margin))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for q in (0.5, 2.0):
         rows = [_uniform_simplex(rng, int(rng.integers(2, 9))) for _ in range(trials)]
         margins = np.concatenate(
@@ -641,7 +645,7 @@ def _suite_axioms(seed: int, trials: int, mi_floor: float) -> list[CheckResult]:
     for verdict in _additivity_independent([0.5, 2.0], seed, trials):
         name = f"additivity_independent_q{verdict.q}"
         results.append(CheckResult("axioms", name, verdict.passed, verdict.margin))
-    verdict = check_additivity_dependent(2.0, seed=seed, trials=trials, mi_floor=mi_floor)
+    verdict = _additivity_dependent(2.0, seed, trials, mi_floor)
     results.append(CheckResult("axioms", "additivity_dependent_q2", verdict.passed, verdict.margin))
     return results
 

@@ -138,9 +138,9 @@ def _evaluate(passes: tuple, q: float) -> tuple:
     shift = col_sums - col_sums[lead]
     deficit = p_escort * ((p_escort * shift).sum(axis=-1, keepdims=True) - shift) / mean_sum
     naive_mass = weighted / mean_sum
-    # H_l, the Shannon entropy of escorted column l, less ln N_l. S_l cancels,
-    # leaving -ln of the column's largest naive escort cell, P_l m_l^q / S-bar.
-    info = -q * rel_mean - np.log(p_escort * top**q / mean_sum)
+    # H_l - ln N_l (H_l the entropy of escorted column l) needs no ln S_l, only -ln of
+    # its largest naive cell P_l m_l^q / S-bar, floored at the least double if it underflows.
+    info = -q * rel_mean - np.log(np.maximum(p_escort * top**q / mean_sum, 5e-324))
 
     joint_ad = (naive_mass * col_entropy).sum(axis=_CELLS)
     marginal_ad = (p_escort * neg_log_p).sum(axis=_CELLS)

@@ -193,6 +193,14 @@ def _non_negative(value: int, name: str) -> int:
     return value
 
 
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    """``default_rng(seed)``, or ``default_rng((seed, *stream))`` when stream
+    is given: every generator of the package is built here, so a negative
+    seed is refused by name wherever one is drawn from."""
+    _non_negative(seed, "seed")
+    return np.random.default_rng((seed, *stream) if stream else seed)
+
+
 def marginal_a(r: JointDistribution) -> Distribution:
     """Marginal of the first variable A: p_l = sum_k r_{kl} (column sums)."""
     return Distribution(r.weights.sum(axis=0))
@@ -288,7 +296,7 @@ def random_distribution(n: int, seed: int) -> Distribution:
     fixed (n, seed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Distribution(_uniform_simplex(np.random.default_rng(_non_negative(seed, "seed")), n))
+    return Distribution(_uniform_simplex(_rng(seed), n))
 
 
 def random_joint(n_b: int, n_a: int, seed: int) -> JointDistribution:
@@ -304,5 +312,4 @@ def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
 def _dirichlet_joint(n_b: int, n_a: int, seed: int) -> np.ndarray:
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
-    rng = np.random.default_rng(_non_negative(seed, "seed"))
-    return _uniform_simplex(rng, n_b * n_a).reshape(n_b, n_a)
+    return _uniform_simplex(_rng(seed), n_b * n_a).reshape(n_b, n_a)

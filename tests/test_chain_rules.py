@@ -448,6 +448,26 @@ def test_gap_and_s_gap_keep_nine_digits_against_50_digits(shape):
                 assert abs(value - reference) <= 1e-9 * abs(reference), (q, t, name, value)
 
 
+SMALL_COLUMN_JOINTS = {
+    # p_2^q underflows at q = 60, so its marginal escort is exactly 0.
+    "dependent": [[0.6, 5e-7], [0.399999, 5e-7]],
+    # p_2^q is normal, but the column's naive escort cells underflow.
+    "product": np.outer(np.full(8, 1 / 8), [1 - 1e-5, 1e-5]),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_COLUMN_JOINTS)
+def test_a_column_whose_naive_escort_underflows_keeps_every_field_finite(name):
+    pytest.importorskip("mpmath")
+    w = np.asarray(SMALL_COLUMN_JOINTS[name], dtype=float)
+    for q in (20.0, 60.0, 200.0):
+        report = chain_rule_report(JointDistribution(w), q)
+        expected = oracles.mp_chain_rule_fields(w, q)
+        for field in VALUE_FIELDS:
+            got, value = getattr(report, field), float(expected[field])
+            assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (q, field, got, value)
+
+
 def test_stack_accepts_a_validated_stack_and_plain_arrays_alike():
     weights = joint_stack((4, 3), seed=3)
     joints = [JointDistribution(w) for w in weights]
