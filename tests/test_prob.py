@@ -256,6 +256,22 @@ def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
     assert JointStack.of(joints).weights.tobytes() == stack.weights.tobytes()
 
 
+def test_lone_and_stacked_joints_get_the_same_bits_for_any_memory_layout():
+    # Transposed joints are not C-contiguous, and neither are the columns that
+    # drop_zero_columns keeps. Each is validated in C order, alone as in a stack.
+    x = np.random.default_rng(8).dirichlet(np.ones(63), size=100).reshape(100, 7, 9)
+    joints = np.swapaxes(x, 1, 2)
+    stack = JointStack(joints)
+    reports = ep.chain_rule_grid(stack, [2.0])[0]
+    for t, w in enumerate(joints):
+        joint = JointDistribution(w)
+        assert joint.weights.tobytes() == stack.weights[t].tobytes()
+        report = ep.chain_rule_report(joint, 2.0)
+        assert (report.s_gap, report.joint_entropy) == (reports.s_gap[t], reports.joint_entropy[t])
+    reduced, _ = drop_zero_columns(JointDistribution(np.insert(x[0], 4, 0.0, axis=1)))
+    assert reduced.weights.flags.c_contiguous
+
+
 def test_distribution_stack_normalizes_each_row_as_a_lone_distribution():
     rng = np.random.default_rng(5)
     raw = rng.dirichlet(np.ones(9), size=4)
