@@ -162,21 +162,20 @@ def _evaluate(passes: tuple, q: float) -> tuple:
     return joint_ad, marginal_ad, chain, axiomatic, gap, s_gap, lower, upper, residual, corrected
 
 
-def chain_rule_grid(weights, q_grid) -> list[ChainRuleReports]:
+def chain_rule_grid(r: JointDistribution | JointStack, q_grid) -> list[ChainRuleReports]:
     """Evaluate every quantity of the additivity analysis for a stack of
     joints at each order of a grid.
 
-    ``weights`` is a JointStack or a (T, n_b, n_a) array of T joints, which
-    is validated as JointStack does. Entry i holds the reports at
-    ``q_grid[i]``, and its row t equals ``chain_rule_report`` of joint t at
-    that order bit for bit. The q-independent passes run once for the whole
-    grid; only each order's (T,) columns are kept. Raises
+    A lone JointDistribution is read as a stack of one joint. Entry i holds
+    the reports at ``q_grid[i]``, and its row t equals ``chain_rule_report``
+    of joint t at that order bit for bit. The q-independent passes run once
+    for the whole grid; only each order's (T,) columns are kept. Raises
     ZeroMarginalColumnError when an A outcome of some joint has zero
     probability.
     """
-    stack = weights if isinstance(weights, JointStack) else JointStack(weights)
     orders = [_order(q) for q in q_grid]
-    passes = _order_free(stack.weights)
+    w = r.weights
+    passes = _order_free(w[None] if w.ndim == 2 else w)
     return [ChainRuleReports(order, *_evaluate(passes, order)) for order in orders]
 
 
@@ -187,9 +186,9 @@ def chain_rule_report(r: JointDistribution, q: float) -> ChainRuleReport:
     q`` holds by algebra; the direct-formula oracles check both. Raises
     ZeroMarginalColumnError when an A outcome has zero probability, since
     conditioning on it is undefined.
-    This is row 0 of ``chain_rule_grid`` on the one-joint stack of r.
+    This is row 0 of ``chain_rule_grid`` on r.
     """
-    return chain_rule_grid(JointStack.of([r]), [q])[0][0]
+    return chain_rule_grid(r, [q])[0][0]
 
 
 def corrected_conditional(r: JointDistribution, q: float) -> float:

@@ -28,7 +28,6 @@ from .errors import EscortropyError
 from .prob import (
     Distribution,
     JointDistribution,
-    JointStack,
     _order,
     drop_zero_columns,
     mutual_information,
@@ -154,7 +153,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
         joint = reduced
     mi = mutual_information(joint)
     rows = []
-    for q, reports in zip(args.q, chain_rule_grid(JointStack.of([joint]), args.q)):
+    for q, reports in zip(args.q, chain_rule_grid(joint, args.q)):
         report = reports[0]
         rows.append(_finite_row({"q": q} | {c: getattr(report, c) for c in CHAIN_COLUMNS[1:]}))
     if args.json:

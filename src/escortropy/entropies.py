@@ -35,7 +35,8 @@ def aczel_daroczy_rows(w: np.ndarray, q: float) -> np.ndarray:
     """Aczel-Daroczy entropy of each row: the escort mean -sum P(q)_k ln p_k."""
     q = _order(q)
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    return -(_power_escort(w, q, 1) * _masked_log(w)).sum(axis=1)
+    # 0.0 - sum, not -sum: a point mass's sum is +0, and its entropy prints 0.
+    return 0.0 - (_power_escort(w, q, 1) * _masked_log(w)).sum(axis=1)
 
 
 def hybrid_rows(w: np.ndarray, q: float) -> np.ndarray:

@@ -27,54 +27,50 @@ from .errors import (
 EPS_NORM = 1e-9
 
 
-def _finite_nonnegative(values, ndim: int) -> np.ndarray:
+def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Validated weights: a non-empty ndim-d array of finite non-negative
+    numbers whose items, the cells over axes, each sum to 1 within EPS_NORM
+    and are divided by their own sum. Booleans and strings are not numbers.
+    The array is made C-contiguous first, so an item's sum is the pairwise
+    sum of its flat cells in any layout, alone as in a stack."""
     try:
-        w = np.asarray(values, dtype=float, order="C")
+        w = np.asarray(values)
+        if w.dtype.kind in "bUS":
+            raise TypeError("booleans and strings are not numbers")
+        w = np.asarray(w, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise MalformedWeightsError(f"weights must be an array of numbers: {exc}") from exc
     if w.ndim != ndim or w.size == 0:
         raise MalformedWeightsError(f"expected a non-empty {ndim}-d array, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise MalformedWeightsError("weights must be finite")
-    if np.any(w < 0):
-        k = int(np.argmin(w))
+    if (w < 0).any():
+        k = int(w.argmin())
         raise NegativeWeightError(f"negative weight {w.ravel()[k]!r} at flat index {k}")
-    return w
-
-
-def _checked_weights(values, ndim: int) -> np.ndarray:
-    w = _finite_nonnegative(values, ndim)
-    total = float(w.sum())
-    if abs(total - 1.0) > EPS_NORM:
-        raise NotNormalizedError(total - 1.0)
-    w = w / total
-    w.setflags(write=False)
-    return w
-
-
-def _checked_stack(values, ndim: int) -> np.ndarray:
-    # _checked_weights for each item of a stack of T ndim-d items: rows
-    # (T, n) or joints (T, n_b, n_a). The flat sum of each item is the same
-    # pairwise sum as a lone item's, so every item gets the bits Distribution
-    # or JointDistribution would give it.
-    w = _finite_nonnegative(values, ndim + 1)
-    totals = w.reshape(len(w), -1).sum(axis=1)
-    off = np.abs(totals - 1.0) > EPS_NORM
-    if np.any(off):
-        raise NotNormalizedError(float(totals[off][0] - 1.0))
-    w = w / totals.reshape((-1,) + (1,) * ndim)
+    sums = w.sum(axis=axes, keepdims=True)
+    off = np.abs(sums - 1.0) > EPS_NORM
+    if off.any():
+        raise NotNormalizedError(float(sums[off][0] - 1.0))
+    w = w / sums
     w.setflags(write=False)
     return w
 
 
 @dataclass(frozen=True, eq=False)
-class Distribution:
-    """A finite discrete probability vector p_k, k = 1..n."""
+class _Weights:
+    """Validated weights; each subclass's ``_rule`` is the ``(ndim, axes)``
+    of ``_checked``: the array's dimension and the axes of one item."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _checked_weights(self.weights, 1))
+        object.__setattr__(self, "weights", _checked(self.weights, *self._rule))
+
+
+class Distribution(_Weights):
+    """A finite discrete probability vector p_k, k = 1..n."""
+
+    _rule = (1, (0,))
 
     @property
     def size(self) -> int:
@@ -87,14 +83,10 @@ class Distribution:
         return f"Distribution({self.weights.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
+class JointDistribution(_Weights):
     """A joint probability matrix r_{kl} = P(B = B_k, A = A_l)."""
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _checked_weights(self.weights, 2))
+    _rule = (2, (0, 1))
 
     @property
     def n_b(self) -> int:
@@ -108,8 +100,7 @@ class JointDistribution:
         return f"JointDistribution({self.weights.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class DistributionStack:
+class DistributionStack(_Weights):
     """T probability vectors of one length: ``weights[t]`` is row t.
 
     Each row is validated by the rules of Distribution and divided by its own
@@ -117,14 +108,10 @@ class DistributionStack:
     ``Distribution(ws[t]).weights``.
     """
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _checked_stack(self.weights, 1))
+    _rule = (2, (1,))
 
 
-@dataclass(frozen=True, eq=False)
-class JointStack:
+class JointStack(_Weights):
     """T joint matrices of one shape: ``weights[t]`` is joint t.
 
     Each joint is validated by the rules of JointDistribution and divided by
@@ -132,39 +119,24 @@ class JointStack:
     ``JointDistribution(ws[t]).weights``.
     """
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _checked_stack(self.weights, 2))
+    _rule = (3, (1, 2))
 
     @classmethod
     def of(cls, joints: list[JointDistribution]) -> JointStack:
         """Stack joints of one shape as they are. Each was divided by its sum
         when it was validated, so none is divided again, and each row keeps
-        the bits of its joint. A lone joint's stack is a read-only view of
-        its weights, not a copy."""
+        the bits of its joint."""
         stack = object.__new__(cls)
-        weights = joints[0].weights[None] if len(joints) == 1 else np.stack([j.weights for j in joints])
+        weights = np.stack([j.weights for j in joints])
         weights.setflags(write=False)
         object.__setattr__(stack, "weights", weights)
         return stack
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalDistribution:
+class ConditionalDistribution(_Weights):
     """Columns of conditional probabilities: column l holds P(B = B_k | A = A_l)."""
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _finite_nonnegative(self.weights, 2)
-        sums = w.sum(axis=0)
-        bad = np.abs(sums - 1.0) > EPS_NORM
-        if np.any(bad):
-            raise NotNormalizedError(float(sums[bad][0] - 1.0))
-        w = w / sums[None, :]
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+    _rule = (2, (0,))
 
 
 def _order(q: float) -> float:
@@ -229,8 +201,9 @@ def product_joint(p_a: Distribution, q_b: Distribution) -> JointDistribution:
 
 def nat_entropy(weights: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in nats over the last axis of a weight array, with
-    0 ln 0 = 0: a float for one row, an array for a stack of rows."""
-    value = -(weights * _masked_log(weights)).sum(axis=-1)
+    0 ln 0 = 0: a float for one row, an array for a stack of rows. A point
+    mass's sum is +0, so 0.0 - sum gives +0 where -sum would give -0."""
+    value = 0.0 - (weights * _masked_log(weights)).sum(axis=-1)
     return float(value) if value.ndim == 0 else value
 
 

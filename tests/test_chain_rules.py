@@ -393,10 +393,10 @@ def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
     # nor on the other orders of its grid, which share the q-independent
     # passes.
     weights = joint_stack(shape, seed=10 * shape[0] + shape[1])
-    grid = chain_rule_grid(weights, KERNEL_ORDERS)
+    grid = chain_rule_grid(JointStack(weights), KERNEL_ORDERS)
     assert [reports.q for reports in grid] == KERNEL_ORDERS
     for q, from_grid in zip(KERNEL_ORDERS, grid):
-        reports = chain_rule_grid(weights, [q])[0]
+        reports = chain_rule_grid(JointStack(weights), [q])[0]
         assert len(reports) == len(from_grid) == len(weights)
         for t, w in enumerate(weights):
             lone = chain_rule_report(JointDistribution(w), q)
@@ -417,7 +417,7 @@ def test_stack_fields_agree_with_oracles(shape):
     # deformed joint entropy, too, which they are differences of.
     weights = joint_stack(shape, seed=100 + 10 * shape[0] + shape[1])
     for q in KERNEL_ORDERS:
-        reports = chain_rule_grid(weights, [q])[0]
+        reports = chain_rule_grid(JointStack(weights), [q])[0]
         for t, w in enumerate(weights):
             expected = oracles.chain_rule_fields(w, q)
             deformed_joint = abs(oracles.kn_map_inv(expected["joint_entropy"], q))
@@ -442,7 +442,7 @@ def test_gap_and_s_gap_keep_nine_digits_against_50_digits(shape):
     n_b, n_a = shape
     weights = np.random.default_rng(n_b * n_a).dirichlet(np.ones(n_b * n_a), size=5)
     weights = weights.reshape(5, n_b, n_a)
-    grid = chain_rule_grid(weights, ACCURACY_ORDERS)
+    grid = chain_rule_grid(JointStack(weights), ACCURACY_ORDERS)
     for q, reports in zip(ACCURACY_ORDERS, grid):
         for t, w in enumerate(weights):
             reference = float(oracles.mp_chain_rule_fields(w, q)["s_gap"])
@@ -523,13 +523,22 @@ def test_a_column_whose_naive_escort_underflows_keeps_every_field_finite(name):
             assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (q, field, got, value)
 
 
-def test_stack_accepts_a_validated_stack_and_plain_arrays_alike():
+def test_a_validated_stack_and_a_stack_of_validated_joints_get_the_same_fields():
     weights = joint_stack((4, 3), seed=3)
     joints = [JointDistribution(w) for w in weights]
-    from_array = chain_rule_grid(weights, [2.0])[0]
+    from_array = chain_rule_grid(JointStack(weights), [2.0])[0]
     from_joints = chain_rule_grid(JointStack.of(joints), [2.0])[0]
     for name in VALUE_FIELDS:
         assert np.array_equal(getattr(from_array, name), getattr(from_joints, name)), name
+
+
+def test_a_lone_joint_is_read_as_a_stack_of_one():
+    lone = chain_rule_grid(DEPENDENT, KERNEL_ORDERS)
+    stacked = chain_rule_grid(JointStack.of([DEPENDENT]), KERNEL_ORDERS)
+    for reports, expected in zip(lone, stacked):
+        assert len(reports) == 1
+        for name in VALUE_FIELDS:
+            assert getattr(reports, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def _nan_cell(w):
@@ -562,9 +571,9 @@ def test_stack_rejects_what_the_lone_path_rejects(spoil):
     with pytest.raises(EscortropyError) as lone:
         chain_rule_report(JointDistribution(weights[2]), 2.0)
     with pytest.raises(EscortropyError) as stacked:
-        chain_rule_grid(weights, [2.0])[0]
+        chain_rule_grid(JointStack(weights), [2.0])[0]
     with pytest.raises(EscortropyError) as gridded:
-        chain_rule_grid(weights, KERNEL_ORDERS)
+        chain_rule_grid(JointStack(weights), KERNEL_ORDERS)
     assert type(stacked.value) is type(gridded.value) is type(lone.value)
 
 

