@@ -24,9 +24,14 @@ some escort-inconsistent joints it vanishes at one order, on others, such as
 exponential tilt ``corrected_conditional`` closes the residual exactly.
 
 ``chain_rule_grid`` is the one evaluation path, for a stack of T joints of
-one shape and a grid of orders. Its q-independent passes run once per grid;
-per order only r_{k|l} and p are raised to the q-th power, and each field is
-a (T,) sum over the A columns, with no joint escort matrix formed.
+one shape and a grid of orders. Its q-independent passes run once per grid.
+The orders run in chunks of G, one kernel pass per chunk, with G as large as
+keeps a pass within PASS_CELLS cells (orders times joints times cells per
+joint); a stack above that budget runs one order a pass. In a pass only
+r_{k|l}, p and their extremes are raised to the q-th power, each order's
+power a scalar power stacked along a leading order axis; every other step
+runs once on (G, T, ...) arrays, and each field is a (G, T) sum over the A
+columns, with no joint escort matrix formed.
 ``chain_rule_report`` is row 0 of the grid of one joint at one order. Each
 joint's sums run over its own two axes in the same order whatever else is in
 the stack, so a joint's fields have the same bits in any stack and at any
@@ -43,7 +48,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .escort import _CELLS, _power_escort, _power_sums
+from .escort import _CELLS, _power_escort, _power_sums, _powers
 from .prob import JointDistribution, JointStack, _marginal_and_conditional, _masked_log, _order
 from .qcalc import kn_map_inv, q_add
 
@@ -86,6 +91,11 @@ class ChainRuleReport:
     corrected_residual: float
 
 
+# The most cells one kernel pass holds, orders times joints times cells per
+# joint: enough that the per-call cost of a pass vanishes over many small
+# joints, few enough that each temporary stays near half a megabyte.
+PASS_CELLS = 1 << 16
+
 # The value fields of a report, in order, after q.
 _VALUES = tuple(field.name for field in fields(ChainRuleReport))[1:]
 
@@ -108,24 +118,32 @@ class ChainRuleReports(ChainRuleReport):
 def _order_free(w: np.ndarray) -> tuple:
     """The q-independent passes over validated joint weights: p, -ln p,
     r_{k|l}, ln(r_{k|l} / m_l), m_l, -ln m_l with m_l the largest r_{k|l} of
-    column l, the index of the largest p_l, and each row's min and max over
+    column l, the index of the largest p_l in an array of column values
+    with or without a leading order axis, and each row's min and max over
     the columns; x^q keeps every max, min and argmax. Raises
     ZeroMarginalColumnError when some p_l is 0."""
     p, cond = _marginal_and_conditional(w)
     top = cond.max(axis=-2, keepdims=True)
     extremes = np.concatenate([cond.min(axis=-1)[:, None], cond.max(axis=-1)[:, None]], axis=-2)
-    lead = (np.arange(len(w))[:, None, None], 0, p.argmax(axis=-1, keepdims=True))
+    lead = (Ellipsis, np.arange(len(w))[:, None, None], 0, p.argmax(axis=-1, keepdims=True))
     return p, -np.log(p), cond, _masked_log(cond / top), top, -np.log(top), lead, extremes
 
 
-def _evaluate(passes: tuple, q: float) -> tuple:
-    """The ten value fields of ChainRuleReport, in order, as (T,) arrays from
-    the ``_order_free`` passes over a (T, n_b, n_a) stack."""
+def _evaluate(passes: tuple, orders: float | list[float]) -> tuple:
+    """The ten value fields of ChainRuleReport, in order, from the
+    ``_order_free`` passes over a (T, n_b, n_a) stack: (T,) arrays at one
+    order, or (G, T) arrays whose row g belongs to orders[g] for a list of
+    G orders. For a list, each order's q-th powers are scalar powers stacked
+    along a leading order axis, so they keep their bits, and every other
+    step runs once for all G orders."""
     p, neg_log_p, cond, log_rel, top, neg_log_top, lead, extremes = passes
+    # A list of orders broadcasts as a (G, 1, 1, 1) column over the stacked powers.
+    stacked = isinstance(orders, list)
+    q = np.array(orders)[:, None, None, None] if stacked else orders
     # No branch at q = 1: there every power is the identity, each column
     # power sum S_l is 1 up to rounding, and s_gap, gap and the bounds vanish.
-    cond_q, col_sums = _power_sums(cond, q, -2)
-    p_escort = _power_escort(p, q, -1)
+    cond_q, col_sums = _power_sums(cond, orders, -2)
+    p_escort = _power_escort(p, orders, -1)
     # Escort means of ln(r_{k|l} / m_l), of -ln r_{k|l} and of -ln r_{kl} over
     # column l (-mu_l): each adds terms of one sign, so no digits cancel.
     rel_mean = (cond_q * log_rel).sum(axis=-2, keepdims=True) / col_sums
@@ -140,24 +158,23 @@ def _evaluate(passes: tuple, q: float) -> tuple:
     naive_mass = weighted / mean_sum
     # H_l - ln N_l (H_l the entropy of escorted column l) needs no ln S_l, only -ln of
     # its largest naive cell P_l m_l^q / S-bar, floored at the least double if it underflows.
-    info = -q * rel_mean - np.log(np.maximum(p_escort * top**q / mean_sum, 5e-324))
+    largest = p_escort * _powers(top, orders) / mean_sum
+    info = -q * rel_mean - np.log(np.maximum(largest, 5e-324))
 
-    joint_ad = (naive_mass * col_entropy).sum(axis=_CELLS)
-    marginal_ad = (p_escort * neg_log_p).sum(axis=_CELLS)
-    axiomatic = (p_escort * cond_entropy).sum(axis=_CELLS)
-    gap = (deficit * col_entropy).sum(axis=_CELLS)
-    s_gap = (deficit * info).sum(axis=_CELLS)
+    terms = [naive_mass * col_entropy, p_escort * neg_log_p, p_escort * cond_entropy]
+    terms += [deficit * col_entropy, deficit * info]
+    joint_ad, marginal_ad, axiomatic, gap, s_gap = np.array(terms).sum(axis=_CELLS)
     # The sandwich weights each naive escort column's entropy, N_l info_l,
     # by the change of S_l when each row takes its min (max) over columns.
-    row_sums = (extremes**q).sum(axis=-1, keepdims=True)
-    lower, upper = (((row_sums - col_sums) / col_sums) * (naive_mass * info)).sum(axis=-1).T
+    row_sums = _powers(extremes, orders).sum(axis=-1, keepdims=True)
+    bounds = (((row_sums - col_sums) / col_sums) * (naive_mass * info)).sum(axis=-1)
+    lower, upper = bounds[..., 0], bounds[..., 1]
 
     # The tilt subtracts s_gap / q in the additive scale and is mapped back
     # once, so no two exponentially large terms cancel.
-    joint_value = kn_map_inv(joint_ad, q)
-    marginal_value = kn_map_inv(marginal_ad, q)
-    residual = joint_value - q_add(marginal_value, kn_map_inv(axiomatic, q), q)
-    corrected = joint_value - q_add(marginal_value, kn_map_inv(axiomatic - s_gap / q, q), q)
+    q = q[:, :, 0, 0] if stacked else q
+    deformed = kn_map_inv(np.array([joint_ad, marginal_ad, axiomatic, axiomatic - s_gap / q]), q)
+    residual, corrected = deformed[0] - q_add(deformed[1], deformed[2:], q)
     chain = joint_ad - marginal_ad
     return joint_ad, marginal_ad, chain, axiomatic, gap, s_gap, lower, upper, residual, corrected
 
@@ -169,14 +186,23 @@ def chain_rule_grid(r: JointDistribution | JointStack, q_grid) -> list[ChainRule
     A lone JointDistribution is read as a stack of one joint. Entry i holds
     the reports at ``q_grid[i]``, and its row t equals ``chain_rule_report``
     of joint t at that order bit for bit. The q-independent passes run once
-    for the whole grid; only each order's (T,) columns are kept. Raises
-    ZeroMarginalColumnError when an A outcome of some joint has zero
-    probability.
+    for the whole grid; the orders are evaluated in chunks, one kernel pass
+    each, of as many orders as keep a pass within PASS_CELLS cells, and one
+    order a pass for a stack above it. Raises ZeroMarginalColumnError when an
+    A outcome of some joint has zero probability.
     """
     orders = [_order(q) for q in q_grid]
     w = r.weights
     passes = _order_free(w[None] if w.ndim == 2 else w)
-    return [ChainRuleReports(order, *_evaluate(passes, order)) for order in orders]
+    step = max(1, PASS_CELLS // w.size)
+    grid = []
+    for start in range(0, len(orders), step):
+        chunk = orders[start : start + step]
+        if len(chunk) == 1:  # (T,) fields, with no order axis to split
+            grid.append(ChainRuleReports(chunk[0], *_evaluate(passes, chunk[0])))
+        else:
+            grid += map(ChainRuleReports, chunk, *_evaluate(passes, chunk))
+    return grid
 
 
 def chain_rule_report(r: JointDistribution, q: float) -> ChainRuleReport:

@@ -24,7 +24,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import EscortropyError
+from .errors import EscortropyError, MalformedWeightsError
 from .prob import (
     Distribution,
     JointDistribution,
@@ -34,18 +34,19 @@ from .prob import (
     random_joints,
 )
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
-from .chain_rules import ChainRuleReport, chain_rule_grid
+from .chain_rules import PASS_CELLS, ChainRuleReport, chain_rule_grid
 from .axioms import MI_FLOOR, run_suite
 
 # The chain table prints the order as given, then every other report field.
 CHAIN_COLUMNS = [field.name for field in fields(ChainRuleReport)]
 SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upper_bound,corrected_residual"
-# The report fields a sweep prints, in column order.
+# The report fields a sweep prints, in column order, and their format:
+# "%.12g" % x is fmt(x) for every float x.
 SWEEP_FIELDS = SWEEP_HEADER.split(",")[5:]
-# Cells per stack of sweep trials: enough joints that the per-call cost of
-# chain_rule_grid vanishes, few enough that its temporaries stay near 1 MB
-# each, whatever the trial count.
-SWEEP_STACK_CELLS = 1 << 16
+SWEEP_VALUES = ",".join(["%.12g"] * len(SWEEP_FIELDS))
+# Cells per stack of sweep trials: the kernel's pass budget, so a full stack
+# runs one order a pass, and a short one its whole q grid in one pass.
+SWEEP_STACK_CELLS = PASS_CELLS
 
 
 def fmt(x: float) -> str:
@@ -88,6 +89,26 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _load_weights(path: str, key: str, expected: str) -> dict:
+    """The JSON object of path, which must hold weights under key. A boolean
+    among them is refused here: numpy reads it as 0 or 1 beside numbers, so
+    the weights' dtype no longer shows it."""
+    data = _load_json(path)
+    if not isinstance(data, dict) or key not in data:
+        raise EscortropyError(f"{path}: expected a JSON object with {expected}")
+    if _holds_boolean(data[key]):
+        raise MalformedWeightsError("weights must be an array of numbers: booleans are not numbers")
+    return data
+
+
+def _holds_boolean(value) -> bool:
+    """Whether a parsed JSON value is, or holds at any depth, a boolean."""
+    if type(value) is list:
+        kinds = set(map(type, value))
+        return bool in kinds or (list in kinds and any(map(_holds_boolean, value)))
+    return type(value) is bool
+
+
 def _finite_row(row: dict) -> dict:
     bad = [key for key, value in row.items() if not np.all(np.isfinite(value))]
     if bad:
@@ -111,9 +132,7 @@ def _emit(text: str, out: str | None) -> None:
 # that line is all of stderr.
 @np.errstate(all="ignore")
 def cmd_entropy(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
-    if not isinstance(data, dict) or "p" not in data:
-        raise EscortropyError(f'{args.input}: expected a JSON object with a "p" array')
+    data = _load_weights(args.input, "p", 'a "p" array')
     p = Distribution(data["p"])
     rows = []
     for q in args.q:
@@ -142,9 +161,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 @np.errstate(all="ignore")
 def cmd_chain(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
-    if not isinstance(data, dict) or "r" not in data:
-        raise EscortropyError(f'{args.input}: expected a JSON object with an "r" matrix')
+    data = _load_weights(args.input, "r", 'an "r" matrix')
     joint = JointDistribution(data["r"])
     dropped: tuple[int, ...] = ()
     if args.lenient_zero_columns:
@@ -203,7 +220,9 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
 
     Trial t draws ``random_joint(n_b, n_a, seed + t)``. Consecutive trials
     form stacks of at most SWEEP_STACK_CELLS cells, and each stack is
-    evaluated over the whole q grid by one ``chain_rule_grid`` call.
+    evaluated over the whole q grid by one ``chain_rule_grid`` call. Each
+    stack is checked for non-finite fields once, and each row's report
+    fields are formatted by one conversion.
     """
     step = max(1, SWEEP_STACK_CELLS // (n_b * n_a))
     heads = [f"{fmt(q)},{n_a},{n_b}" for q in q_grid]
@@ -211,15 +230,16 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
     for first in range(seed, seed + trials, step):
         seeds = range(first, min(first + step, seed + trials))
         joints = random_joints(n_b, n_a, seeds)
-        tails = []
-        for q, reports in zip(q_grid, chain_rule_grid(joints, q_grid)):
-            row = _finite_row({"q": q} | {name: getattr(reports, name) for name in SWEEP_FIELDS})
-            columns = (map(fmt, row[name].tolist()) for name in SWEEP_FIELDS)
-            tails.append([",".join(cells) for cells in zip(*columns)])
+        grid = chain_rule_grid(joints, q_grid)
+        values = np.array([[getattr(reports, name) for name in SWEEP_FIELDS] for reports in grid])
+        if not np.isfinite(values).all():
+            for q, reports in zip(q_grid, grid):
+                _finite_row({"q": q} | {name: getattr(reports, name) for name in SWEEP_FIELDS})
+        mis = ["%.12g" % mi for mi in mutual_information(joints).tolist()]
         lines += [
-            f"{trial_seed},{head},{fmt(mi)},{tail[t]}"
-            for t, (trial_seed, mi) in enumerate(zip(seeds, mutual_information(joints).tolist()))
-            for head, tail in zip(heads, tails)
+            f"{trial_seed},{head},{mi},{SWEEP_VALUES % tuple(row)}"
+            for trial_seed, mi, by_order in zip(seeds, mis, values.transpose(2, 0, 1).tolist())
+            for head, row in zip(heads, by_order)
         ]
     return lines
 

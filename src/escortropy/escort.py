@@ -47,14 +47,23 @@ from .prob import (
 _CELLS = (-2, -1)
 
 
-def _power_sums(w: np.ndarray, value: float, axis) -> tuple[np.ndarray, np.ndarray]:
+def _powers(w: np.ndarray, value) -> np.ndarray:
+    """w^value. A list of values gives each value's power stacked along a new
+    leading axis; each is a scalar power, so it has the bits of that value's
+    power alone."""
+    return np.array([w**v for v in value]) if isinstance(value, list) else w**value
+
+
+def _power_sums(w: np.ndarray, value, axis) -> tuple[np.ndarray, np.ndarray]:
     """(w^value, its sums over axis kept as length-1 axes): the power pass of
-    every escort, and the column power sums of the chain-rule kernel."""
-    w_q = w**value
+    every escort, and the column power sums of the chain-rule kernel. A list
+    of values stacks their powers as ``_powers`` does; axis must then count
+    from the end."""
+    w_q = _powers(w, value)
     return w_q, w_q.sum(axis=axis, keepdims=True)
 
 
-def _power_escort(w: np.ndarray, value: float, axis) -> np.ndarray:
+def _power_escort(w: np.ndarray, value, axis) -> np.ndarray:
     """The one escort formula: w^value divided by its sums over axis. Every
     escort of the package, the Aczel-Daroczy rows' included, is one call."""
     w_q, sums = _power_sums(w, value, axis)

@@ -12,6 +12,9 @@ expm1((1-q)x)/(1-q), which keep full relative precision for q arbitrarily
 close to 1 (1 - q is exact there), and fill the removable singularity at
 exactly q = 1 with its limit. ``q_exp`` and ``q_log`` are built from them.
 They take any real order; only the entropy layer restricts q to q > 0.
+``kn_map_inv`` and ``q_add`` also take an array of orders, each entry
+evaluated at its own order, so the chain-rule kernel maps a chunk of orders
+back in one call.
 """
 
 from __future__ import annotations
@@ -51,18 +54,29 @@ def kn_map(x: float, q: float) -> float:
     return math.log1p(u) / one_m_q if one_m_q else float(x)
 
 
-def kn_map_inv(x, q: float):
+def kn_map_inv(x, q):
     """Inverse of kn_map: (e^((1-q)x) - 1)/(1-q); identity at q = 1.
 
     Defined on the whole real line. Takes a float or an array of them and
-    returns the same kind.
+    returns the same kind. q may also be an array of orders that broadcasts
+    against x; each entry is then the value at its own order, x itself
+    where that order is 1, with the bits of a call at that order alone.
     """
-    one_m_q = 1.0 - float(q)
+    one_m_q = _one_minus(q)
+    if isinstance(one_m_q, np.ndarray):
+        unit = one_m_q == 0.0
+        return np.where(unit, x, np.expm1(one_m_q * x) / np.where(unit, 1.0, one_m_q))
     if isinstance(x, np.ndarray):
         return np.expm1(one_m_q * x) / one_m_q if one_m_q else x.astype(float)
     return math.expm1(one_m_q * x) / one_m_q if one_m_q else float(x)
 
 
 def q_add(a: float, b: float, q: float) -> float:
-    """Deformed addition a + b + (1-q)ab; commutative, with neutral element 0."""
-    return a + b + (1.0 - float(q)) * a * b
+    """Deformed addition a + b + (1-q)ab; commutative, with neutral element 0.
+    Takes arrays, and an array of orders, that broadcast together."""
+    return a + b + _one_minus(q) * a * b
+
+
+def _one_minus(q):
+    """1 - q as a float, or as a float array for an array of orders."""
+    return 1.0 - (q.astype(float) if isinstance(q, np.ndarray) else float(q))

@@ -40,6 +40,7 @@ from escortropy import (
     renyi,
     shannon,
 )
+from escortropy import chain_rules
 
 import oracles
 
@@ -407,6 +408,43 @@ def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
                 assert getattr(row, name).hex() == expected, (q, t, name)
                 assert float(getattr(reports, name)[t]).hex() == expected, (q, t, name)
                 assert getattr(from_grid[t], name).hex() == expected, (q, t, name)
+
+
+def record_passes(monkeypatch):
+    """The number of orders of each kernel pass, as chain_rule_grid runs them."""
+    sizes = []
+    evaluate = chain_rules._evaluate
+
+    def counted(passes, orders):
+        sizes.append(len(orders) if isinstance(orders, list) else 1)
+        return evaluate(passes, orders)
+
+    monkeypatch.setattr(chain_rules, "_evaluate", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("per_pass, sizes", [(1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (7, [7])])
+def test_a_grid_split_over_passes_gets_the_bits_of_one_order_a_call(monkeypatch, per_pass, sizes):
+    weights = joint_stack((4, 3), seed=43)
+    lone = [chain_rule_grid(JointStack(weights), [q])[0] for q in KERNEL_ORDERS]
+    monkeypatch.setattr(chain_rules, "PASS_CELLS", per_pass * weights.size)
+    passes = record_passes(monkeypatch)
+    grid = chain_rule_grid(JointStack(weights), KERNEL_ORDERS)
+    assert passes == sizes
+    for q, reports, expected in zip(KERNEL_ORDERS, grid, lone):
+        assert reports.q == expected.q == q
+        for name in VALUE_FIELDS:
+            for t in range(len(weights)):
+                got, want = getattr(reports, name)[t], getattr(expected, name)[t]
+                assert float(got).hex() == float(want).hex(), (q, t, name)
+
+
+def test_a_joint_above_the_pass_budget_runs_one_order_a_pass(monkeypatch):
+    n_b, n_a = 256, 257
+    assert n_b * n_a > chain_rules.PASS_CELLS
+    passes = record_passes(monkeypatch)
+    chain_rule_grid(random_joint(n_b, n_a, 7), [0.5, 1.0, 2.0])
+    assert passes == [1, 1, 1]
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")

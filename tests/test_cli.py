@@ -149,6 +149,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         ({"p": ["0.5", "0.5"]}, ["entropy", "--q", "2"]),
         ({"p": [True, False]}, ["entropy", "--q", "2"]),
         ({"r": [[True], [False]]}, ["chain", "--q", "2"]),
+        ({"p": [True, 0.0]}, ["entropy", "--q", "2"]),
+        ({"r": [[0.25, False], [0.5, 0.25]]}, ["chain", "--q", "2"]),
     ],
     ids=[
         "nan-weight",
@@ -167,6 +169,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "string-weights",
         "boolean-weights",
         "boolean-joint",
+        "boolean-among-numbers",
+        "boolean-among-numbers-joint",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):
@@ -247,24 +251,38 @@ def test_sweep_header_and_shape(capsys):
 
 def test_sweep_rows_mirror_reports(capsys):
     # Ties the sweep's draws to random_joint and its columns to
-    # chain_rule_report, to the printed byte.
-    code, out, _ = run(
-        capsys,
-        ["sweep", "--nb", "4", "--na", "3", "--q", "0.5,1,2", "--trials", "10", "--seed", "5"],
-    )
-    assert code == 0
+    # chain_rule_report, to the printed byte. The 1x3 joints print every
+    # field as 0, and q = 0.05 prints some in e-notation.
     from escortropy import chain_rule_report, mutual_information, random_joint
 
-    expected = []
-    for trial_seed in range(5, 15):
-        joint = random_joint(4, 3, trial_seed)
-        for q in (0.5, 1.0, 2.0):
-            report = chain_rule_report(joint, q)
-            values = [mutual_information(joint)] + [
-                getattr(report, name) for name in SWEEP_HEADER.split(",")[5:]
-            ]
-            expected.append(",".join([str(trial_seed), fmt(q), "3", "4"] + [fmt(v) for v in values]))
-    assert out.splitlines()[1:] == expected
+    cases = [(4, 3, "0.5,1,2", 10, 5), (4, 3, "0.05,0.5", 4, 40), (1, 3, "0.05,1,2", 3, 5)]
+    printed = []
+    for n_b, n_a, q_list, trials, seed in cases:
+        argv = ["sweep", "--nb", str(n_b), "--na", str(n_a), "--q", q_list,
+                "--trials", str(trials), "--seed", str(seed)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        expected = []
+        for trial_seed in range(seed, seed + trials):
+            joint = random_joint(n_b, n_a, trial_seed)
+            for q in map(float, q_list.split(",")):
+                report = chain_rule_report(joint, q)
+                values = [mutual_information(joint)] + [
+                    getattr(report, name) for name in SWEEP_HEADER.split(",")[5:]
+                ]
+                head = [str(trial_seed), fmt(q), str(n_a), str(n_b)]
+                expected.append(",".join(head + [fmt(v) for v in values]))
+        assert out.splitlines()[1:] == expected
+        printed += [cell for line in expected for cell in line.split(",")[4:]]
+    assert "0" in printed
+    assert any("e-" in cell for cell in printed)
+
+
+@pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 1e-5, 1e16, 123456789012.5])
+def test_percent_conversion_is_fmt(x):
+    # The sweep formats its report fields with "%.12g" %, the other
+    # commands with fmt.
+    assert "%.12g" % x == fmt(x)
 
 
 def test_sweep_body_does_not_depend_on_batching(capsys, monkeypatch):

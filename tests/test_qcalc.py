@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,20 @@ def test_kn_map_inv_examples():
         assert kn_map_inv(0.0, q) == 0.0
     assert kn_map_inv(kn_map(0.4, 1.5), 1.5) == pytest.approx(0.4, abs=1e-12)
     assert kn_map_inv(0.81093, 0.5) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_an_array_of_orders_gets_the_bits_of_each_order_alone():
+    # Row g of the result is the call at orders[g], x itself at q = 1.
+    orders = [0.05, 0.5, 1.0, 1.0 - 1e-9, 2.0, 60.0]
+    x = np.array([[-3.0, -1e-12, 0.0, 0.25, 1.7]])
+    column = np.array(orders)[:, None]
+    mapped = kn_map_inv(x, column)
+    added = q_add(x, x[:, ::-1], column)
+    assert mapped.shape == added.shape == (len(orders), x.shape[1])
+    for g, q in enumerate(orders):
+        assert mapped[g].tobytes() == kn_map_inv(x[0], q).tobytes(), q
+        assert added[g].tobytes() == q_add(x[0], x[0, ::-1], q).tobytes(), q
+    assert mapped[2].tobytes() == x[0].tobytes()
 
 
 @pytest.mark.parametrize("q", [0.0, -2.0])
