@@ -443,12 +443,7 @@ def check_additivity_dependent(
     q = _order(q)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    return _additivity_dependent(q, seed, trials, _floor(mi_floor))
-
-
-def _additivity_dependent(q: float, seed: int, trials: int, mi_floor: float) -> AxiomVerdict:
-    """``check_additivity_dependent`` of checked arguments."""
-    draws = _sample_dependent(seed, range(trials), mi_floor)
+    draws = _sample_dependent(seed, range(trials), _floor(mi_floor))
     residuals = _by_shape(JointStack, draws, lambda stack: chain_rule_grid(stack, [q])[0].residual)
     margin, witness = _rate_verdict(
         np.abs(residuals), VIOLATION_FLOOR, draws,
@@ -587,7 +582,7 @@ def _suite_axioms(seed: int, trials: int, mi_floor: float) -> list[CheckResult]:
     for verdict in _additivity_independent([0.5, 2.0], seed, trials):
         name = f"additivity_independent_q{verdict.q}"
         results.append(CheckResult("axioms", name, verdict.margin))
-    verdict = _additivity_dependent(2.0, seed, trials, mi_floor)
+    verdict = check_additivity_dependent(2.0, seed, trials, mi_floor)
     results.append(CheckResult("axioms", "additivity_dependent_q2", verdict.margin))
     return results
 

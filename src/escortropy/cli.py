@@ -24,7 +24,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import EscortropyError, MalformedWeightsError
+from .errors import EscortropyError
 from .prob import (
     Distribution,
     JointDistribution,
@@ -44,9 +44,6 @@ SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upp
 # "%.12g" % x is fmt(x) for every float x.
 SWEEP_FIELDS = SWEEP_HEADER.split(",")[5:]
 SWEEP_VALUES = ",".join(["%.12g"] * len(SWEEP_FIELDS))
-# Cells per stack of sweep trials: the kernel's pass budget, so a full stack
-# runs one order a pass, and a short one its whole q grid in one pass.
-SWEEP_STACK_CELLS = PASS_CELLS
 
 
 def fmt(x: float) -> str:
@@ -84,29 +81,13 @@ def _mi_floor(text: str) -> float:
     return value
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _load_weights(path: str, key: str, expected: str) -> dict:
-    """The JSON object of path, which must hold weights under key. A boolean
-    among them is refused here: numpy reads it as 0 or 1 beside numbers, so
-    the weights' dtype no longer shows it."""
-    data = _load_json(path)
+    """The JSON object of path, which must hold weights under key."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
     if not isinstance(data, dict) or key not in data:
         raise EscortropyError(f"{path}: expected a JSON object with {expected}")
-    if _holds_boolean(data[key]):
-        raise MalformedWeightsError("weights must be an array of numbers: booleans are not numbers")
     return data
-
-
-def _holds_boolean(value) -> bool:
-    """Whether a parsed JSON value is, or holds at any depth, a boolean."""
-    if type(value) is list:
-        kinds = set(map(type, value))
-        return bool in kinds or (list in kinds and any(map(_holds_boolean, value)))
-    return type(value) is bool
 
 
 def _finite_row(row: dict) -> dict:
@@ -219,12 +200,13 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
     """CSV body lines for a seeded sweep, ordered by (trial, q).
 
     Trial t draws ``random_joint(n_b, n_a, seed + t)``. Consecutive trials
-    form stacks of at most SWEEP_STACK_CELLS cells, and each stack is
-    evaluated over the whole q grid by one ``chain_rule_grid`` call. Each
+    form stacks of at most PASS_CELLS cells, the kernel's pass budget, and
+    each stack is evaluated over the whole q grid by one ``chain_rule_grid``
+    call: a full stack runs one order a pass, a short one its whole grid. Each
     stack is checked for non-finite fields once, and each row's report
     fields are formatted by one conversion.
     """
-    step = max(1, SWEEP_STACK_CELLS // (n_b * n_a))
+    step = max(1, PASS_CELLS // (n_b * n_a))
     heads = [f"{fmt(q)},{n_a},{n_b}" for q in q_grid]
     lines = []
     for first in range(seed, seed + trials, step):

@@ -30,10 +30,14 @@ EPS_NORM = 1e-9
 def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
     """Validated weights: a non-empty ndim-d array of finite non-negative
     numbers whose items, the cells over axes, each sum to 1 within EPS_NORM
-    and are divided by their own sum. Booleans and strings are not numbers.
+    and are divided by their own sum. Booleans and strings are not numbers:
+    an array's dtype shows them, and a list or tuple is scanned for booleans
+    once, since numpy reads one beside numbers as 0 or 1.
     The array is made C-contiguous first, so an item's sum is the pairwise
     sum of its flat cells in any layout, alone as in a stack."""
     try:
+        if isinstance(values, (list, tuple)) and _holds_boolean(values):
+            raise TypeError("booleans are not numbers")
         w = np.asarray(values)
         if w.dtype.kind in "bUS":
             raise TypeError("booleans and strings are not numbers")
@@ -54,6 +58,17 @@ def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
     w = w / sums
     w.setflags(write=False)
     return w
+
+
+def _holds_boolean(values: list | tuple) -> bool:
+    """Whether a list or tuple holds a boolean, np.bool_ included, at any
+    depth of nested lists and tuples. Arrays are not entered: their dtype
+    shows a boolean."""
+    kinds = set(map(type, values))
+    return bool in kinds or np.bool_ in kinds or (
+        (list in kinds or tuple in kinds)
+        and any(_holds_boolean(v) for v in values if type(v) in (list, tuple))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +136,6 @@ class JointStack(_Weights):
 
     _rule = (3, (1, 2))
 
-    @classmethod
-    def of(cls, joints: list[JointDistribution]) -> JointStack:
-        """Stack joints of one shape as they are. Each was divided by its sum
-        when it was validated, so none is divided again, and each row keeps
-        the bits of its joint."""
-        stack = object.__new__(cls)
-        weights = np.stack([j.weights for j in joints])
-        weights.setflags(write=False)
-        object.__setattr__(stack, "weights", weights)
-        return stack
-
 
 class ConditionalDistribution(_Weights):
     """Columns of conditional probabilities: column l holds P(B = B_k | A = A_l)."""
@@ -187,11 +191,15 @@ def _marginal_and_conditional(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def drop_zero_columns(r: JointDistribution) -> tuple[JointDistribution, tuple[int, ...]]:
-    """Remove zero-marginal A columns and renormalize; reports kept indices."""
+    """Remove zero-marginal A columns and renormalize; reports kept indices.
+    A joint with no zero column is returned as it is, not divided again."""
     p = r.weights.sum(axis=0)
     kept = np.flatnonzero(p > 0.0)
+    indices = tuple(kept.tolist())
+    if kept.size == p.size:
+        return r, indices
     reduced = r.weights[:, kept]
-    return JointDistribution(reduced / reduced.sum()), tuple(int(i) for i in kept)
+    return JointDistribution(reduced / reduced.sum()), indices
 
 
 def product_joint(p_a: Distribution, q_b: Distribution) -> JointDistribution:

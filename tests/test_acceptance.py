@@ -18,6 +18,8 @@ direct-formula oracles in `oracles.py`:
   at q = 2, yet its residual there is -1.1e-16, and the rule breaks at
   q = 0.5, 1.5 and 3; CLOSING_EVERYWHERE (mutual information 0.174) is
   escort-inconsistent at every order of the grid and closes at all of them.
+  With three A outcomes the two-outcome "iff" fails on full support too:
+  CLOSING_THREE_COLUMNS is escort-inconsistent and closes at every order.
 * criterion 8 (maximality): the uniform point maximizes the hybrid entropy iff
   q >= q*(n). q*(2) = 1/2, and for n >= 3 the threshold lies above 1/2
   (q* ~ 0.505 at n = 3 up to ~ 0.534 at n = 8), so at q = 0.5 the one-heavy
@@ -54,6 +56,7 @@ from escortropy import (
     tsallis,
 )
 from escortropy.cli import main
+from escortropy.escort import _construction_gap
 
 import oracles
 
@@ -71,26 +74,33 @@ CLOSING_AT_TWO = JointDistribution(
 # Uniform on an irregular support: the naive escort is the joint itself at
 # every order, and ln of it is constant on the support, so s_gap vanishes.
 CLOSING_EVERYWHERE = JointDistribution([[1 / 3, 1 / 3], [1 / 3, 0.0]])
+# Three A outcomes, no zero cell: column 1 holds one cell of each of the
+# constant columns 2 and 3, so S_1 = (S_2 + S_3) / 2 at every order for the
+# column power sums S_l = sum_k r_kl^q, and s_gap vanishes (README,
+# criterion 2) though the two joint escort constructions differ.
+CLOSING_THREE_COLUMNS = JointDistribution(np.array([[1, 1, 5], [5, 1, 5]]) / 18)
 
 
 def emit(criterion, passed, detail):
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-def grid_instances(joints, q_grid):
-    """(joint, q, report) for each joint and each order of q_grid, in that
-    order, from one chain_rule_grid call per joint shape."""
+def grid_instances(weights, q_grid):
+    """(joint, q, report) for the joint of each weight array and each order of
+    q_grid, in that order, from one chain_rule_grid call per joint shape. A
+    joint and its stack row are validated from the same weights, so they
+    have the same bits."""
     by_shape = {}
-    for t, joint in enumerate(joints):
-        by_shape.setdefault(joint.weights.shape, []).append(t)
-    rows = [None] * len(joints)
+    for t, w in enumerate(weights):
+        by_shape.setdefault(w.shape, []).append(t)
+    rows = [None] * len(weights)
     for members in by_shape.values():
-        grid = chain_rule_grid(JointStack.of([joints[t] for t in members]), q_grid)
+        grid = chain_rule_grid(JointStack([weights[t] for t in members]), q_grid)
         for i, t in enumerate(members):
             rows[t] = [reports[i] for reports in grid]
     return [
         (joint, q, report)
-        for joint, reports in zip(joints, rows)
+        for joint, reports in zip(map(JointDistribution, weights), rows)
         for q, report in zip(q_grid, reports)
     ]
 
@@ -98,24 +108,24 @@ def grid_instances(joints, q_grid):
 @pytest.fixture(scope="module")
 def product_instances():
     """(joint, q, report) for 1000 seeded product joints x the q grid."""
-    joints = []
+    weights = []
     for t in range(TRIALS):
         rng = np.random.default_rng(1_000_000 + t)
         n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        joints.append(
+        weights.append(
             product_joint(
                 Distribution(rng.dirichlet(np.ones(n_a))),
                 Distribution(rng.dirichlet(np.ones(n_b))),
-            )
+            ).weights
         )
-    return grid_instances(joints, Q_GRID)
+    return grid_instances(weights, Q_GRID)
 
 
 @pytest.fixture(scope="module")
 def dependent_instances():
     """(joint, 2.0, report) for 1000 seeded joints with mutual information > 0.05."""
     joints = [sample_dependent_joint(20_250_809, t, mi_floor=0.05) for t in range(TRIALS)]
-    return grid_instances(joints, [2.0])
+    return grid_instances([joint.weights for joint in joints], [2.0])
 
 
 def test_criterion_01_independence_additivity(product_instances):
@@ -233,6 +243,37 @@ def test_criterion_02_closing_witness_s_gap_in_50_digits():
         f"after moving 1e-4 between two cells: {moved[0]:.5e}, {moved[1]:.5e}; "
         f"everywhere-closing joint max |s_gap| over q grid = {float(everywhere):.1e}",
     )
+
+
+def test_criterion_02_three_column_witness_closes_without_consistency():
+    # For two A outcomes the rule closes iff the joint is escort-consistent;
+    # this 2x3 joint is inconsistent at every order tried and closes at all
+    # of them. Moving one unit of its integer cells breaks the closure.
+    pytest.importorskip("mpmath")
+    w = CLOSING_THREE_COLUMNS.weights
+    orders = (0.1, 0.5, 2.0, 7.0, 50.0)
+    gaps = [_construction_gap(CLOSING_THREE_COLUMNS, q) for q in orders]
+    kernel = max(abs(chain_rule_report(CLOSING_THREE_COLUMNS, q).s_gap) for q in orders)
+    exact = max(abs(oracles.mp_chain_rule_fields(w, q)["s_gap"]) for q in orders)
+    mutated = min(
+        abs(oracles.mp_chain_rule_fields(np.array(cells) / np.sum(cells), q)["s_gap"])
+        for cells in ([[2, 1, 5], [5, 1, 5]], [[1, 2, 5], [5, 1, 5]], [[1, 1, 5], [5, 1, 6]])
+        for q in (0.5, 2.0)
+    )
+    passed = (
+        not any(is_escort_consistent(CLOSING_THREE_COLUMNS, q) for q in orders)
+        and all(3e-3 < gap < 0.34 for gap in gaps)
+        and kernel <= 1e-15
+        and exact < 1e-45
+        and mutated > 1e-5
+    )
+    emit(
+        "2 (three columns)",
+        passed,
+        f"construction gap {min(gaps):.3e} to {max(gaps):.3e}; max |s_gap| {kernel:.1e} "
+        f"(50 digits {float(exact):.1e}); least |s_gap| after moving one unit {float(mutated):.3e}",
+    )
+    assert passed, (gaps, kernel, exact, mutated)
 
 
 def test_criterion_03_iff_characterization(product_instances, dependent_instances):

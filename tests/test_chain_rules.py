@@ -45,7 +45,8 @@ from escortropy import chain_rules
 import oracles
 
 SYMMETRIC = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
-DEPENDENT = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
+DEPENDENT_CELLS = [[0.2, 0.1], [0.3, 0.4]]
+DEPENDENT = JointDistribution(DEPENDENT_CELLS)
 WITH_ZERO = JointDistribution([[0.1, 0.45], [0.0, 0.45]])
 # A cell of 1e-200 beside order-one cells: at q = 400 the tilt exponent
 # (1-q)/q * s_gap is about 102.
@@ -383,7 +384,7 @@ def joint_stack(shape, seed, count=5):
 @pytest.mark.parametrize("q", [2, np.float64(2.0), np.float32(0.5)])
 def test_report_orders_are_builtin_floats(q):
     report = chain_rule_report(DEPENDENT, q)
-    reports = chain_rule_grid(JointStack.of([DEPENDENT]), [q])[0]
+    reports = chain_rule_grid(JointStack([DEPENDENT_CELLS]), [q])[0]
     assert type(report.q) is type(reports.q) is type(reports[0].q) is float
     assert report.q == reports.q == float(q)
 
@@ -561,18 +562,9 @@ def test_a_column_whose_naive_escort_underflows_keeps_every_field_finite(name):
             assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (q, field, got, value)
 
 
-def test_a_validated_stack_and_a_stack_of_validated_joints_get_the_same_fields():
-    weights = joint_stack((4, 3), seed=3)
-    joints = [JointDistribution(w) for w in weights]
-    from_array = chain_rule_grid(JointStack(weights), [2.0])[0]
-    from_joints = chain_rule_grid(JointStack.of(joints), [2.0])[0]
-    for name in VALUE_FIELDS:
-        assert np.array_equal(getattr(from_array, name), getattr(from_joints, name)), name
-
-
 def test_a_lone_joint_is_read_as_a_stack_of_one():
     lone = chain_rule_grid(DEPENDENT, KERNEL_ORDERS)
-    stacked = chain_rule_grid(JointStack.of([DEPENDENT]), KERNEL_ORDERS)
+    stacked = chain_rule_grid(JointStack([DEPENDENT_CELLS]), KERNEL_ORDERS)
     for reports, expected in zip(lone, stacked):
         assert len(reports) == 1
         for name in VALUE_FIELDS:

@@ -109,6 +109,18 @@ def test_chain_lenient_drops_zero_columns(capsys, tmp_path):
     assert abs(payload["rows"][0]["residual"]) < 1e-12
 
 
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_chain_lenient_keeps_the_bytes_of_a_joint_without_a_zero_column(capsys, tmp_path, flag):
+    # Dividing the validated weights by their sum again would move
+    # corrected_residual at q = 2 from -1.11e-16 to 0 on this joint.
+    weights = np.random.default_rng((5, 2)).dirichlet(np.ones(63)).reshape(7, 9)
+    path = write_json(tmp_path, "r.json", {"r": weights.tolist()})
+    argv = ["chain", "--input", path, "--q", "0.5,1,2,5"] + flag
+    code, plain, _ = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv + ["--lenient-zero-columns"]) == (0, plain, "")
+
+
 def test_parse_error_reports_position(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"p": [0.5,, 0.5]}', encoding="utf-8")
@@ -294,7 +306,7 @@ def test_sweep_body_does_not_depend_on_batching(capsys, monkeypatch):
     assert len(whole) == 60
     assert whole == body("10", "5") + body("10", "15")
     for stack_cells in (36, 5):  # three 4x3 trials a stack, then one
-        monkeypatch.setattr(cli, "SWEEP_STACK_CELLS", stack_cells)
+        monkeypatch.setattr(cli, "PASS_CELLS", stack_cells)
         assert body("20", "5") == whole, stack_cells
 
 

@@ -83,7 +83,7 @@ ORDER_TAKERS = {
     "escort_ratio": lambda q: ep.escort_ratio(_R, q),
     "is_escort_consistent": lambda q: ep.is_escort_consistent(_R, q),
     "chain_rule_report": lambda q: ep.chain_rule_report(_R, q),
-    "chain_rule_grid": lambda q: ep.chain_rule_grid(JointStack.of([_R]), [2.0, q]),
+    "chain_rule_grid": lambda q: ep.chain_rule_grid(JointStack([_R.weights]), [2.0, q]),
     "corrected_conditional": lambda q: ep.corrected_conditional(_R, q),
     "check_maximality": lambda q: ep.check_maximality(q, 3),
     "check_expansibility": lambda q: ep.check_expansibility(q, _P),
@@ -173,7 +173,23 @@ def test_conditional_distribution_divides_each_column_by_its_own_sum():
     "make", [Distribution, JointDistribution, ConditionalDistribution, DistributionStack, JointStack],
 )
 @pytest.mark.parametrize(
-    "values", [["0.5", "0.5"], [True, False]], ids=["strings", "booleans"]
+    "values",
+    [
+        ["0.5", "0.5"],
+        [True, False],
+        [True, 0.0],
+        [np.True_, 0.0],
+        [[True, 0.0], [0.0, 0.0]],
+        [(0.5, 0.5), (True, 0.0)],
+    ],
+    ids=[
+        "strings",
+        "booleans",
+        "boolean-among-numbers",
+        "numpy-boolean-among-numbers",
+        "boolean-in-a-joint",
+        "boolean-in-a-second-row",
+    ],
 )
 def test_weights_that_are_not_numbers_are_refused(make, values):
     with pytest.raises(MalformedWeightsError, match="not numbers"):
@@ -287,8 +303,6 @@ def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
     assert not stack.weights.flags.writeable
     for t in range(4):
         assert stack.weights[t].tobytes() == JointDistribution(raw[t]).weights.tobytes()
-    joints = [JointDistribution(w) for w in raw]
-    assert JointStack.of(joints).weights.tobytes() == stack.weights.tobytes()
 
 
 def test_lone_and_stacked_joints_get_the_same_bits_for_any_memory_layout():
@@ -338,13 +352,6 @@ def test_distribution_stack_normalizes_each_row_as_a_lone_distribution():
 def test_distribution_stack_rejects_what_a_distribution_rejects(values, error):
     with pytest.raises(error):
         DistributionStack(values)
-
-
-def test_joint_stack_of_one_joint_is_a_read_only_view():
-    joint = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
-    stack = JointStack.of([joint])
-    assert stack.weights.shape == (1, 2, 2)
-    assert not stack.weights.flags.writeable
 
 
 @pytest.mark.parametrize(
