@@ -289,6 +289,11 @@ def _random_sizes(rng: np.random.Generator) -> tuple[int, int]:
     return int(rng.integers(2, MAX_SIDE + 1)), int(rng.integers(2, MAX_SIDE + 1))
 
 
+def _random_rows(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """count uniform rows from rng, each drawn after its size in 2..MAX_SIDE."""
+    return [_uniform_simplex(rng, int(rng.integers(2, MAX_SIDE + 1))) for _ in range(count)]
+
+
 def _by_shape(make_stack, items: list[np.ndarray], evaluate) -> list:
     """``evaluate(make_stack(group))`` for each group of items of one shape,
     in order of first appearance, and row t of its result for each item t,
@@ -306,6 +311,12 @@ def _by_shape(make_stack, items: list[np.ndarray], evaluate) -> list:
     return rows
 
 
+def _product_joints(pairs) -> list[np.ndarray]:
+    """The outer product of each (p_a, q_b) pair, validated as ``product_joint`` does."""
+    rows = _by_shape(DistributionStack, [w for pair in pairs for w in pair], lambda p: p.weights)
+    return [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])]
+
+
 def _additivity_independent(orders: list[float], seed: int, trials: int) -> list[AxiomVerdict]:
     """``check_additivity_independent`` at each order of the list, from one
     product ensemble and one ``chain_rule_grid`` call per joint shape. Trial t
@@ -315,12 +326,9 @@ def _additivity_independent(orders: list[float], seed: int, trials: int) -> list
         rng = _rng(seed + t)
         n_b, n_a = _random_sizes(rng)
         draws.append((_uniform_simplex(rng, n_a), _uniform_simplex(rng, n_b)))
-    # Validate each marginal, then each outer product, as ``product_joint`` does.
-    rows = _by_shape(DistributionStack, [w for draw in draws for w in draw], lambda p: p.weights)
-    products = [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])]
     residuals = _by_shape(
         JointStack,
-        products,
+        _product_joints(draws),
         lambda stack: np.transpose([reports.residual for reports in chain_rule_grid(stack, orders)]),
     )
     verdicts = []
@@ -345,13 +353,17 @@ def check_additivity_independent(q: float, seed: int, trials: int) -> AxiomVerdi
 
     The witness of a failed verdict is the first joint with the largest
     |residual|. A non-finite residual fails the verdict with margin -inf, and
-    the first such joint is the witness. Raises ValueError for trials < 1
-    or a negative seed.
+    the first such joint is the witness. Raises ValueError for fewer than one
+    trial or a negative seed.
     """
-    q = _order(q)
+    return _additivity_independent([_order(q)], seed, _trials(trials))[0]
+
+
+def _trials(trials: int) -> int:
+    """trials, refused below 1 as ``verify --trials`` refuses it."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    return _additivity_independent([q], seed, trials)[0]
+    return trials
 
 
 def _floor(mi_floor: float) -> float:
@@ -438,12 +450,11 @@ def check_additivity_dependent(
     exceptions are logged with their joints and the first one becomes the
     witness. At q = 1 the rule holds exactly, so the observed rate is zero and
     the verdict reports that honestly rather than being meaningful. Raises
-    ValueError for trials < 1, a negative seed or a negative mi_floor.
+    ValueError for fewer than one trial, a negative seed or a negative
+    mi_floor.
     """
     q = _order(q)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    draws = _sample_dependent(seed, range(trials), _floor(mi_floor))
+    draws = _sample_dependent(seed, range(_trials(trials)), _floor(mi_floor))
     residuals = _by_shape(JointStack, draws, lambda stack: chain_rule_grid(stack, [q])[0].residual)
     margin, witness = _rate_verdict(
         np.abs(residuals), VIOLATION_FLOOR, draws,
@@ -516,21 +527,14 @@ def _suite_escort(seed: int, trials: int) -> list[CheckResult]:
 
     errors = []
     for q in (0.3, 0.5, 2.0, 5.0):
-        rows = [_uniform_simplex(rng, int(rng.integers(2, 9))) for _ in range(trials)]
         errors += _by_shape(
             DistributionStack,
-            rows,
+            _random_rows(rng, trials),
             lambda p: np.abs(escort(DistributionStack(escort(p, q)), 1.0 / q) - p.weights).max(-1),
         )
     results.append(CheckResult("escort", "inverse_round_trip", 1e-10 - float(np.max(errors))))
 
-    draws = []
-    for t in range(trials):
-        sub = _rng(seed + t)
-        p_a = _uniform_simplex(sub, int(sub.integers(2, 9)))
-        draws.append((p_a, _uniform_simplex(sub, int(sub.integers(2, 9)))))
-    rows = _by_shape(DistributionStack, [w for draw in draws for w in draw], lambda p: p.weights)
-    products = [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])]
+    products = _product_joints([_random_rows(_rng(seed + t), 2) for t in range(trials)])
     gaps = _by_shape(JointStack, products, lambda stack: _construction_gap(stack, 2.0))
     results.append(CheckResult("escort", "product_joints_consistent", 1e-9 - float(np.max(gaps))))
 
@@ -576,7 +580,7 @@ def _suite_axioms(seed: int, trials: int, mi_floor: float) -> list[CheckResult]:
             results.append(CheckResult("axioms", f"maximality_q{q}_n{verdict.n}", verdict.margin))
     rng = _rng(seed)
     for q in (0.5, 2.0):
-        rows = [_uniform_simplex(rng, int(rng.integers(2, 9))) for _ in range(trials)]
+        rows = _random_rows(rng, trials)
         margins = _by_shape(DistributionStack, rows, lambda p: _expansibility_margins(q, p.weights))
         results.append(CheckResult("axioms", f"expansibility_q{q}", float(np.min(margins))))
     for verdict in _additivity_independent([0.5, 2.0], seed, trials):
@@ -592,11 +596,10 @@ def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> 
 
     mi_floor is the floor of the axioms suite's dependent ensemble; the
     escort suite's three ensembles keep their fixed floor of 0.01. Raises
-    ValueError for an unknown suite name, trials < 1, a negative seed or a
-    negative mi_floor, as ``verify`` refuses them.
+    ValueError for an unknown suite name, fewer than one trial, a negative
+    seed or a negative mi_floor, as ``verify`` refuses them.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _trials(trials)
     _non_negative(seed, "seed")
     _floor(mi_floor)
     suites = {

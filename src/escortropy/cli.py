@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -37,18 +38,25 @@ from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
 from .chain_rules import PASS_CELLS, ChainRuleReport, chain_rule_grid
 from .axioms import MI_FLOOR, run_suite
 
+# Every number is printed in FMT: 12 significant digits, locale-independent.
+FMT = "%.12g"
 # The chain table prints the order as given, then every other report field.
 CHAIN_COLUMNS = [field.name for field in fields(ChainRuleReport)]
 SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upper_bound,corrected_residual"
-# The report fields a sweep prints, in column order, and their format:
-# "%.12g" % x is fmt(x) for every float x.
+# The report fields a sweep prints, in column order, after the trial's
+# mutual information.
 SWEEP_FIELDS = SWEEP_HEADER.split(",")[5:]
-SWEEP_VALUES = ",".join(["%.12g"] * len(SWEEP_FIELDS))
 
 
 def fmt(x: float) -> str:
-    """12 significant digits, locale-independent."""
-    return format(float(x), ".12g")
+    """x as every command prints a number."""
+    return FMT % x
+
+
+def _lines(values: np.ndarray, sep: str) -> list[str]:
+    """One line per row of the 2-d values: every number in FMT, joined by sep."""
+    row = sep.join([FMT] * values.shape[1])
+    return [row % tuple(numbers) for numbers in values.tolist()]
 
 
 def _parse_q_list(text: str) -> list[float]:
@@ -90,14 +98,17 @@ def _load_weights(path: str, key: str, expected: str) -> dict:
     return data
 
 
-def _finite_row(row: dict) -> dict:
-    bad = [key for key, value in row.items() if not np.all(np.isfinite(value))]
-    if bad:
-        raise EscortropyError(
-            f"order q={row['q']!r} gives non-finite {', '.join(bad)}; "
-            "the q-th powers of the weights underflow or overflow at this order"
-        )
-    return row
+def _finite(orders: list[float], names: list[str], values: np.ndarray) -> None:
+    """Refuse the first order whose fields are not all finite, naming them.
+    values is (G, F) or (G, F, T): field f of order g, of one joint or of T."""
+    finite = np.isfinite(values).reshape(len(orders), len(names), -1).all(axis=2)
+    for q, row in zip(orders, finite.tolist()):
+        if not all(row):
+            bad = ", ".join(name for name, ok in zip(names, row) if not ok)
+            raise EscortropyError(
+                f"order q={q!r} gives non-finite {bad}; "
+                "the q-th powers of the weights underflow or overflow at this order"
+            )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -108,35 +119,35 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-# Where the q-th powers underflow or overflow, _finite_row refuses the order
-# in one error line; numpy's warnings about the same values are silenced so
+def _table(
+    args: argparse.Namespace, echo: dict, columns: list[str], values: np.ndarray, extra: dict, notes: list[str]
+) -> None:
+    """Write the table of ``entropy`` or ``chain``: row g is order args.q[g],
+    then row g of the (G, F) values, one per column after "q". JSON holds
+    the input, the extra keys and the rows; text holds the echo line, the
+    notes, the header and the rows."""
+    _finite(args.q, columns[1:], values)
+    table = np.column_stack([args.q, values])
+    if args.json:
+        rows = [dict(zip(columns, row)) for row in table.tolist()]
+        text = json.dumps({"input": echo, **extra, "rows": rows}, indent=2) + "\n"
+    else:
+        lines = ["# input " + json.dumps(echo), *notes, "\t".join(columns), *_lines(table, "\t")]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
+
+
+# Where the q-th powers underflow or overflow, _finite refuses the order in
+# one error line; numpy's warnings about the same values are silenced so
 # that line is all of stderr.
 @np.errstate(all="ignore")
 def cmd_entropy(args: argparse.Namespace) -> int:
     data = _load_weights(args.input, "p", 'a "p" array')
     p = Distribution(data["p"])
-    rows = []
-    for q in args.q:
-        rows.append(
-            _finite_row(
-                {
-                    "q": q,
-                    "shannon": shannon(p),
-                    "renyi_1_over_q": renyi(p, 1.0 / q),
-                    "tsallis": tsallis(p, q),
-                    "hybrid": hybrid(p, q),
-                    "aczel_daroczy": aczel_daroczy(p, q),
-                }
-            )
-        )
-    if args.json:
-        text = json.dumps({"input": {"p": data["p"]}, "rows": rows}, indent=2) + "\n"
-    else:
-        columns = ["q", "shannon", "renyi_1_over_q", "tsallis", "hybrid", "aczel_daroczy"]
-        lines = ["# input " + json.dumps({"p": data["p"]}), "\t".join(columns)]
-        lines += ["\t".join(fmt(row[c]) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    h = shannon(p)
+    values = np.array([[h, renyi(p, 1 / q), tsallis(p, q), hybrid(p, q), aczel_daroczy(p, q)] for q in args.q])
+    columns = ["q", "shannon", "renyi_1_over_q", "tsallis", "hybrid", "aczel_daroczy"]
+    _table(args, {"p": data["p"]}, columns, values, {}, [])
     return 0
 
 
@@ -150,27 +161,12 @@ def cmd_chain(args: argparse.Namespace) -> int:
         dropped = tuple(i for i in range(joint.n_a) if i not in kept)
         joint = reduced
     mi = mutual_information(joint)
-    rows = []
-    for q, reports in zip(args.q, chain_rule_grid(joint, args.q)):
-        report = reports[0]
-        rows.append(_finite_row({"q": q} | {c: getattr(report, c) for c in CHAIN_COLUMNS[1:]}))
-    if args.json:
-        payload = {
-            "input": {"r": data["r"]},
-            "mutual_information": mi,
-            "dropped_columns": list(dropped),
-            "rows": rows,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = ["# input " + json.dumps({"r": data["r"]})]
-        if dropped:
-            lines.append("# dropped zero-marginal columns: " + ",".join(str(i) for i in dropped))
-        lines.append("# mutual_information " + fmt(mi))
-        lines.append("\t".join(CHAIN_COLUMNS))
-        lines += ["\t".join(fmt(row[c]) for c in CHAIN_COLUMNS) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    grid = chain_rule_grid(joint, args.q)
+    values = np.array([[getattr(reports, c)[0] for c in CHAIN_COLUMNS[1:]] for reports in grid])
+    notes = ["# dropped zero-marginal columns: " + ",".join(map(str, dropped))] if dropped else []
+    notes.append("# mutual_information " + fmt(mi))
+    extra = {"mutual_information": mi, "dropped_columns": list(dropped)}
+    _table(args, {"r": data["r"]}, CHAIN_COLUMNS, values, extra, notes)
     return 0
 
 
@@ -202,27 +198,23 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
     Trial t draws ``random_joint(n_b, n_a, seed + t)``. Consecutive trials
     form stacks of at most PASS_CELLS cells, the kernel's pass budget, and
     each stack is evaluated over the whole q grid by one ``chain_rule_grid``
-    call: a full stack runs one order a pass, a short one its whole grid. Each
-    stack is checked for non-finite fields once, and each row's report
-    fields are formatted by one conversion.
+    call: a full stack runs one order a pass, a short one its whole grid.
+    Each stack is refused or printed whole: every row's mutual information
+    and report fields by one ``_lines`` conversion.
     """
     step = max(1, PASS_CELLS // (n_b * n_a))
     heads = [f"{fmt(q)},{n_a},{n_b}" for q in q_grid]
+    names = SWEEP_HEADER.split(",")[4:]
     lines = []
     for first in range(seed, seed + trials, step):
         seeds = range(first, min(first + step, seed + trials))
         joints = random_joints(n_b, n_a, seeds)
+        mi = mutual_information(joints)
         grid = chain_rule_grid(joints, q_grid)
-        values = np.array([[getattr(reports, name) for name in SWEEP_FIELDS] for reports in grid])
-        if not np.isfinite(values).all():
-            for q, reports in zip(q_grid, grid):
-                _finite_row({"q": q} | {name: getattr(reports, name) for name in SWEEP_FIELDS})
-        mis = ["%.12g" % mi for mi in mutual_information(joints).tolist()]
-        lines += [
-            f"{trial_seed},{head},{mi},{SWEEP_VALUES % tuple(row)}"
-            for trial_seed, mi, by_order in zip(seeds, mis, values.transpose(2, 0, 1).tolist())
-            for head, row in zip(heads, by_order)
-        ]
+        values = np.array([[mi, *(getattr(reports, name) for name in SWEEP_FIELDS)] for reports in grid])
+        _finite(q_grid, names, values)
+        rows = _lines(values.transpose(2, 0, 1).reshape(-1, len(names)), ",")
+        lines += [f"{s},{head},{row}" for (s, head), row in zip(itertools.product(seeds, heads), rows)]
     return lines
 
 

@@ -62,9 +62,11 @@ def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
 
 def _holds_boolean(values: list | tuple) -> bool:
     """Whether a list or tuple holds a boolean, np.bool_ included, at any
-    depth of nested lists and tuples. Arrays are not entered: their dtype
-    shows a boolean."""
+    depth of nested lists and tuples. An array item is not entered: its
+    dtype shows a boolean."""
     kinds = set(map(type, values))
+    if np.ndarray in kinds:
+        kinds.update(v.dtype.type for v in values if type(v) is np.ndarray)
     return bool in kinds or np.bool_ in kinds or (
         (list in kinds or tuple in kinds)
         and any(_holds_boolean(v) for v in values if type(v) in (list, tuple))

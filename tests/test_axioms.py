@@ -546,3 +546,18 @@ def test_dependent_joints_inconsistent_fails_when_the_constructions_coincide(mon
     check = {r.check: r for r in run_suite("escort", 0, 50)}["dependent_joints_inconsistent"]
     assert not check.passed
     assert check.margin == -0.99
+
+
+def test_max_side_bounds_every_verify_ensemble(monkeypatch):
+    shapes = []
+    by_shape = axioms._by_shape
+
+    def recorded(make_stack, items, evaluate):
+        shapes.extend(item.shape for item in items)
+        return by_shape(make_stack, items, evaluate)
+
+    monkeypatch.setattr(axioms, "MAX_SIDE", 3)
+    monkeypatch.setattr(axioms, "_by_shape", recorded)
+    run_suite("all", 0, 20)
+    assert shapes
+    assert max(max(shape) for shape in shapes) <= 3

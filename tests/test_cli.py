@@ -290,11 +290,21 @@ def test_sweep_rows_mirror_reports(capsys):
     assert any("e-" in cell for cell in printed)
 
 
-@pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 1e-5, 1e16, 123456789012.5])
-def test_percent_conversion_is_fmt(x):
-    # The sweep formats its report fields with "%.12g" %, the other
-    # commands with fmt.
-    assert "%.12g" % x == fmt(x)
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (-0.0, "-0"),
+        (0.0, "0"),
+        (5e-324, "4.94065645841e-324"),
+        (1e-5, "1e-05"),
+        (1e16, "1e+16"),
+        (123456789012.5, "123456789012"),
+    ],
+    ids=["-0.0", "0.0", "5e-324", "1e-05", "1e+16", "123456789012.5"],
+)
+def test_percent_conversion_is_fmt(x, text):
+    # Every printed number goes through FMT, so these pin every command's format.
+    assert fmt(x) == text
 
 
 def test_sweep_body_does_not_depend_on_batching(capsys, monkeypatch):
@@ -368,13 +378,21 @@ def test_out_files_end_with_newline(tmp_path, capsys):
         assert handle.read().endswith(b"\n")
 
 
-def test_chain_grid_reports_the_first_non_finite_order(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["chain", "--input", "{joint}", "--q", "2,1100,1200"], "1100.0"),
+        (["sweep", "--nb", "4", "--na", "3", "--q", "2,900,1000", "--trials", "2"], "900.0"),
+    ],
+    ids=["chain", "sweep"],
+)
+def test_chain_grid_reports_the_first_non_finite_order(capsys, tmp_path, argv, first):
     path = write_json(tmp_path, "r.json", {"r": [[0.2, 0.1], [0.3, 0.4]]})
     with np.errstate(all="ignore"):
-        code, out, err = run(capsys, ["chain", "--input", path, "--q", "2,1100,1200"])
+        code, out, err = run(capsys, [arg.format(joint=path) for arg in argv])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: order q=1100.0 gives non-finite ")
+    assert err.startswith(f"error: order q={first} gives non-finite ")
     assert len(err.splitlines()) == 1
 
 

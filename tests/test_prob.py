@@ -181,6 +181,9 @@ def test_conditional_distribution_divides_each_column_by_its_own_sum():
         [np.True_, 0.0],
         [[True, 0.0], [0.0, 0.0]],
         [(0.5, 0.5), (True, 0.0)],
+        [np.array([True, False]), np.array([0.5, 0.5])],
+        [np.array([[True, False], [False, False]]), np.full((2, 2), 0.25)],
+        [np.array(True), 0.0],
     ],
     ids=[
         "strings",
@@ -189,6 +192,9 @@ def test_conditional_distribution_divides_each_column_by_its_own_sum():
         "numpy-boolean-among-numbers",
         "boolean-in-a-joint",
         "boolean-in-a-second-row",
+        "boolean-array-among-arrays",
+        "boolean-joint-among-joints",
+        "zero-d-boolean-array-among-numbers",
     ],
 )
 def test_weights_that_are_not_numbers_are_refused(make, values):
