@@ -9,11 +9,14 @@ searches each family on a grid refined by golden section. ``run_suite``
 collects the qcalc, escort and axiom checks as CheckResult rows.
 
 Every seeded ensemble is drawn in full first, in the order a one-at-a-time
-loop would draw it, as bare arrays. ``_by_shape`` then validates the items
-as one DistributionStack or JointStack per shape and evaluates each stack
-in one call; the rejection sampler judges each round of draws the same way
-and returns only the accepted draws. Each row of a stack has the bits of its
-item alone, so every margin and witness is that of the one-at-a-time loop.
+loop would draw it, as raw exponentials that ``prob._finish`` normalizes in
+one pass per shape. ``_by_shape`` then validates the items as one
+DistributionStack or JointStack per shape and evaluates each stack in one
+call, shared by the ensembles that run the same evaluation. ``run_suite``
+draws every dependent ensemble of a request in one rejection-sampler pass,
+which draws and judges each (seed, index, attempt) stream once. Each row of
+a stack has the bits of its item alone, so every margin and witness is that
+of the one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .prob import (
     DistributionStack,
     JointDistribution,
     JointStack,
+    _by_shape,
+    _finish,
     _non_negative,
     _order,
     _rng,
@@ -290,47 +295,39 @@ def _random_sizes(rng: np.random.Generator) -> tuple[int, int]:
 
 
 def _random_rows(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """count uniform rows from rng, each drawn after its size in 2..MAX_SIDE."""
-    return [_uniform_simplex(rng, int(rng.integers(2, MAX_SIDE + 1))) for _ in range(count)]
+    """count raw rows for ``_finish`` from rng, each drawn after its size in 2..MAX_SIDE."""
+    return [rng.standard_exponential(int(rng.integers(2, MAX_SIDE + 1))) for _ in range(count)]
 
 
-def _by_shape(make_stack, items: list[np.ndarray], evaluate) -> list:
-    """``evaluate(make_stack(group))`` for each group of items of one shape,
-    in order of first appearance, and row t of its result for each item t,
-    in item order. DistributionStack and JointStack validate each item as
-    Distribution or JointDistribution validates it alone, with the same
-    bits, and every evaluation here sums over the last axes of one item, so
-    each row is that of its item alone."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for t, item in enumerate(items):
-        by_shape.setdefault(item.shape, []).append(t)
-    rows = [None] * len(items)
-    for members in by_shape.values():
-        for t, row in zip(members, evaluate(make_stack([items[t] for t in members]))):
-            rows[t] = row
-    return rows
-
-
-def _product_joints(pairs) -> list[np.ndarray]:
-    """The outer product of each (p_a, q_b) pair, validated as ``product_joint`` does."""
-    rows = _by_shape(DistributionStack, [w for pair in pairs for w in pair], lambda p: p.weights)
+def _product_joints(marginals: list[np.ndarray]) -> list[np.ndarray]:
+    """The outer product q_b p_a of each pair (p_a, q_b) of consecutive
+    marginals, validated as ``product_joint`` does."""
+    rows = _by_shape(DistributionStack, marginals, lambda p: p.weights)
     return [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])]
 
 
-def _additivity_independent(orders: list[float], seed: int, trials: int) -> list[AxiomVerdict]:
-    """``check_additivity_independent`` at each order of the list, from one
-    product ensemble and one ``chain_rule_grid`` call per joint shape. Trial t
-    draws its marginals from ``default_rng(seed + t)``."""
-    draws = []
+def _product_marginals(seed: int, trials: int) -> list[np.ndarray]:
+    """The (p_a, q_b) marginals of each trial's product joint, in one list:
+    trial t draws its sizes, then p_a and q_b, from ``default_rng(seed + t)``."""
+    raws = []
     for t in range(trials):
         rng = _rng(seed + t)
         n_b, n_a = _random_sizes(rng)
-        draws.append((_uniform_simplex(rng, n_a), _uniform_simplex(rng, n_b)))
-    residuals = _by_shape(
-        JointStack,
-        _product_joints(draws),
-        lambda stack: np.transpose([reports.residual for reports in chain_rule_grid(stack, orders)]),
-    )
+        raws += [rng.standard_exponential(n_a), rng.standard_exponential(n_b)]
+    return _finish(raws)
+
+
+def _residuals(joints: list[np.ndarray], orders: list[float]) -> np.ndarray:
+    """The (T, G) residual of each joint at each order, from one
+    ``chain_rule_grid`` call per joint shape."""
+    return np.array(_by_shape(
+        JointStack, joints, lambda stack: np.transpose([r.residual for r in chain_rule_grid(stack, orders)])
+    ))
+
+
+def _independent_verdicts(orders: list[float], marginals: list, residuals: np.ndarray) -> list[AxiomVerdict]:
+    """``check_additivity_independent`` at each order, from the product
+    ensemble's marginals and its (T, G) residuals."""
     verdicts = []
     for order, column in zip(orders, np.abs(np.transpose(residuals))):
         undefined = np.flatnonzero(~np.isfinite(column))
@@ -339,7 +336,7 @@ def _additivity_independent(orders: list[float], seed: int, trials: int) -> list
         witness = None
         if margin < 0.0:
             t = undefined[0] if undefined.size else np.argmax(column)
-            witness = product_joint(*map(Distribution, draws[t]))
+            witness = product_joint(Distribution(marginals[2 * t]), Distribution(marginals[2 * t + 1]))
         verdicts.append(
             AxiomVerdict(
                 axiom="additivity_independent", q=order, n=MAX_SIDE, margin=margin, witness=witness
@@ -356,7 +353,9 @@ def check_additivity_independent(q: float, seed: int, trials: int) -> AxiomVerdi
     the first such joint is the witness. Raises ValueError for fewer than one
     trial or a negative seed.
     """
-    return _additivity_independent([_order(q)], seed, _trials(trials))[0]
+    q, trials = _order(q), _trials(trials)
+    marginals = _product_marginals(seed, trials)
+    return _independent_verdicts([q], marginals, _residuals(_product_joints(marginals), [q]))[0]
 
 
 def _trials(trials: int) -> int:
@@ -375,43 +374,48 @@ def _floor(mi_floor: float) -> float:
     return mi_floor
 
 
-def _sample_dependent(seed: int, indices, mi_floor: float) -> list[np.ndarray]:
-    """For each index, the (n_b, n_a) draw that ``sample_dependent_joint``
-    accepts, as drawn: the caller validates it. Each round draws attempt a
-    of every index still rejected and judges them with ``mutual_information``
-    of one JointStack per shape, which is each joint's value alone bit for
-    bit. The caller checks mi_floor with ``_floor``."""
-    if math.isnan(mi_floor) or mi_floor >= math.log(MAX_SIDE):
-        raise UnreachableFloorError(
-            mi_floor, f"is unreachable: no joint of at most {MAX_SIDE} outcomes a side "
-            f"has mutual information above ln {MAX_SIDE}"
-        )
-    accepted = {}
-    pending = list(indices)
+def _sample_dependent(requests, indices) -> list[list[np.ndarray]]:
+    """For each (seed, mi_floor) request, the (n_b, n_a) draw that
+    ``sample_dependent_joint`` accepts at each index, as drawn: the caller
+    validates it. Each round draws attempt a of each (seed, index) some
+    request still rejects, once for all of them, and judges the draws with
+    ``mutual_information`` of one JointStack per shape, each joint's value
+    alone bit for bit. The caller checks each mi_floor with ``_floor``."""
+    for seed, mi_floor in requests:
+        if math.isnan(mi_floor) or mi_floor >= math.log(MAX_SIDE):
+            raise UnreachableFloorError(
+                mi_floor, f"is unreachable: no joint of at most {MAX_SIDE} outcomes a side "
+                f"has mutual information above ln {MAX_SIDE}"
+            )
+    accepted = [{} for _ in requests]
+    pending = [list(indices) for _ in requests]
     for attempt in range(SAMPLER_ATTEMPTS):
-        if not pending:
+        streams = list(dict.fromkeys((s, i) for (s, _), waiting in zip(requests, pending) for i in waiting))
+        if not streams:
             break
-        draws = []
-        for index in pending:
+        raws = []
+        for seed, index in streams:
             rng = _rng(seed, index, attempt)
             n_b, n_a = _random_sizes(rng)
-            draws.append(_uniform_simplex(rng, n_b * n_a).reshape(n_b, n_a))
-        above = np.array(_by_shape(JointStack, draws, mutual_information)) > mi_floor
-        accepted.update((index, draw) for index, draw, ok in zip(pending, draws, above) if ok)
-        pending = [index for index, ok in zip(pending, above) if not ok]
-    if pending:
-        raise UnreachableFloorError(
-            mi_floor,
-            f"was not exceeded in {SAMPLER_ATTEMPTS} draws (seed {seed}, index {pending[0]})",
-        )
-    return [accepted[index] for index in indices]
+            raws.append(rng.standard_exponential(n_b * n_a).reshape(n_b, n_a))
+        draws = _finish(raws)
+        judged = dict(zip(streams, zip(draws, _by_shape(JointStack, draws, mutual_information))))
+        for (seed, mi_floor), done, waiting in zip(requests, accepted, pending):
+            done.update((i, judged[seed, i][0]) for i in waiting if judged[seed, i][1] > mi_floor)
+            waiting[:] = [i for i in waiting if i not in done]
+    for (seed, mi_floor), waiting in zip(requests, pending):
+        if waiting:
+            raise UnreachableFloorError(
+                mi_floor, f"was not exceeded in {SAMPLER_ATTEMPTS} draws (seed {seed}, index {waiting[0]})"
+            )
+    return [[done[index] for index in indices] for done in accepted]
 
 
 def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistribution:
     """Deterministic rejection sampler for joints with mutual information above
     mi_floor. Each attempt reseeds from (seed, index, attempt), so the stream
     for a given (seed, index) never depends on how other indices were consumed.
-    This is the one-index case of the batched sampler the suites use, which
+    This is the one-request case of the batched sampler the suites use, which
     judges every draw on a JointStack, so the accepted draw is the only
     JointDistribution it builds.
 
@@ -420,8 +424,8 @@ def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistr
     ln(MAX_SIDE), which no joint of at most MAX_SIDE outcomes per side can
     exceed, and when SAMPLER_ATTEMPTS draws all fall at or below the floor.
     """
-    draws = _sample_dependent(seed, [_non_negative(index, "index")], _floor(mi_floor))
-    return JointDistribution(draws[0])
+    index = _non_negative(index, "index")
+    return JointDistribution(_sample_dependent([(seed, _floor(mi_floor))], [index])[0][0])
 
 
 def _rate_verdict(
@@ -453,9 +457,14 @@ def check_additivity_dependent(
     ValueError for fewer than one trial, a negative seed or a negative
     mi_floor.
     """
-    q = _order(q)
-    draws = _sample_dependent(seed, range(_trials(trials)), _floor(mi_floor))
-    residuals = _by_shape(JointStack, draws, lambda stack: chain_rule_grid(stack, [q])[0].residual)
+    q, trials = _order(q), _trials(trials)
+    draws = _sample_dependent([(seed, _floor(mi_floor))], range(trials))[0]
+    return _dependent_verdict(q, draws, _residuals(draws, [q])[:, 0])
+
+
+def _dependent_verdict(q: float, draws: list[np.ndarray], residuals: np.ndarray) -> AxiomVerdict:
+    """``check_additivity_dependent`` at q, from the dependent ensemble as
+    drawn and the residual of each of its joints at q."""
     margin, witness = _rate_verdict(
         np.abs(residuals), VIOLATION_FLOOR, draws,
         "dependent joint without violation (|residual|=%.3e, trial %d): %r",
@@ -512,47 +521,42 @@ def _suite_qcalc(seed: int, trials: int) -> list[CheckResult]:
     return results
 
 
-def _inconsistency_gaps(seed: int, trials: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The dependent ensemble of the escort suite, as drawn, and the
-    construction gap of each of its joints at q = 2, in trial order."""
-    draws = _sample_dependent(seed, range(trials), 0.01)
-    gaps = _by_shape(JointStack, draws, lambda stack: _construction_gap(stack, 2.0))
-    return draws, np.array(gaps)
-
-
-def _suite_escort(seed: int, trials: int) -> list[CheckResult]:
-    # Each ensemble is drawn in full, then evaluated with one call per shape.
+def _suite_escort(seed: int, trials: int, dependent: list[list[np.ndarray]]) -> list[CheckResult]:
+    # dependent: the floor-0.01 ensembles of seed, seed + 10_000 and seed +
+    # 20_000. The products share their one call per shape with the first.
     rng = _rng(seed)
     results = []
 
+    rows = _finish(_random_rows(rng, 4 * trials))
     errors = []
-    for q in (0.3, 0.5, 2.0, 5.0):
+    for start, q in zip(range(0, 4 * trials, trials), (0.3, 0.5, 2.0, 5.0)):
         errors += _by_shape(
             DistributionStack,
-            _random_rows(rng, trials),
+            rows[start:start + trials],
             lambda p: np.abs(escort(DistributionStack(escort(p, q)), 1.0 / q) - p.weights).max(-1),
         )
     results.append(CheckResult("escort", "inverse_round_trip", 1e-10 - float(np.max(errors))))
 
-    products = _product_joints([_random_rows(_rng(seed + t), 2) for t in range(trials)])
-    gaps = _by_shape(JointStack, products, lambda stack: _construction_gap(stack, 2.0))
-    results.append(CheckResult("escort", "product_joints_consistent", 1e-9 - float(np.max(gaps))))
+    marginals = _finish([row for t in range(trials) for row in _random_rows(_rng(seed + t), 2)])
+    joints = _product_joints(marginals) + dependent[0]
+    gaps = np.array(_by_shape(JointStack, joints, lambda stack: _construction_gap(stack, 2.0)))
+    results.append(CheckResult("escort", "product_joints_consistent", 1e-9 - float(np.max(gaps[:trials]))))
 
     # The escort-consistent joints form a thin set that runs through the
     # dependent region, so a rare sampled joint lies within 1e-6 of it.
-    joints, gaps = _inconsistency_gaps(seed, trials)
     margin, _ = _rate_verdict(
-        gaps, 1e-6, joints, "dependent joint with consistent escorts (gap=%.3e, trial %d): %r"
+        gaps[trials:], 1e-6, dependent[0],
+        "dependent joint with consistent escorts (gap=%.3e, trial %d): %r",
     )
     results.append(CheckResult("escort", "dependent_joints_inconsistent", margin))
 
     # Each joint's largest error over both orders.
     def marginal_errors(r: JointStack) -> np.ndarray:
+        marginal = DistributionStack(r.weights.sum(axis=-2))
         errors = []
         for q in (0.5, 2.0):
             correct = joint_escort_correct(r, q)
-            target = escort(DistributionStack(r.weights.sum(axis=-2)), q)
-            errors.append(np.abs(correct.sum(axis=-2) - target))
+            errors.append(np.abs(correct.sum(axis=-2) - escort(marginal, q)))
         return np.max(errors, axis=(0, 2))
 
     def ratio_errors(r: JointStack) -> np.ndarray:
@@ -562,31 +566,31 @@ def _suite_escort(seed: int, trials: int) -> list[CheckResult]:
             errors.append(np.where(naive > 0, np.abs(escort_ratio(r, q) * naive - correct), 0.0))
         return np.max(errors, axis=(0, 2, 3))
 
-    draws = _sample_dependent(seed + 10_000, range(trials), 0.01)
-    worst = float(np.max(_by_shape(JointStack, draws, marginal_errors)))
+    worst = float(np.max(_by_shape(JointStack, dependent[1], marginal_errors)))
     results.append(CheckResult("escort", "correct_marginal_identity", 1e-12 - worst))
-    draws = _sample_dependent(seed + 20_000, range(trials), 0.01)
-    worst = float(np.max(_by_shape(JointStack, draws, ratio_errors)))
+    worst = float(np.max(_by_shape(JointStack, dependent[2], ratio_errors)))
     results.append(CheckResult("escort", "ratio_cross_check", 1e-10 - worst))
     return results
 
 
-def _suite_axioms(seed: int, trials: int, mi_floor: float) -> list[CheckResult]:
+def _suite_axioms(seed: int, trials: int, dependent: list[np.ndarray]) -> list[CheckResult]:
+    # dependent: the mi_floor ensemble of seed, evaluated with the products.
     results = []
     for verdict in _continuity([0.6, 2.0], n=8, seed=seed, delta=1e-4):
         results.append(CheckResult("axioms", f"continuity_q{verdict.q}", verdict.margin))
     for q in (1.0, 2.0):
         for verdict in _maximality(q, (2, 3, 4, 5)):
             results.append(CheckResult("axioms", f"maximality_q{q}_n{verdict.n}", verdict.margin))
-    rng = _rng(seed)
-    for q in (0.5, 2.0):
-        rows = _random_rows(rng, trials)
-        margins = _by_shape(DistributionStack, rows, lambda p: _expansibility_margins(q, p.weights))
+    rows = _finish(_random_rows(_rng(seed), 2 * trials))
+    for q, part in zip((0.5, 2.0), (rows[:trials], rows[trials:])):
+        margins = _by_shape(DistributionStack, part, lambda p: _expansibility_margins(q, p.weights))
         results.append(CheckResult("axioms", f"expansibility_q{q}", float(np.min(margins))))
-    for verdict in _additivity_independent([0.5, 2.0], seed, trials):
+    marginals = _product_marginals(seed, trials)
+    residuals = _residuals(_product_joints(marginals) + dependent, [0.5, 2.0])
+    for verdict in _independent_verdicts([0.5, 2.0], marginals, residuals[:trials]):
         name = f"additivity_independent_q{verdict.q}"
         results.append(CheckResult("axioms", name, verdict.margin))
-    verdict = check_additivity_dependent(2.0, seed, trials, mi_floor)
+    verdict = _dependent_verdict(2.0, dependent, residuals[trials:, 1])
     results.append(CheckResult("axioms", "additivity_dependent_q2", verdict.margin))
     return results
 
@@ -595,20 +599,24 @@ def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> 
     """Run one verification suite (or all of them) and collect the results.
 
     mi_floor is the floor of the axioms suite's dependent ensemble; the
-    escort suite's three ensembles keep their fixed floor of 0.01. Raises
-    ValueError for an unknown suite name, fewer than one trial, a negative
-    seed or a negative mi_floor, as ``verify`` refuses them.
+    escort suite's three ensembles keep their fixed floor of 0.01. The
+    dependent ensembles of the suites run are drawn first, in one sampler
+    pass. Raises ValueError for an unknown suite name, fewer than one
+    trial, a negative seed or a negative mi_floor, as ``verify`` refuses them.
     """
     _trials(trials)
     _non_negative(seed, "seed")
     _floor(mi_floor)
-    suites = {
-        "qcalc": lambda: _suite_qcalc(seed, trials),
-        "escort": lambda: _suite_escort(seed, trials),
-        "axioms": lambda: _suite_axioms(seed, trials, mi_floor),
-    }
+    suites = ("qcalc", "escort", "axioms")
     if name not in (*suites, "all"):
         raise ValueError(f"invalid suite {name!r} (choose from 'qcalc', 'escort', 'axioms', 'all')")
-    if name == "all":
-        return [result for suite in suites.values() for result in suite()]
-    return suites[name]()
+    chosen = suites if name == "all" else (name,)
+    requests = [(seed + offset, 0.01) for offset in (0, 10_000, 20_000)] * ("escort" in chosen)
+    requests += [(seed, mi_floor)] * ("axioms" in chosen)
+    ensembles = _sample_dependent(requests, range(trials))
+    results = _suite_qcalc(seed, trials) if "qcalc" in chosen else []
+    if "escort" in chosen:
+        results += _suite_escort(seed, trials, ensembles[:3])
+    if "axioms" in chosen:
+        results += _suite_axioms(seed, trials, ensembles[-1])
+    return results

@@ -144,6 +144,9 @@ def _table(
 def cmd_entropy(args: argparse.Namespace) -> int:
     data = _load_weights(args.input, "p", 'a "p" array')
     p = Distribution(data["p"])
+    for q in args.q:
+        if not math.isfinite(1 / q):
+            raise EscortropyError(f"order q={q!r} has no finite reciprocal order for renyi_1_over_q")
     h = shannon(p)
     values = np.array([[h, renyi(p, 1 / q), tsallis(p, q), hybrid(p, q), aczel_daroczy(p, q)] for q in args.q])
     columns = ["q", "shannon", "renyi_1_over_q", "tsallis", "hybrid", "aczel_daroczy"]

@@ -250,6 +250,35 @@ def _uniform_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
     return e * (1.0 / e.cumsum()[-1])
 
 
+def _finish(raws: list[np.ndarray]) -> list[np.ndarray]:
+    """Each raw draw of standard exponentials, of any shape, times the
+    reciprocal of the in-order sum of its cells, in one stacked pass per
+    shape. An accumulate runs along each row alone, so every draw has the
+    bits ``_uniform_simplex`` gives from the generator state it came from."""
+    def divide(e: np.ndarray) -> np.ndarray:
+        flat = e.reshape(len(e), -1)
+        return (flat * (1.0 / flat.cumsum(axis=1)[:, -1:])).reshape(e.shape)
+
+    return _by_shape(np.array, raws, divide)
+
+
+def _by_shape(make_stack, items: list[np.ndarray], evaluate) -> list:
+    """``evaluate(make_stack(group))`` for each group of items of one shape,
+    in order of first appearance, and row t of its result for each item t,
+    in item order. DistributionStack and JointStack validate each item as
+    Distribution or JointDistribution validates it alone, with the same
+    bits, and every evaluation the package runs this way sums over the last
+    axes of one item, so each row is that of its item alone."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for t, item in enumerate(items):
+        by_shape.setdefault(item.shape, []).append(t)
+    rows = [None] * len(items)
+    for members in by_shape.values():
+        for t, row in zip(members, evaluate(make_stack([items[t] for t in members]))):
+            rows[t] = row
+    return rows
+
+
 def random_distribution(n: int, seed: int) -> Distribution:
     """A seeded draw from the uniform law on the n-simplex, deterministic for
     fixed (n, seed)."""
@@ -260,15 +289,15 @@ def random_distribution(n: int, seed: int) -> Distribution:
 
 def random_joint(n_b: int, n_a: int, seed: int) -> JointDistribution:
     """A seeded uniform draw on the (n_b * n_a)-simplex, reshaped to a joint."""
-    return JointDistribution(_dirichlet_joint(n_b, n_a, seed))
+    return JointDistribution(_finish([_exponentials(n_b, n_a, seed)])[0])
 
 
 def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
     """``random_joint(n_b, n_a, s)`` for each seed s, as one stack."""
-    return JointStack([_dirichlet_joint(n_b, n_a, s) for s in seeds])
+    return JointStack(_finish([_exponentials(n_b, n_a, s) for s in seeds]))
 
 
-def _dirichlet_joint(n_b: int, n_a: int, seed: int) -> np.ndarray:
+def _exponentials(n_b: int, n_a: int, seed: int) -> np.ndarray:
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
-    return _uniform_simplex(_rng(seed), n_b * n_a).reshape(n_b, n_a)
+    return _rng(seed).standard_exponential(n_b * n_a).reshape(n_b, n_a)

@@ -8,6 +8,7 @@ from escortropy import (
     AxiomVerdict,
     Distribution,
     JointDistribution,
+    JointStack,
     UnreachableFloorError,
     chain_rule_report,
     check_additivity_dependent,
@@ -22,6 +23,7 @@ from escortropy import (
     sample_dependent_joint,
 )
 from escortropy import axioms
+from escortropy.escort import _construction_gap
 from escortropy.axioms import CheckResult, run_suite
 from escortropy.entropies import hybrid_rows
 
@@ -423,7 +425,7 @@ def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
 @pytest.mark.parametrize("floor", [0.01, 0.05])
 def test_batched_sampler_is_the_lone_index_sampler(floor):
     seed, count = 1, 60
-    draws = axioms._sample_dependent(seed, range(count), floor)
+    [draws] = axioms._sample_dependent([(seed, floor)], range(count))
     attempts = []
     for index, draw in enumerate(draws):
         expected, attempt = oracles.sample_dependent_joint(seed, index, floor)
@@ -435,8 +437,48 @@ def test_batched_sampler_is_the_lone_index_sampler(floor):
     assert max(attempts) > 0
     # An index's draw does not depend on which other indices share its rounds.
     picked = [attempts.index(max(attempts)), 0, attempts.index(max(attempts))]
-    for index, draw in zip(picked, axioms._sample_dependent(seed, picked, floor)):
+    [again] = axioms._sample_dependent([(seed, floor)], picked)
+    for index, draw in zip(picked, again):
         assert draw.tobytes() == draws[index].tobytes()
+
+
+def test_requests_sharing_a_sampler_pass_draw_their_lone_draws():
+    # Two floors on one seed share each stream their rounds both reach; a
+    # third request on another seed shares the rounds only.
+    requests, count = [(1, 0.01), (1, 0.05), (2, 0.01)], 60
+    shared = axioms._sample_dependent(requests, range(count))
+    for request, draws in zip(requests, shared):
+        [alone] = axioms._sample_dependent([request], range(count))
+        assert [draw.tobytes() for draw in draws] == [draw.tobytes() for draw in alone]
+
+
+def test_a_suite_request_builds_each_sampler_stream_once(monkeypatch):
+    # The escort suite's first ensemble and the axioms suite's ensemble both
+    # draw from the request seed; each (seed, index, attempt) stream is built
+    # once and judged against both floors.
+    streams = []
+    rng = axioms._rng
+
+    def recorded(seed, *stream):
+        if stream:
+            streams.append((seed, *stream))
+        return rng(seed, *stream)
+
+    monkeypatch.setattr(axioms, "_rng", recorded)
+    run_suite("all", 0, 50)
+    assert {seed for seed, _, _ in streams} == {0, 10_000, 20_000}
+    assert len(set(streams)) == len(streams)
+
+
+@pytest.mark.parametrize("seed", [0, 8000019])
+def test_all_suites_are_each_suite_alone(seed):
+    # At mi_floor 0.01 the axioms suite's dependent ensemble is the escort
+    # suite's first one, drawn once for both.
+    def margins(results):
+        return [(r.suite, r.check, r.margin.hex()) for r in results]
+
+    alone = [r for name in ("qcalc", "escort", "axioms") for r in run_suite(name, seed, 200, 0.01)]
+    assert margins(run_suite("all", seed, 200, mi_floor=0.01)) == margins(alone)
 
 
 def test_continuity_matches_the_per_probe_loop():
@@ -498,6 +540,14 @@ def test_maximality_over_sizes_is_each_size_alone(q):
         assert verdict.witness.weights.tobytes() == alone.witness.weights.tobytes()
 
 
+def _escort_dependent_gaps(seed, trials):
+    """The escort suite's first dependent ensemble, as drawn, and the
+    construction gap at q = 2 of each joint, one JointStack per shape."""
+    [joints] = axioms._sample_dependent([(seed, 0.01)], range(trials))
+    gaps = axioms._by_shape(JointStack, joints, lambda stack: _construction_gap(stack, 2.0))
+    return joints, np.array(gaps)
+
+
 @pytest.mark.parametrize("seed", [0, 12345, 8000019])
 def test_run_suite_matches_the_per_draw_loops(seed):
     trials = 200
@@ -511,7 +561,7 @@ def test_run_suite_matches_the_per_draw_loops(seed):
     for result in results:
         if result.check == "dependent_joints_inconsistent":
             # The check is a rate now; its per-joint gaps are the reference's.
-            _, batched = axioms._inconsistency_gaps(seed, trials)
+            _, batched = _escort_dependent_gaps(seed, trials)
             assert [g.hex() for g in batched.tolist()] == [g.hex() for g in gaps]
             rate = sum(g > 1e-6 for g in gaps) / trials
             assert repr(result.margin) == repr(rate - 0.99)
@@ -530,7 +580,7 @@ def test_dependent_joints_inconsistent_is_a_rate(caplog):
     check = results["dependent_joints_inconsistent"]
     assert check.passed
     assert check.margin == 199 / 200 - 0.99
-    joints, gaps = axioms._inconsistency_gaps(seed, 200)
+    joints, gaps = _escort_dependent_gaps(seed, 200)
     assert np.flatnonzero(gaps <= 1e-6).tolist() == [74]
     assert 0.0 < gaps[74] < 1e-6
     assert [record.getMessage() for record in caplog.records] == [

@@ -163,6 +163,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         ({"r": [[True], [False]]}, ["chain", "--q", "2"]),
         ({"p": [True, 0.0]}, ["entropy", "--q", "2"]),
         ({"r": [[0.25, False], [0.5, 0.25]]}, ["chain", "--q", "2"]),
+        ({"p": [0.5, 0.5]}, ["entropy", "--q", "2,5e-324"]),
+        ({"p": [0.5, 0.5]}, ["entropy", "--q", "1e-310"]),
     ],
     ids=[
         "nan-weight",
@@ -183,6 +185,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "boolean-joint",
         "boolean-among-numbers",
         "boolean-among-numbers-joint",
+        "entropy-reciprocal-overflows-5e-324",
+        "entropy-reciprocal-overflows-1e-310",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):

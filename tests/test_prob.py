@@ -25,7 +25,7 @@ from escortropy import (
 )
 import escortropy as ep
 from escortropy.entropies import aczel_daroczy_rows, hybrid_rows
-from escortropy.prob import _marginal_and_conditional, _uniform_simplex
+from escortropy.prob import _finish, _marginal_and_conditional, _uniform_simplex
 
 import oracles
 
@@ -266,6 +266,24 @@ def test_uniform_simplex_is_numpys_all_ones_dirichlet():
         for k in range(1, 65):
             assert _uniform_simplex(ours, k).tobytes() == numpys.dirichlet(np.ones(k)).tobytes()
         assert ours.random() == numpys.random()
+
+
+def test_finish_is_uniform_simplex_for_each_draw_of_mixed_shapes():
+    # Draws of one shape share a stacked pass, so each shape recurs among
+    # the others, and every draw keeps the bits of its lone finish.
+    shapes = [(k,) for k in range(1, 65)] + [(b, a) for b in range(1, 9) for a in range(1, 9)]
+    for seed in range(40):
+        picks = np.random.default_rng(seed).integers(len(shapes), size=300)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        raws, expected = [], []
+        for shape in (shapes[i] for i in picks.tolist()):
+            cells = int(np.prod(shape))
+            raws.append(ours.standard_exponential(cells).reshape(shape))
+            expected.append(_uniform_simplex(reference, cells).reshape(shape))
+        finished = _finish(raws)
+        assert [w.shape for w in finished] == [w.shape for w in expected]
+        assert [w.tobytes() for w in finished] == [w.tobytes() for w in expected]
+        assert ours.random() == reference.random()
 
 
 def test_random_draws_are_the_seeded_dirichlet_draws():
