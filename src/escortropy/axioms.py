@@ -320,9 +320,7 @@ def _product_marginals(seed: int, trials: int) -> list[np.ndarray]:
 def _residuals(joints: list[np.ndarray], orders: list[float]) -> np.ndarray:
     """The (T, G) residual of each joint at each order, from one
     ``chain_rule_grid`` call per joint shape."""
-    return np.array(_by_shape(
-        JointStack, joints, lambda stack: np.transpose([r.residual for r in chain_rule_grid(stack, orders)])
-    ))
+    return np.array(_by_shape(JointStack, joints, lambda stack: chain_rule_grid(stack, orders).residual.T))
 
 
 def _independent_verdicts(orders: list[float], marginals: list, residuals: np.ndarray) -> list[AxiomVerdict]:

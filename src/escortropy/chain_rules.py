@@ -24,19 +24,21 @@ some escort-inconsistent joints it vanishes at one order, on others, such as
 exponential tilt ``corrected_conditional`` closes the residual exactly.
 
 ``chain_rule_grid`` is the one evaluation path, for a stack of T joints of
-one shape and a grid of orders. Its q-independent passes run once per grid.
-The orders run in chunks of G, one kernel pass per chunk, with G as large as
-keeps a pass within PASS_CELLS cells (orders times joints times cells per
-joint); a stack above that budget runs one order a pass. In a pass only
-r_{k|l}, p and their extremes are raised to the q-th power, each order's
-power a scalar power stacked along a leading order axis; every other step
-runs once on (G, T, ...) arrays, and each field is a (G, T) sum over the A
-columns, with no joint escort matrix formed.
-``chain_rule_report`` is row 0 of the grid of one joint at one order. Each
-joint's sums run over its own two axes in the same order whatever else is in
-the stack, so a joint's fields have the same bits in any stack and at any
-position of any grid. Read the fields you need from one ``chain_rule_report``,
-and call ``chain_rule_grid`` once for many joints or many orders.
+one shape and a grid of G orders, and returns one ``ChainRuleReports`` of
+(G, T) fields. Its q-independent passes run once per grid. The orders run in
+chunks, one kernel pass per chunk, each chunk as large as keeps a pass within
+PASS_CELLS cells (orders times joints times cells per joint) and one order
+for a stack above that budget; every pass has a leading order axis, a chunk
+of one order included. In a pass only r_{k|l}, p and their extremes are
+raised to the q-th power, each order's power a scalar power stacked along
+the order axis; every other step runs once on (G, T, ...) arrays, and each
+field is a (G, T) sum over the A columns, with no joint escort matrix formed.
+``chain_rule_report`` is entry [0, 0] of the grid of one joint at one order.
+Each joint's sums run over its own two axes in the same order whatever else
+is in the stack, so a joint's fields have the same bits in any stack and at
+any position of any grid. Read the fields you need from one
+``chain_rule_report``, and call ``chain_rule_grid`` once for many joints or
+many orders.
 
 All intermediate arithmetic is done in the additive scale and converted to the
 deformed scale only at the boundary, which avoids compounding exponentials.
@@ -102,24 +104,23 @@ _VALUES = tuple(field.name for field in fields(ChainRuleReport))[1:]
 
 @dataclass(frozen=True, eq=False)
 class ChainRuleReports(ChainRuleReport):
-    """The ChainRuleReport fields of a stack of T joints at one q.
+    """The ChainRuleReport fields of a stack of T joints at a grid of G orders.
 
-    Each value field is a (T,) array whose entry t belongs to joint t, and
-    ``reports[t]`` is joint t's ChainRuleReport.
+    ``q`` is the (G,) array of the orders. Each value field is a (G, T) array
+    whose entry [g, t] belongs to joint t at order q[g], and
+    ``reports[g, t]`` is that pair's ChainRuleReport.
     """
 
-    def __len__(self) -> int:
-        return len(self.joint_entropy)
-
-    def __getitem__(self, t: int) -> ChainRuleReport:
-        return ChainRuleReport(self.q, *(float(getattr(self, name)[t]) for name in _VALUES))
+    def __getitem__(self, index: tuple[int, int]) -> ChainRuleReport:
+        g, t = index
+        return ChainRuleReport(float(self.q[g]), *(float(getattr(self, name)[g, t]) for name in _VALUES))
 
 
 def _order_free(w: np.ndarray) -> tuple:
     """The q-independent passes over validated joint weights: p, -ln p,
     r_{k|l}, ln(r_{k|l} / m_l), m_l, -ln m_l with m_l the largest r_{k|l} of
     column l, the index of the largest p_l in an array of column values
-    with or without a leading order axis, and each row's min and max over
+    with a leading order axis, and each row's min and max over
     the columns; x^q keeps every max, min and argmax. Raises
     ZeroMarginalColumnError when some p_l is 0."""
     p, cond = _marginal_and_conditional(w)
@@ -129,17 +130,15 @@ def _order_free(w: np.ndarray) -> tuple:
     return p, -np.log(p), cond, _masked_log(cond / top), top, -np.log(top), lead, extremes
 
 
-def _evaluate(passes: tuple, orders: float | list[float]) -> tuple:
-    """The ten value fields of ChainRuleReport, in order, from the
-    ``_order_free`` passes over a (T, n_b, n_a) stack: (T,) arrays at one
-    order, or (G, T) arrays whose row g belongs to orders[g] for a list of
-    G orders. For a list, each order's q-th powers are scalar powers stacked
-    along a leading order axis, so they keep their bits, and every other
-    step runs once for all G orders."""
+def _evaluate(passes: tuple, orders: list[float]) -> tuple:
+    """The ten value fields of ChainRuleReport, in order, as (G, T) arrays
+    whose row g belongs to orders[g], from the ``_order_free`` passes over a
+    (T, n_b, n_a) stack and a list of G >= 1 orders. Each order's q-th powers
+    are scalar powers stacked along a leading order axis, so they keep their
+    bits, and every other step runs once for all G orders."""
     p, neg_log_p, cond, log_rel, top, neg_log_top, lead, extremes = passes
-    # A list of orders broadcasts as a (G, 1, 1, 1) column over the stacked powers.
-    stacked = isinstance(orders, list)
-    q = np.array(orders)[:, None, None, None] if stacked else orders
+    # The orders broadcast as a (G, 1, 1, 1) column over the stacked powers.
+    q = np.array(orders)[:, None, None, None]
     # No branch at q = 1: there every power is the identity, each column
     # power sum S_l is 1 up to rounding, and s_gap, gap and the bounds vanish.
     cond_q, col_sums = _power_sums(cond, orders, -2)
@@ -172,37 +171,35 @@ def _evaluate(passes: tuple, orders: float | list[float]) -> tuple:
 
     # The tilt subtracts s_gap / q in the additive scale and is mapped back
     # once, so no two exponentially large terms cancel.
-    q = q[:, :, 0, 0] if stacked else q
+    q = q[..., 0, 0]
     deformed = kn_map_inv(np.array([joint_ad, marginal_ad, axiomatic, axiomatic - s_gap / q]), q)
     residual, corrected = deformed[0] - q_add(deformed[1], deformed[2:], q)
     chain = joint_ad - marginal_ad
     return joint_ad, marginal_ad, chain, axiomatic, gap, s_gap, lower, upper, residual, corrected
 
 
-def chain_rule_grid(r: JointDistribution | JointStack, q_grid) -> list[ChainRuleReports]:
+def chain_rule_grid(r: JointDistribution | JointStack, q_grid) -> ChainRuleReports:
     """Evaluate every quantity of the additivity analysis for a stack of
     joints at each order of a grid.
 
-    A lone JointDistribution is read as a stack of one joint. Entry i holds
-    the reports at ``q_grid[i]``, and its row t equals ``chain_rule_report``
-    of joint t at that order bit for bit. The q-independent passes run once
-    for the whole grid; the orders are evaluated in chunks, one kernel pass
-    each, of as many orders as keep a pass within PASS_CELLS cells, and one
-    order a pass for a stack above it. Raises ZeroMarginalColumnError when an
-    A outcome of some joint has zero probability.
+    A lone JointDistribution is read as a stack of one joint. The result's
+    ``q`` is the (G,) array of the orders, each value field is a (G, T)
+    array, and entry [g, t] equals ``chain_rule_report`` of joint t at
+    ``q_grid[g]`` bit for bit. The q-independent passes run once for the
+    whole grid; the orders are evaluated in chunks, one kernel pass each, of
+    as many orders as keep a pass within PASS_CELLS cells, and one order a
+    pass for a stack above it. Raises ZeroMarginalColumnError when an A
+    outcome of some joint has zero probability, and ValueError for an empty
+    grid.
     """
     orders = [_order(q) for q in q_grid]
+    if not orders:
+        raise ValueError("the grid of orders is empty")
     w = r.weights
     passes = _order_free(w[None] if w.ndim == 2 else w)
     step = max(1, PASS_CELLS // w.size)
-    grid = []
-    for start in range(0, len(orders), step):
-        chunk = orders[start : start + step]
-        if len(chunk) == 1:  # (T,) fields, with no order axis to split
-            grid.append(ChainRuleReports(chunk[0], *_evaluate(passes, chunk[0])))
-        else:
-            grid += map(ChainRuleReports, chunk, *_evaluate(passes, chunk))
-    return grid
+    chunks = [_evaluate(passes, orders[start : start + step]) for start in range(0, len(orders), step)]
+    return ChainRuleReports(np.array(orders), *map(np.concatenate, zip(*chunks)))
 
 
 def chain_rule_report(r: JointDistribution, q: float) -> ChainRuleReport:
@@ -212,9 +209,9 @@ def chain_rule_report(r: JointDistribution, q: float) -> ChainRuleReport:
     q`` holds by algebra; the direct-formula oracles check both. Raises
     ZeroMarginalColumnError when an A outcome has zero probability, since
     conditioning on it is undefined.
-    This is row 0 of ``chain_rule_grid`` on r.
+    This is entry [0, 0] of ``chain_rule_grid`` on r at the one order q.
     """
-    return chain_rule_grid(r, [q])[0][0]
+    return chain_rule_grid(r, [q])[0, 0]
 
 
 def corrected_conditional(r: JointDistribution, q: float) -> float:

@@ -25,7 +25,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import EscortropyError
+from .errors import EscortropyError, MalformedWeightsError
 from .prob import (
     Distribution,
     JointDistribution,
@@ -92,7 +92,10 @@ def _mi_floor(text: str) -> float:
 def _load_weights(path: str, key: str, expected: str) -> dict:
     """The JSON object of path, which must hold weights under key."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:  # the decoder recurses once per nested array
+            raise MalformedWeightsError(f"cannot parse input: {path}: arrays nested too deeply") from exc
     if not isinstance(data, dict) or key not in data:
         raise EscortropyError(f"{path}: expected a JSON object with {expected}")
     return data
@@ -165,7 +168,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
         joint = reduced
     mi = mutual_information(joint)
     grid = chain_rule_grid(joint, args.q)
-    values = np.array([[getattr(reports, c)[0] for c in CHAIN_COLUMNS[1:]] for reports in grid])
+    values = np.column_stack([getattr(grid, c)[:, 0] for c in CHAIN_COLUMNS[1:]])
     notes = ["# dropped zero-marginal columns: " + ",".join(map(str, dropped))] if dropped else []
     notes.append("# mutual_information " + fmt(mi))
     extra = {"mutual_information": mi, "dropped_columns": list(dropped)}
@@ -214,7 +217,8 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
         joints = random_joints(n_b, n_a, seeds)
         mi = mutual_information(joints)
         grid = chain_rule_grid(joints, q_grid)
-        values = np.array([[mi, *(getattr(reports, name) for name in SWEEP_FIELDS)] for reports in grid])
+        columns = [np.broadcast_to(mi, grid.residual.shape), *(getattr(grid, f) for f in SWEEP_FIELDS)]
+        values = np.stack(columns, axis=1)  # (orders, fields, trials)
         _finite(q_grid, names, values)
         rows = _lines(values.transpose(2, 0, 1).reshape(-1, len(names)), ",")
         lines += [f"{s},{head},{row}" for (s, head), row in zip(itertools.product(seeds, heads), rows)]

@@ -32,17 +32,19 @@ def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
     numbers whose items, the cells over axes, each sum to 1 within EPS_NORM
     and are divided by their own sum. Booleans and strings are not numbers:
     an array's dtype shows them, and a list or tuple is scanned for booleans
-    once, since numpy reads one beside numbers as 0 or 1.
+    once, since numpy reads one beside numbers as 0 or 1. numpy refuses
+    lists nested deeper than its array dimensions before that scan recurses
+    into them, and integers beyond the double range.
     The array is made C-contiguous first, so an item's sum is the pairwise
     sum of its flat cells in any layout, alone as in a stack."""
     try:
+        w = np.asarray(values)
         if isinstance(values, (list, tuple)) and _holds_boolean(values):
             raise TypeError("booleans are not numbers")
-        w = np.asarray(values)
         if w.dtype.kind in "bUS":
             raise TypeError("booleans and strings are not numbers")
         w = np.asarray(w, dtype=float, order="C")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedWeightsError(f"weights must be an array of numbers: {exc}") from exc
     if w.ndim != ndim or w.size == 0:
         raise MalformedWeightsError(f"expected a non-empty {ndim}-d array, got shape {w.shape}")

@@ -63,11 +63,9 @@ def kn_map_inv(x, q):
     where that order is 1, with the bits of a call at that order alone.
     """
     one_m_q = _one_minus(q)
-    if isinstance(one_m_q, np.ndarray):
+    if isinstance(x, np.ndarray) or isinstance(one_m_q, np.ndarray):
         unit = one_m_q == 0.0
         return np.where(unit, x, np.expm1(one_m_q * x) / np.where(unit, 1.0, one_m_q))
-    if isinstance(x, np.ndarray):
-        return np.expm1(one_m_q * x) / one_m_q if one_m_q else x.astype(float)
     return math.expm1(one_m_q * x) / one_m_q if one_m_q else float(x)
 
 

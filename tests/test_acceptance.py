@@ -97,7 +97,7 @@ def grid_instances(weights, q_grid):
     for members in by_shape.values():
         grid = chain_rule_grid(JointStack([weights[t] for t in members]), q_grid)
         for i, t in enumerate(members):
-            rows[t] = [reports[i] for reports in grid]
+            rows[t] = [grid[g, i] for g in range(len(q_grid))]
     return [
         (joint, q, report)
         for joint, reports in zip(map(JointDistribution, weights), rows)

@@ -384,9 +384,10 @@ def joint_stack(shape, seed, count=5):
 @pytest.mark.parametrize("q", [2, np.float64(2.0), np.float32(0.5)])
 def test_report_orders_are_builtin_floats(q):
     report = chain_rule_report(DEPENDENT, q)
-    reports = chain_rule_grid(JointStack([DEPENDENT_CELLS]), [q])[0]
-    assert type(report.q) is type(reports.q) is type(reports[0].q) is float
-    assert report.q == reports.q == float(q)
+    reports = chain_rule_grid(JointStack([DEPENDENT_CELLS]), [q])
+    assert type(report.q) is type(reports.q.tolist()[0]) is type(reports[0, 0].q) is float
+    assert reports.q.dtype == np.float64
+    assert report.q == reports.q[0] == float(q)
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -396,19 +397,19 @@ def test_stack_rows_equal_lone_reports_bit_for_bit(shape):
     # passes.
     weights = joint_stack(shape, seed=10 * shape[0] + shape[1])
     grid = chain_rule_grid(JointStack(weights), KERNEL_ORDERS)
-    assert [reports.q for reports in grid] == KERNEL_ORDERS
-    for q, from_grid in zip(KERNEL_ORDERS, grid):
-        reports = chain_rule_grid(JointStack(weights), [q])[0]
-        assert len(reports) == len(from_grid) == len(weights)
+    assert grid.q.tolist() == KERNEL_ORDERS
+    for g, q in enumerate(KERNEL_ORDERS):
+        reports = chain_rule_grid(JointStack(weights), [q])
+        assert reports.residual.shape[1] == grid.residual.shape[1] == len(weights)
         for t, w in enumerate(weights):
             lone = chain_rule_report(JointDistribution(w), q)
-            row = reports[t]
+            row = reports[0, t]
             assert row.q == lone.q
             for name in VALUE_FIELDS:
                 expected = getattr(lone, name).hex()
                 assert getattr(row, name).hex() == expected, (q, t, name)
-                assert float(getattr(reports, name)[t]).hex() == expected, (q, t, name)
-                assert getattr(from_grid[t], name).hex() == expected, (q, t, name)
+                assert float(getattr(reports, name)[0, t]).hex() == expected, (q, t, name)
+                assert getattr(grid[g, t], name).hex() == expected, (q, t, name)
 
 
 def record_passes(monkeypatch):
@@ -417,7 +418,7 @@ def record_passes(monkeypatch):
     evaluate = chain_rules._evaluate
 
     def counted(passes, orders):
-        sizes.append(len(orders) if isinstance(orders, list) else 1)
+        sizes.append(len(orders))
         return evaluate(passes, orders)
 
     monkeypatch.setattr(chain_rules, "_evaluate", counted)
@@ -427,16 +428,16 @@ def record_passes(monkeypatch):
 @pytest.mark.parametrize("per_pass, sizes", [(1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (7, [7])])
 def test_a_grid_split_over_passes_gets_the_bits_of_one_order_a_call(monkeypatch, per_pass, sizes):
     weights = joint_stack((4, 3), seed=43)
-    lone = [chain_rule_grid(JointStack(weights), [q])[0] for q in KERNEL_ORDERS]
+    lone = [chain_rule_grid(JointStack(weights), [q]) for q in KERNEL_ORDERS]
     monkeypatch.setattr(chain_rules, "PASS_CELLS", per_pass * weights.size)
     passes = record_passes(monkeypatch)
     grid = chain_rule_grid(JointStack(weights), KERNEL_ORDERS)
     assert passes == sizes
-    for q, reports, expected in zip(KERNEL_ORDERS, grid, lone):
-        assert reports.q == expected.q == q
+    for g, (q, expected) in enumerate(zip(KERNEL_ORDERS, lone)):
+        assert grid.q[g] == expected.q[0] == q
         for name in VALUE_FIELDS:
             for t in range(len(weights)):
-                got, want = getattr(reports, name)[t], getattr(expected, name)[t]
+                got, want = getattr(grid, name)[g, t], getattr(expected, name)[0, t]
                 assert float(got).hex() == float(want).hex(), (q, t, name)
 
 
@@ -444,8 +445,26 @@ def test_a_joint_above_the_pass_budget_runs_one_order_a_pass(monkeypatch):
     n_b, n_a = 256, 257
     assert n_b * n_a > chain_rules.PASS_CELLS
     passes = record_passes(monkeypatch)
-    chain_rule_grid(random_joint(n_b, n_a, 7), [0.5, 1.0, 2.0])
+    orders = [0.5, 1.0, 2.0]
+    grid = chain_rule_grid(random_joint(n_b, n_a, 7), orders)
     assert passes == [1, 1, 1]
+    assert grid.q.tolist() == orders
+    for name in VALUE_FIELDS:
+        assert getattr(grid, name).shape == (len(orders), 1), name
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("orders", [KERNEL_ORDERS[:1], KERNEL_ORDERS], ids=["one-order", "seven-orders"])
+def test_every_field_of_a_grid_is_orders_by_joints(orders, count):
+    grid = chain_rule_grid(JointStack(joint_stack((4, 3), seed=5)[:count]), orders)
+    assert grid.q.tolist() == orders
+    for name in VALUE_FIELDS:
+        assert getattr(grid, name).shape == (len(orders), count), name
+
+
+def test_an_empty_grid_of_orders_is_refused():
+    with pytest.raises(ValueError, match="empty"):
+        chain_rule_grid(DEPENDENT, [])
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -456,7 +475,7 @@ def test_stack_fields_agree_with_oracles(shape):
     # deformed joint entropy, too, which they are differences of.
     weights = joint_stack(shape, seed=100 + 10 * shape[0] + shape[1])
     for q in KERNEL_ORDERS:
-        reports = chain_rule_grid(JointStack(weights), [q])[0]
+        reports = chain_rule_grid(JointStack(weights), [q])
         for t, w in enumerate(weights):
             expected = oracles.chain_rule_fields(w, q)
             deformed_joint = abs(oracles.kn_map_inv(expected["joint_entropy"], q))
@@ -464,7 +483,7 @@ def test_stack_fields_agree_with_oracles(shape):
                 scale = max(1.0, abs(value))
                 if name.endswith("residual"):
                     scale = max(scale, deformed_joint)
-                got = float(getattr(reports, name)[t])
+                got = float(getattr(reports, name)[0, t])
                 assert abs(got - value) <= 1e-12 * scale, (q, t, name, got, value)
 
 
@@ -482,10 +501,10 @@ def test_gap_and_s_gap_keep_nine_digits_against_50_digits(shape):
     weights = np.random.default_rng(n_b * n_a).dirichlet(np.ones(n_b * n_a), size=5)
     weights = weights.reshape(5, n_b, n_a)
     grid = chain_rule_grid(JointStack(weights), ACCURACY_ORDERS)
-    for q, reports in zip(ACCURACY_ORDERS, grid):
+    for g, q in enumerate(ACCURACY_ORDERS):
         for t, w in enumerate(weights):
             reference = float(oracles.mp_chain_rule_fields(w, q)["s_gap"])
-            for name, value in (("s_gap", reports.s_gap[t]), ("q * gap", q * reports.gap[t])):
+            for name, value in (("s_gap", grid.s_gap[g, t]), ("q * gap", q * grid.gap[g, t])):
                 assert abs(value - reference) <= 1e-9 * abs(reference), (q, t, name, value)
 
 
@@ -565,10 +584,10 @@ def test_a_column_whose_naive_escort_underflows_keeps_every_field_finite(name):
 def test_a_lone_joint_is_read_as_a_stack_of_one():
     lone = chain_rule_grid(DEPENDENT, KERNEL_ORDERS)
     stacked = chain_rule_grid(JointStack([DEPENDENT_CELLS]), KERNEL_ORDERS)
-    for reports, expected in zip(lone, stacked):
-        assert len(reports) == 1
+    assert lone.residual.shape == (len(KERNEL_ORDERS), 1)
+    for g in range(len(KERNEL_ORDERS)):
         for name in VALUE_FIELDS:
-            assert getattr(reports, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert getattr(lone, name)[g].tobytes() == getattr(stacked, name)[g].tobytes(), name
 
 
 def _nan_cell(w):
@@ -601,7 +620,7 @@ def test_stack_rejects_what_the_lone_path_rejects(spoil):
     with pytest.raises(EscortropyError) as lone:
         chain_rule_report(JointDistribution(weights[2]), 2.0)
     with pytest.raises(EscortropyError) as stacked:
-        chain_rule_grid(JointStack(weights), [2.0])[0]
+        chain_rule_grid(JointStack(weights), [2.0])
     with pytest.raises(EscortropyError) as gridded:
         chain_rule_grid(JointStack(weights), KERNEL_ORDERS)
     assert type(stacked.value) is type(gridded.value) is type(lone.value)

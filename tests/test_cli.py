@@ -165,6 +165,10 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         ({"r": [[0.25, False], [0.5, 0.25]]}, ["chain", "--q", "2"]),
         ({"p": [0.5, 0.5]}, ["entropy", "--q", "2,5e-324"]),
         ({"p": [0.5, 0.5]}, ["entropy", "--q", "1e-310"]),
+        ({"p": [10**400, 0.5]}, ["entropy", "--q", "2"]),
+        ({"r": [[10**400, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2"]),
+        (b'{"p": ' + b"[" * 900 + b"0.5" + b"]" * 900 + b"}", ["entropy", "--q", "2"]),
+        (b'{"p": ' + b"[" * 5000 + b"0.5" + b"]" * 5000 + b"}", ["entropy", "--q", "2"]),
     ],
     ids=[
         "nan-weight",
@@ -187,6 +191,10 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "boolean-among-numbers-joint",
         "entropy-reciprocal-overflows-5e-324",
         "entropy-reciprocal-overflows-1e-310",
+        "integer-beyond-the-double-range",
+        "integer-beyond-the-double-range-joint",
+        "nested-900-deep",
+        "nested-5000-deep",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):

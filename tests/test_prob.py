@@ -169,21 +169,30 @@ def test_conditional_distribution_divides_each_column_by_its_own_sum():
     assert cond.weights.tobytes() == (w / w.sum(axis=0)).tobytes()
 
 
+# Nested past numpy's 64 array dimensions, and past the interpreter's
+# recursion limit for any walk that recurses once per level.
+_DEEP = [0.5, 0.5]
+for _ in range(5000):
+    _DEEP = [_DEEP]
+
+
 @pytest.mark.parametrize(
     "make", [Distribution, JointDistribution, ConditionalDistribution, DistributionStack, JointStack],
 )
 @pytest.mark.parametrize(
-    "values",
+    "values, message",
     [
-        ["0.5", "0.5"],
-        [True, False],
-        [True, 0.0],
-        [np.True_, 0.0],
-        [[True, 0.0], [0.0, 0.0]],
-        [(0.5, 0.5), (True, 0.0)],
-        [np.array([True, False]), np.array([0.5, 0.5])],
-        [np.array([[True, False], [False, False]]), np.full((2, 2), 0.25)],
-        [np.array(True), 0.0],
+        (["0.5", "0.5"], "not numbers"),
+        ([True, False], "not numbers"),
+        ([True, 0.0], "not numbers"),
+        ([np.True_, 0.0], "not numbers"),
+        ([[True, 0.0], [0.0, 0.0]], "not numbers"),
+        ([(0.5, 0.5), (True, 0.0)], "not numbers"),
+        ([np.array([True, False]), np.array([0.5, 0.5])], "not numbers"),
+        ([np.array([[True, False], [False, False]]), np.full((2, 2), 0.25)], "not numbers"),
+        ([np.array(True), 0.0], "not numbers"),
+        ([10**400, 0.0], "too large to convert to float"),
+        (_DEEP, "maximum number of dimension"),
     ],
     ids=[
         "strings",
@@ -195,10 +204,12 @@ def test_conditional_distribution_divides_each_column_by_its_own_sum():
         "boolean-array-among-arrays",
         "boolean-joint-among-joints",
         "zero-d-boolean-array-among-numbers",
+        "integer-beyond-the-double-range",
+        "nested-5000-deep",
     ],
 )
-def test_weights_that_are_not_numbers_are_refused(make, values):
-    with pytest.raises(MalformedWeightsError, match="not numbers"):
+def test_weights_that_are_not_numbers_are_refused(make, values, message):
+    with pytest.raises(MalformedWeightsError, match=message):
         make(values)
 
 
@@ -336,12 +347,12 @@ def test_lone_and_stacked_joints_get_the_same_bits_for_any_memory_layout():
     x = np.random.default_rng(8).dirichlet(np.ones(63), size=100).reshape(100, 7, 9)
     joints = np.swapaxes(x, 1, 2)
     stack = JointStack(joints)
-    reports = ep.chain_rule_grid(stack, [2.0])[0]
+    reports = ep.chain_rule_grid(stack, [2.0])
     for t, w in enumerate(joints):
         joint = JointDistribution(w)
         assert joint.weights.tobytes() == stack.weights[t].tobytes()
         report = ep.chain_rule_report(joint, 2.0)
-        assert (report.s_gap, report.joint_entropy) == (reports.s_gap[t], reports.joint_entropy[t])
+        assert (report.s_gap, report.joint_entropy) == (reports.s_gap[0, t], reports.joint_entropy[0, t])
     reduced, _ = drop_zero_columns(JointDistribution(np.insert(x[0], 4, 0.0, axis=1)))
     assert reduced.weights.flags.c_contiguous
     rows = np.ascontiguousarray(x.reshape(100, 63).T).T
