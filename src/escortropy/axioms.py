@@ -8,15 +8,16 @@ one-parameter families of two-valued points, where the maximum must lie, and
 searches each family on a grid refined by golden section. ``run_suite``
 collects the qcalc, escort and axiom checks as CheckResult rows.
 
-Every seeded ensemble is drawn in full first, in the order a one-at-a-time
-loop would draw it, as raw exponentials that ``prob._finish`` normalizes in
-one pass per shape. ``_by_shape`` then validates the items as one
-DistributionStack or JointStack per shape and evaluates each stack in one
-call, shared by the ensembles that run the same evaluation. ``run_suite``
-draws every dependent ensemble of a request in one rejection-sampler pass,
-which draws and judges each (seed, index, attempt) stream once. Each row of
-a stack has the bits of its item alone, so every margin and witness is that
-of the one-at-a-time loop.
+Every seeded input is drawn raw, in the order a one-at-a-time loop would
+draw it, and ``prob._finish`` normalizes it in one pass per shape; each
+round of continuity probes is then marked, centred and projected as one
+stack. ``_by_shape`` validates the items as one DistributionStack or
+JointStack per shape and evaluates each stack in one call, shared by the
+ensembles that run the same evaluation. ``run_suite`` draws each stream of
+a request once: seed's rows, shared by the escort and axioms suites, and
+every dependent ensemble in one rejection-sampler pass. Each row of a stack
+has the bits of its item alone, so every margin and witness is that of the
+one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .prob import (
     _non_negative,
     _order,
     _rng,
-    _uniform_simplex,
     mutual_information,
     product_joint,
 )
@@ -241,8 +241,8 @@ def check_continuity(
 
 def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
     """``check_continuity`` at each order of qs. The probes depend only on
-    (n, seed, delta), so they are drawn once and projected in one stacked
-    call, and each order scores them in one ``hybrid_rows`` call."""
+    (n, seed, delta), so they are drawn once, and each order scores them in
+    one ``hybrid_rows`` call."""
     if not 1e-12 <= delta <= 1e-3:
         raise ValueError("delta must lie in [1e-12, 1e-3]")
     if n < 2:
@@ -253,27 +253,27 @@ def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
     bases, moved_rows = [], []
     drawn = 0
     while len(bases) < CONTINUITY_PROBES:
-        # Each round draws as many candidates as probes are missing. A
-        # candidate whose projection is its base is dropped and a later round
-        # replaces it, so the probes are those of a one-at-a-time loop.
-        candidates, shifted = [], []
-        for _ in range(CONTINUITY_PROBES - len(bases)):
-            base = _uniform_simplex(rng, n)
-            if drawn % 4 == 3 and n >= 3:
-                base[(drawn // 4) % n] = 0.0
-                base = base / base.sum()
-            drawn += 1
-            direction = rng.normal(size=n)
-            direction -= direction.mean()
-            norm = np.abs(direction).sum()
-            if norm == 0.0:
-                continue
-            candidates.append(base)
-            shifted.append(base + direction * (delta / norm))
-        for base, moved in zip(candidates, project_to_simplex(np.reshape(shifted, (-1, n)))):
-            if np.abs(moved - base).sum() != 0.0:
-                bases.append(base)
-                moved_rows.append(moved)
+        # Each round draws the missing candidates, base then direction, and
+        # works on them as one stack. One with a flat direction, or whose
+        # projection is its base, is dropped and a later round replaces it.
+        missing = range(CONTINUITY_PROBES - len(bases))
+        draws = [(rng.standard_exponential(n), rng.normal(size=n)) for _ in missing]
+        base = np.array(_finish([raw for raw, _ in draws]))
+        direction = np.array([normal for _, normal in draws])
+        index = drawn + np.arange(len(draws))
+        drawn += len(draws)
+        if n >= 3:
+            rows = np.flatnonzero(index % 4 == 3)
+            base[rows, (index[rows] // 4) % n] = 0.0
+            base[rows] /= base[rows].sum(axis=1, keepdims=True)
+        direction -= direction.mean(axis=1, keepdims=True)
+        norm = np.abs(direction).sum(axis=1)
+        steep = norm != 0.0
+        base = base[steep]
+        moved = project_to_simplex(base + direction[steep] * (delta / norm[steep])[:, None])
+        kept = np.abs(moved - base).sum(axis=1) != 0.0
+        bases += list(base[kept])
+        moved_rows += list(moved[kept])
     points = np.vstack(moved_rows + bases)
     verdicts = []
     for order, modulus in zip(orders, moduli):
@@ -513,19 +513,18 @@ def _suite_qcalc(seed: int, trials: int) -> list[CheckResult]:
     worst = 0.0
     for q in (1.0 - 1e-6, 1.0 + 1e-6):
         for x in (-1.5, -0.3, 0.2, 1.0, 2.5):
-            worst = max(worst, abs(q_exp(x, q) - np.exp(x)) / np.exp(x))
+            e = float(np.exp(x))
+            worst = max(worst, abs(q_exp(x, q) - e) / e)
             worst = max(worst, abs(kn_map(x, q) - x) / max(abs(x), 1.0))
     results.append(CheckResult("qcalc", "classical_limit", 1e-4 - worst))
     return results
 
 
-def _suite_escort(seed: int, trials: int, dependent: list[list[np.ndarray]]) -> list[CheckResult]:
-    # dependent: the floor-0.01 ensembles of seed, seed + 10_000 and seed +
-    # 20_000. The products share their one call per shape with the first.
-    rng = _rng(seed)
+def _suite_escort(seed: int, trials: int, rows: list, dependent: list[list[np.ndarray]]) -> list[CheckResult]:
+    # rows: 4 * trials. dependent: the floor-0.01 ensembles of seed, seed + 10_000
+    # and seed + 20_000; the products share their one call per shape with the first.
     results = []
 
-    rows = _finish(_random_rows(rng, 4 * trials))
     errors = []
     for start, q in zip(range(0, 4 * trials, trials), (0.3, 0.5, 2.0, 5.0)):
         errors += _by_shape(
@@ -571,16 +570,16 @@ def _suite_escort(seed: int, trials: int, dependent: list[list[np.ndarray]]) -> 
     return results
 
 
-def _suite_axioms(seed: int, trials: int, dependent: list[np.ndarray]) -> list[CheckResult]:
-    # dependent: the mi_floor ensemble of seed, evaluated with the products.
+def _suite_axioms(seed: int, trials: int, rows: list, dependent: list[np.ndarray]) -> list[CheckResult]:
+    # rows: at least 2 * trials. dependent: the mi_floor ensemble of seed,
+    # evaluated with the products.
     results = []
     for verdict in _continuity([0.6, 2.0], n=8, seed=seed, delta=1e-4):
         results.append(CheckResult("axioms", f"continuity_q{verdict.q}", verdict.margin))
     for q in (1.0, 2.0):
         for verdict in _maximality(q, (2, 3, 4, 5)):
             results.append(CheckResult("axioms", f"maximality_q{q}_n{verdict.n}", verdict.margin))
-    rows = _finish(_random_rows(_rng(seed), 2 * trials))
-    for q, part in zip((0.5, 2.0), (rows[:trials], rows[trials:])):
+    for q, part in zip((0.5, 2.0), (rows[:trials], rows[trials:2 * trials])):
         margins = _by_shape(DistributionStack, part, lambda p: _expansibility_margins(q, p.weights))
         results.append(CheckResult("axioms", f"expansibility_q{q}", float(np.min(margins))))
     marginals = _product_marginals(seed, trials)
@@ -599,8 +598,10 @@ def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> 
     mi_floor is the floor of the axioms suite's dependent ensemble; the
     escort suite's three ensembles keep their fixed floor of 0.01. The
     dependent ensembles of the suites run are drawn first, in one sampler
-    pass. Raises ValueError for an unknown suite name, fewer than one
-    trial, a negative seed or a negative mi_floor, as ``verify`` refuses them.
+    pass, and then the rows of seed's own stream once: the escort suite
+    takes 4 * trials and the axioms suite the first 2 * trials. Raises
+    ValueError for an unknown suite name, fewer than one trial, a negative
+    seed or a negative mi_floor, as ``verify`` refuses them.
     """
     _trials(trials)
     _non_negative(seed, "seed")
@@ -612,9 +613,11 @@ def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> 
     requests = [(seed + offset, 0.01) for offset in (0, 10_000, 20_000)] * ("escort" in chosen)
     requests += [(seed, mi_floor)] * ("axioms" in chosen)
     ensembles = _sample_dependent(requests, range(trials))
+    rows_per_trial = 4 if "escort" in chosen else 2 if "axioms" in chosen else 0
+    rows = _finish(_random_rows(_rng(seed), rows_per_trial * trials))
     results = _suite_qcalc(seed, trials) if "qcalc" in chosen else []
     if "escort" in chosen:
-        results += _suite_escort(seed, trials, ensembles[:3])
+        results += _suite_escort(seed, trials, rows, ensembles[:3])
     if "axioms" in chosen:
-        results += _suite_axioms(seed, trials, ensembles[-1])
+        results += _suite_axioms(seed, trials, rows, ensembles[-1])
     return results

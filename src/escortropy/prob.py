@@ -240,23 +240,15 @@ def _masked_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _uniform_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    """A draw from the uniform law on the k-simplex: ``rng.dirichlet(np.ones(k))``
-    bit for bit, leaving rng in the same state, without its argument checks.
-
-    numpy draws each coordinate of an all-ones Dirichlet as a standard
-    gamma of shape 1, which is a standard exponential, sums them in order
-    and multiplies by the reciprocal of the sum.
-    """
-    e = rng.standard_exponential(k)
-    return e * (1.0 / e.cumsum()[-1])
-
-
 def _finish(raws: list[np.ndarray]) -> list[np.ndarray]:
     """Each raw draw of standard exponentials, of any shape, times the
     reciprocal of the in-order sum of its cells, in one stacked pass per
-    shape. An accumulate runs along each row alone, so every draw has the
-    bits ``_uniform_simplex`` gives from the generator state it came from."""
+    shape: the one place the package scales a uniform draw. k exponentials
+    from a generator finish as its ``dirichlet(np.ones(k))`` bit for bit,
+    which leaves it in the same state: numpy draws each coordinate as a
+    standard gamma of shape 1, a standard exponential, sums them in order and
+    multiplies by the reciprocal of the sum. An accumulate runs along each
+    row alone, so a draw has these bits in any stack."""
     def divide(e: np.ndarray) -> np.ndarray:
         flat = e.reshape(len(e), -1)
         return (flat * (1.0 / flat.cumsum(axis=1)[:, -1:])).reshape(e.shape)
@@ -286,20 +278,24 @@ def random_distribution(n: int, seed: int) -> Distribution:
     fixed (n, seed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Distribution(_uniform_simplex(_rng(seed), n))
+    return Distribution(_finish([_rng(seed).standard_exponential(n)])[0])
 
 
 def random_joint(n_b: int, n_a: int, seed: int) -> JointDistribution:
     """A seeded uniform draw on the (n_b * n_a)-simplex, reshaped to a joint."""
-    return JointDistribution(_finish([_exponentials(n_b, n_a, seed)])[0])
+    return JointDistribution(_joint_draws(n_b, n_a, [seed])[0])
 
 
 def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
-    """``random_joint(n_b, n_a, s)`` for each seed s, as one stack."""
-    return JointStack(_finish([_exponentials(n_b, n_a, s) for s in seeds]))
+    """``random_joint(n_b, n_a, s)`` for each of one or more seeds s, as one stack."""
+    return JointStack(_joint_draws(n_b, n_a, seeds))
 
 
-def _exponentials(n_b: int, n_a: int, seed: int) -> np.ndarray:
+def _joint_draws(n_b: int, n_a: int, seeds) -> list[np.ndarray]:
+    """The finished (n_b, n_a) draw of each seed, sizes then seeds checked first."""
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
-    return _rng(seed).standard_exponential(n_b * n_a).reshape(n_b, n_a)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
+    return _finish([_rng(s).standard_exponential(n_b * n_a).reshape(n_b, n_a) for s in seeds])

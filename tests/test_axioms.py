@@ -470,15 +470,42 @@ def test_a_suite_request_builds_each_sampler_stream_once(monkeypatch):
     assert len(set(streams)) == len(streams)
 
 
+def test_a_suite_request_builds_the_seeds_own_generator_three_times(monkeypatch):
+    # Both product ensembles build default_rng(seed + t) for each trial t.
+    # Beside trial 0 of each, the request seed's own generator is built by
+    # the qcalc suite, by continuity, and once for the row stream that the
+    # escort suite takes whole and the axioms suite takes a prefix of.
+    seeds = []
+    rng = axioms._rng
+
+    def recorded(seed, *stream):
+        if not stream:
+            seeds.append(seed)
+        return rng(seed, *stream)
+
+    monkeypatch.setattr(axioms, "_rng", recorded)
+    run_suite("all", 0, 50)
+    assert sorted(seeds) == sorted([0] * 3 + [*range(50)] * 2)
+
+
+@pytest.mark.parametrize("trials", [1, 200])
 @pytest.mark.parametrize("seed", [0, 8000019])
-def test_all_suites_are_each_suite_alone(seed):
+def test_all_suites_are_each_suite_alone(seed, trials):
     # At mi_floor 0.01 the axioms suite's dependent ensemble is the escort
-    # suite's first one, drawn once for both.
+    # suite's first one, drawn once for both, and its rows are the first
+    # 2 * trials of the escort suite's 4 * trials.
     def margins(results):
         return [(r.suite, r.check, r.margin.hex()) for r in results]
 
-    alone = [r for name in ("qcalc", "escort", "axioms") for r in run_suite(name, seed, 200, 0.01)]
-    assert margins(run_suite("all", seed, 200, mi_floor=0.01)) == margins(alone)
+    alone = [r for name in ("qcalc", "escort", "axioms") for r in run_suite(name, seed, trials, 0.01)]
+    assert margins(run_suite("all", seed, trials, mi_floor=0.01)) == margins(alone)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_suite_row_holds_a_built_in_float_and_bool(seed):
+    for name in ("qcalc", "escort", "axioms", "all"):
+        for result in run_suite(name, seed, 1):
+            assert (type(result.margin), type(result.passed)) == (float, bool), result.check
 
 
 def test_continuity_matches_the_per_probe_loop():
@@ -527,6 +554,50 @@ def test_continuity_replaces_a_probe_that_projects_to_its_base(monkeypatch):
     monkeypatch.setattr(oracles, "project_to_simplex", projection)
     axioms._continuity([0.6], n, seed, delta)
     assert len(dropped) > 20
+    _assert_continuity_is_the_oracle([0.6, 2.0], n, seed, delta)
+
+
+class _FlatEveryFifthNormal:
+    """A generator whose every fifth ``normal`` draw is made and then replaced
+    by a constant vector, which centres to a flat direction."""
+
+    def __init__(self, rng, flat):
+        self._rng, self._flat, self._normals = rng, flat, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, size):
+        draw = self._rng.normal(size=size)
+        self._normals += 1
+        if self._normals % 5 == 0:
+            self._flat.append(self._normals)
+            return np.full(size, 0.375)
+        return draw
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_continuity_drops_a_probe_with_a_flat_direction(monkeypatch, n):
+    # No sampled direction centres to zero, so every fifth one is made
+    # constant. The package and the oracle both build their generator with
+    # numpy's default_rng. Those candidates are dropped and replaced by later
+    # draws, as the one-at-a-time loop does.
+    seed, delta, flat, scored = 6, 1e-4, [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FlatEveryFifthNormal(default_rng(seed), flat))
+    monkeypatch.setattr(axioms, "hybrid_rows", lambda points, q: scored.append(points) or hybrid_rows(points, q))
+    axioms._continuity([0.6], n, seed, delta)
+    assert len(flat) > 10
+    # The probes scored are the oracle's, moved points first, in draw order.
+    moved, bases = [], []
+    for base, shifted in oracles.continuity_candidates(n, seed, delta):
+        if len(bases) == axioms.CONTINUITY_PROBES:
+            break
+        projected = project_to_simplex(shifted)
+        if np.abs(projected - base).sum() != 0.0:
+            moved.append(projected)
+            bases.append(base)
+    assert scored[-1].tobytes() == np.vstack(moved + bases).tobytes()
     _assert_continuity_is_the_oracle([0.6, 2.0], n, seed, delta)
 
 

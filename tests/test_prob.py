@@ -25,7 +25,7 @@ from escortropy import (
 )
 import escortropy as ep
 from escortropy.entropies import aczel_daroczy_rows, hybrid_rows
-from escortropy.prob import _finish, _marginal_and_conditional, _uniform_simplex
+from escortropy.prob import _finish, _marginal_and_conditional
 
 import oracles
 
@@ -268,18 +268,19 @@ def test_random_distribution_always_valid():
         assert abs(d.weights.sum() - 1.0) < 1e-12
 
 
-def test_uniform_simplex_is_numpys_all_ones_dirichlet():
+def test_finish_is_numpys_all_ones_dirichlet():
     # Pins numpy's algorithm: each coordinate is a standard gamma of shape 1,
     # a standard exponential, and the sum is taken in order. Each draw of the
     # chain also checks that the one before left both generators in one state.
     for seed in range(1000):
         ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
         for k in range(1, 65):
-            assert _uniform_simplex(ours, k).tobytes() == numpys.dirichlet(np.ones(k)).tobytes()
+            [draw] = _finish([ours.standard_exponential(k)])
+            assert draw.tobytes() == numpys.dirichlet(np.ones(k)).tobytes()
         assert ours.random() == numpys.random()
 
 
-def test_finish_is_uniform_simplex_for_each_draw_of_mixed_shapes():
+def test_finish_is_numpys_dirichlet_for_each_draw_of_mixed_shapes():
     # Draws of one shape share a stacked pass, so each shape recurs among
     # the others, and every draw keeps the bits of its lone finish.
     shapes = [(k,) for k in range(1, 65)] + [(b, a) for b in range(1, 9) for a in range(1, 9)]
@@ -290,7 +291,7 @@ def test_finish_is_uniform_simplex_for_each_draw_of_mixed_shapes():
         for shape in (shapes[i] for i in picks.tolist()):
             cells = int(np.prod(shape))
             raws.append(ours.standard_exponential(cells).reshape(shape))
-            expected.append(_uniform_simplex(reference, cells).reshape(shape))
+            expected.append(reference.dirichlet(np.ones(cells)).reshape(shape))
         finished = _finish(raws)
         assert [w.shape for w in finished] == [w.shape for w in expected]
         assert [w.tobytes() for w in finished] == [w.tobytes() for w in expected]
@@ -329,6 +330,20 @@ def test_random_joints_are_the_random_joint_draws():
     assert stack.weights.shape == (5, 4, 3)
     for t, seed in enumerate(range(7, 12)):
         assert stack.weights[t].tobytes() == random_joint(4, 3, seed).weights.tobytes()
+    # Any iterable of seeds is read once, a generator included.
+    again = random_joints(4, 3, (seed for seed in range(7, 12)))
+    assert again.weights.tobytes() == stack.weights.tobytes()
+
+
+def test_random_joints_checks_its_sizes_then_its_seeds():
+    # The sizes are refused as random_joint refuses them, and an empty seed
+    # list by name, before anything is drawn or validated.
+    for call in (lambda: random_joints(0, 3, []), lambda: random_joint(0, 3, 1)):
+        with pytest.raises(ValueError, match="^sizes must be at least 1$"):
+            call()
+    with pytest.raises(ValueError, match="^seeds must hold at least one seed$") as refused:
+        random_joints(2, 2, iter([]))
+    assert type(refused.value) is ValueError
 
 
 def test_joint_stack_normalizes_each_joint_as_a_lone_joint():
