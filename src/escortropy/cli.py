@@ -3,9 +3,13 @@ suites, and deterministic CSV sweeps. This module parses, calls and formats;
 the suites themselves are ``axioms.run_suite``.
 
 Input files are JSON: ``{"p": [..]}`` for a distribution, ``{"r": [[..], ..]}``
-for a joint (rows are B outcomes, columns A outcomes). Reports echo the parsed
-values bit-exactly. All numbers are printed with 12 significant digits and a
-'.' decimal separator, so identical invocations produce byte-identical output.
+for a joint (rows are B outcomes, columns A outcomes). Text reports echo the
+input: a file that holds only the weights gives their own spelling, without
+JSON whitespace and with ", " after each comma; any other file gives
+``json.dumps`` of the parsed weights. Either way each echoed number parses
+to the double that was read, and ``--json`` reports hold the parsed values.
+All numbers are printed with 12 significant digits and a '.' decimal
+separator, so identical invocations produce byte-identical output.
 
 The default seed comes from the ESCORTROPY_SEED environment variable when
 --seed is not given, and is 0 when that is unset or empty; any other value
@@ -46,6 +50,8 @@ SWEEP_HEADER = "seed,q,n_a,n_b,mutual_information,residual,s_gap,lower_bound,upp
 # The report fields a sweep prints, in column order, after the trial's
 # mutual information.
 SWEEP_FIELDS = SWEEP_HEADER.split(",")[5:]
+# JSON's whitespace, which an echo of the input's own text drops.
+_JSON_SPACE = str.maketrans("", "", " \t\n\r")
 
 
 def fmt(x: float) -> str:
@@ -89,16 +95,39 @@ def _mi_floor(text: str) -> float:
     return value
 
 
-def _load_weights(path: str, key: str, expected: str) -> dict:
-    """The JSON object of path, which must hold weights under key."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError as exc:  # the decoder recurses once per nested array
-            raise MalformedWeightsError(f"cannot parse input: {path}: arrays nested too deeply") from exc
+def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -> tuple:
+    """(validate(weights), echo) for the JSON object of args.input, which must
+    hold weights under key. echo is the input as the table shows it: the
+    object {key: weights} under --json, else the text line of its echo.
+
+    That line spells the weights as the file does when they are all it
+    holds, so no number is encoded again: key is the object's only key, so
+    its spelling holds no "[", and the first "[" opens the weights and the
+    last "]" closes them. No '"' may lie between the two, since any other
+    pair, a duplicate key's included, puts its key's quotes there. The span
+    is echoed without JSON whitespace and with ", " after each comma, as
+    ``json.dumps`` separates items. Any other file echoes ``json.dumps`` of
+    the decoded weights."""
+    with open(args.input, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:  # the decoder recurses once per nested array
+        raise MalformedWeightsError(f"cannot parse input: {args.input}: arrays nested too deeply") from exc
     if not isinstance(data, dict) or key not in data:
-        raise EscortropyError(f"{path}: expected a JSON object with {expected}")
-    return data
+        raise EscortropyError(f"{args.input}: expected a JSON object with {expected}")
+    weights = validate(data[key])
+    if args.json:
+        return weights, {key: data[key]}
+    first, end = text.find("["), text.rfind("]") + 1
+    if len(data) > 1 or text.find('"', first, end) != -1:
+        return weights, "# input " + json.dumps({key: data[key]})
+    span = text[first:end]
+    # Free the text and the decoded lists, each about the span's size, before
+    # the two passes below copy the span.
+    del text, data
+    span = span.translate(_JSON_SPACE).replace(",", ", ")
+    return weights, f'# input {{"{key}": {span}}}'
 
 
 def _finite(orders: list[float], names: list[str], values: np.ndarray) -> None:
@@ -123,20 +152,20 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _table(
-    args: argparse.Namespace, echo: dict, columns: list[str], values: np.ndarray, extra: dict, notes: list[str]
+    args: argparse.Namespace, echo: dict | str, columns: list[str], values: np.ndarray, extra: dict, notes: list[str]
 ) -> None:
     """Write the table of ``entropy`` or ``chain``: row g is order args.q[g],
     then row g of the (G, F) values, one per column after "q". JSON holds
     the input, the extra keys and the rows; text holds the echo line, the
-    notes, the header and the rows."""
+    notes, the header and the rows. echo is the input as ``_load_weights``
+    gives it."""
     _finite(args.q, columns[1:], values)
     table = np.column_stack([args.q, values])
     if args.json:
         rows = [dict(zip(columns, row)) for row in table.tolist()]
         text = json.dumps({"input": echo, **extra, "rows": rows}, indent=2) + "\n"
     else:
-        lines = ["# input " + json.dumps(echo), *notes, "\t".join(columns), *_lines(table, "\t")]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([echo, *notes, "\t".join(columns), *_lines(table, "\t"), ""])
     _emit(text, args.out)
 
 
@@ -145,22 +174,20 @@ def _table(
 # that line is all of stderr.
 @np.errstate(all="ignore")
 def cmd_entropy(args: argparse.Namespace) -> int:
-    data = _load_weights(args.input, "p", 'a "p" array')
-    p = Distribution(data["p"])
+    p, echo = _load_weights(args, "p", 'a "p" array', Distribution)
     for q in args.q:
         if not math.isfinite(1 / q):
             raise EscortropyError(f"order q={q!r} has no finite reciprocal order for renyi_1_over_q")
     h = shannon(p)
     values = np.array([[h, renyi(p, 1 / q), tsallis(p, q), hybrid(p, q), aczel_daroczy(p, q)] for q in args.q])
     columns = ["q", "shannon", "renyi_1_over_q", "tsallis", "hybrid", "aczel_daroczy"]
-    _table(args, {"p": data["p"]}, columns, values, {}, [])
+    _table(args, echo, columns, values, {}, [])
     return 0
 
 
 @np.errstate(all="ignore")
 def cmd_chain(args: argparse.Namespace) -> int:
-    data = _load_weights(args.input, "r", 'an "r" matrix')
-    joint = JointDistribution(data["r"])
+    joint, echo = _load_weights(args, "r", 'an "r" matrix', JointDistribution)
     dropped: tuple[int, ...] = ()
     if args.lenient_zero_columns:
         reduced, kept = drop_zero_columns(joint)
@@ -172,7 +199,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     notes = ["# dropped zero-marginal columns: " + ",".join(map(str, dropped))] if dropped else []
     notes.append("# mutual_information " + fmt(mi))
     extra = {"mutual_information": mi, "dropped_columns": list(dropped)}
-    _table(args, {"r": data["r"]}, CHAIN_COLUMNS, values, extra, notes)
+    _table(args, echo, CHAIN_COLUMNS, values, extra, notes)
     return 0
 
 
@@ -193,7 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(
             f"{sum(r.passed for r in results)}/{len(results)} checks passed"
         )
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([*lines, ""])
     _emit(text, args.out)
     return 0 if all_passed else 1
 
@@ -228,7 +255,7 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
 @np.errstate(all="ignore")
 def cmd_sweep(args: argparse.Namespace) -> int:
     body = sweep_rows(args.nb, args.na, args.q, args.trials, args.seed)
-    text = "\n".join([SWEEP_HEADER] + body) + "\n"
+    text = "\n".join([SWEEP_HEADER, *body, ""])
     _emit(text, args.out)
     return 0
 

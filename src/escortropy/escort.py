@@ -48,10 +48,15 @@ _CELLS = (-2, -1)
 
 
 def _powers(w: np.ndarray, value) -> np.ndarray:
-    """w^value. A list of values gives each value's power stacked along a new
-    leading axis; each is a scalar power, so it has the bits of that value's
-    power alone."""
-    return np.array([w**v for v in value]) if isinstance(value, list) else w**value
+    """w^value. A list of values gives each value's power along a new leading
+    axis, each written in place by the one scalar power ``np.power``, so it
+    has the bits of that value's power alone."""
+    if not isinstance(value, list):
+        return np.power(w, value)
+    stacked = np.empty((len(value), *w.shape))
+    for v, out in zip(value, stacked):
+        np.power(w, v, out=out)
+    return stacked
 
 
 def _power_sums(w: np.ndarray, value, axis) -> tuple[np.ndarray, np.ndarray]:

@@ -64,6 +64,73 @@ def test_entropy_echo_is_bit_exact(capsys, tmp_path):
     assert echoed["p"] == values
 
 
+# Each table command, its input key, and the shape of a seeded 400-cell input.
+TABLES = pytest.mark.parametrize(
+    "command, key, shape", [("chain", "r", (20, 20)), ("entropy", "p", (400,))], ids=["chain", "entropy"]
+)
+# Weights spelled as json.dumps never spells them, under each key.
+SPELLED = {"r": "[[0.50, 1E-1], [2.5e-1, 0.15]]", "p": "[0.50, 1E-1, 2.5e-1, 0.15]"}
+
+
+def seeded_weights(shape):
+    return np.random.default_rng(20).dirichlet(np.ones(400)).reshape(shape).tolist()
+
+
+def table_output(capsys, path, command):
+    code, out, _ = run(capsys, [command, "--input", str(path), "--q", "0.5,2"])
+    assert code == 0
+    return out
+
+
+@TABLES
+def test_echo_of_a_json_dumps_input_is_its_json_dumps(capsys, tmp_path, command, key, shape):
+    payload = {key: seeded_weights(shape)}
+    path = write_json(tmp_path, "in.json", payload)
+    assert table_output(capsys, path, command).splitlines()[0] == "# input " + json.dumps(payload)
+
+
+@TABLES
+@pytest.mark.parametrize(
+    "spell",
+    [
+        lambda payload: json.dumps(payload, indent=2),
+        lambda payload: json.dumps(payload, indent="\t", separators=(" ,", " : ")),
+        lambda payload: json.dumps(payload, indent=1).replace("\n", "\r\n"),
+    ],
+    ids=["indent", "tabs", "crlf"],
+)
+def test_json_whitespace_in_the_input_changes_no_output_byte(capsys, tmp_path, command, key, shape, spell):
+    payload = {key: seeded_weights(shape)}
+    compact = write_json(tmp_path, "compact.json", payload)
+    spaced = tmp_path / "spaced.json"
+    spaced.write_bytes(spell(payload).encode("utf-8"))
+    assert table_output(capsys, spaced, command) == table_output(capsys, compact, command)
+
+
+@pytest.mark.parametrize(
+    "command, key, escaped", [("chain", "r", "\\u0072"), ("entropy", "p", "\\u0070")], ids=["chain", "entropy"]
+)
+@pytest.mark.parametrize(
+    "template, as_spelled",
+    [
+        ('{{"{key}": {weights}}}', True),
+        ('{{"{escaped}": {weights}}}', True),
+        ('{{"{key}": {weights}, "note": "x"}}', False),
+        ('{{"{key}": [1], "{key}": {weights}}}', False),
+    ],
+    ids=["lone-key", "escaped-key", "extra-key", "duplicate-key"],
+)
+def test_echo_spells_the_weights_as_a_weights_only_file_does(
+    capsys, tmp_path, command, key, escaped, template, as_spelled
+):
+    path = tmp_path / "in.json"
+    path.write_text(template.format(key=key, escaped=escaped, weights=SPELLED[key]), encoding="utf-8")
+    echo = table_output(capsys, path, command).splitlines()[0]
+    values = {key: json.loads(SPELLED[key])}
+    assert echo == (f'# input {{"{key}": {SPELLED[key]}}}' if as_spelled else "# input " + json.dumps(values))
+    assert json.loads(echo.removeprefix("# input ")) == values
+
+
 def test_chain_product_joint_residuals_vanish(capsys, tmp_path):
     outer = np.outer([0.8, 0.2], [0.3, 0.7])
     path = write_json(tmp_path, "r.json", {"r": outer.tolist()})
