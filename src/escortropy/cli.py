@@ -107,13 +107,20 @@ def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -
     pair, a duplicate key's included, puts its key's quotes there. The span
     is echoed without JSON whitespace and with ", " after each comma, as
     ``json.dumps`` separates items. Any other file echoes ``json.dumps`` of
-    the decoded weights."""
+    the decoded weights.
+
+    A file that is not UTF-8 JSON, or holds an integer longer than the
+    interpreter's digit limit, is refused here as EscortropyError. Only the
+    read and the decode are guarded: ``validate``'s refusals are ValueErrors
+    too."""
     with open(args.input, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except RecursionError as exc:  # the decoder recurses once per nested array
-        raise MalformedWeightsError(f"cannot parse input: {args.input}: arrays nested too deeply") from exc
+        try:
+            text = handle.read()
+            data = json.loads(text)
+        except RecursionError as exc:  # the decoder recurses once per nested array
+            raise MalformedWeightsError(f"cannot parse input: {args.input}: arrays nested too deeply") from exc
+        except ValueError as exc:  # bad UTF-8, bad JSON, or too many digits in one integer
+            raise EscortropyError(f"cannot parse input: {exc}") from exc
     if not isinstance(data, dict) or key not in data:
         raise EscortropyError(f"{args.input}: expected a JSON object with {expected}")
     weights = validate(data[key])
@@ -327,13 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"entropy": cmd_entropy, "chain": cmd_chain, "verify": cmd_verify, "sweep": cmd_sweep}
     try:
         return commands[args.command](args)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: cannot parse input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EscortropyError as exc:
+    except (OSError, EscortropyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

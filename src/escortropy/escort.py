@@ -86,11 +86,6 @@ def joint_escort_naive(r: JointDistribution | JointStack, q: float) -> np.ndarra
     return _power_escort(r.weights, _order(q), _CELLS)
 
 
-def conditional_escort(r: JointDistribution | JointStack, q: float) -> np.ndarray:
-    """Column-wise escort of the conditional of B given A."""
-    return _power_escort(_marginal_and_conditional(r.weights)[1], _order(q), -2)
-
-
 def joint_escort_correct(r: JointDistribution | JointStack, q: float) -> np.ndarray:
     """Marginal-times-conditional escort: escort(p)_l times the escorted column l.
 

@@ -273,14 +273,6 @@ def _by_shape(make_stack, items: list[np.ndarray], evaluate) -> list:
     return rows
 
 
-def random_distribution(n: int, seed: int) -> Distribution:
-    """A seeded draw from the uniform law on the n-simplex, deterministic for
-    fixed (n, seed)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Distribution(_finish([_rng(seed).standard_exponential(n)])[0])
-
-
 def random_joint(n_b: int, n_a: int, seed: int) -> JointDistribution:
     """A seeded uniform draw on the (n_b * n_a)-simplex, reshaped to a joint."""
     return JointDistribution(_joint_draws(n_b, n_a, [seed])[0])

@@ -21,7 +21,6 @@ from escortropy import (
     EscortropyError,
     JointDistribution,
     chain_rule_report,
-    conditional_escort,
     corrected_conditional,
     escort,
     escort_ratio,
@@ -304,7 +303,6 @@ def test_chain_rule_report_fields_are_consistent():
 NO_OBJECT_CASES = {
     "chain_rule_report": lambda r, p, q: chain_rule_report(r, q),
     "escort": lambda r, p, q: escort(p, q),
-    "conditional_escort": lambda r, p, q: conditional_escort(r, q),
     "joint_escort_correct": lambda r, p, q: joint_escort_correct(r, q),
     "escort_ratio": lambda r, p, q: escort_ratio(r, q),
     "is_escort_consistent": lambda r, p, q: is_escort_consistent(r, q),

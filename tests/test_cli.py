@@ -209,6 +209,13 @@ def test_invalid_distribution_errors(capsys, tmp_path):
     assert "deficit" in err
 
 
+# The most digits the interpreter reads into one int: 0 where it sets no
+# limit (Python 3.10 before 3.10.7, or the limit switched off).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_MANY_DIGITS = b"1" * (INT_DIGIT_LIMIT + 1)
+beyond_digit_limit = pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no integer digit limit")
+
+
 @pytest.mark.parametrize(
     "payload, argv",
     [
@@ -236,6 +243,10 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         ({"r": [[10**400, 0.1], [0.3, 0.4]]}, ["chain", "--q", "2"]),
         (b'{"p": ' + b"[" * 900 + b"0.5" + b"]" * 900 + b"}", ["entropy", "--q", "2"]),
         (b'{"p": ' + b"[" * 5000 + b"0.5" + b"]" * 5000 + b"}", ["entropy", "--q", "2"]),
+        pytest.param(b'{"p": [' + TOO_MANY_DIGITS + b", 0]}", ["entropy", "--q", "2"], marks=beyond_digit_limit),
+        pytest.param(
+            b'{"r": [[' + TOO_MANY_DIGITS + b", 0.1], [0.3, 0.4]]}", ["chain", "--q", "2"], marks=beyond_digit_limit
+        ),
     ],
     ids=[
         "nan-weight",
@@ -262,6 +273,8 @@ def test_invalid_distribution_errors(capsys, tmp_path):
         "integer-beyond-the-double-range-joint",
         "nested-900-deep",
         "nested-5000-deep",
+        "integer-beyond-the-digit-limit",
+        "integer-beyond-the-digit-limit-joint",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):

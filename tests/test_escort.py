@@ -20,7 +20,6 @@ from escortropy import (
     DistributionStack,
     JointDistribution,
     JointStack,
-    conditional_escort,
     escort,
     escort_ratio,
     is_escort_consistent,
@@ -153,17 +152,22 @@ def test_both_constructions_normalize():
             assert abs(m.sum() - 1.0) < 1e-12
 
 
-def test_conditional_escort_examples():
-    assert np.allclose(
-        conditional_escort(DEPENDENT, 1.0), oracles.conditional_on_a(DEPENDENT.weights)
-    )
+def column_factor(r, q):
+    """The conditional escort: each column of the correct joint escort
+    divided by its sum, the escort of the A-marginal."""
+    m = joint_escort_correct(r, q)
+    return m / m.sum(axis=0)
+
+
+def test_correct_escorts_column_factor_examples():
+    assert np.allclose(column_factor(DEPENDENT, 1.0), oracles.conditional_on_a(DEPENDENT.weights))
     joint = product_joint(simplex(4, 11), simplex(3, 12))
-    ce = conditional_escort(joint, 2.0)
+    ce = column_factor(joint, 2.0)
     for l in range(1, joint.n_a):
         assert np.abs(ce[:, l] - ce[:, 0]).max() < 1e-13
     one_column = JointDistribution(np.array([[0.8], [0.2]]))
     assert np.allclose(
-        conditional_escort(one_column, 2.0)[:, 0], [16 / 17, 1 / 17], atol=1e-15
+        joint_escort_correct(one_column, 2.0)[:, 0], [16 / 17, 1 / 17], atol=1e-15
     )
 
 
@@ -264,7 +268,7 @@ def test_a_sampled_dependent_joint_lies_within_1e_6_of_the_consistent_set():
         assert not is_escort_consistent(joint, q, tol=1e-4)
 
 
-JOINT_FUNCTIONS = (joint_escort_naive, joint_escort_correct, conditional_escort, escort_ratio)
+JOINT_FUNCTIONS = (joint_escort_naive, joint_escort_correct, escort_ratio)
 
 
 @pytest.mark.parametrize("q", [0.3, 1.0, 2.0, 5.0])

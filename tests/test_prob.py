@@ -19,7 +19,6 @@ from escortropy import (
     marginal_a,
     mutual_information,
     product_joint,
-    random_distribution,
     random_joint,
     random_joints,
 )
@@ -79,7 +78,6 @@ ORDER_TAKERS = {
     "escort": lambda q: ep.escort(_P, q),
     "joint_escort_naive": lambda q: ep.joint_escort_naive(_R, q),
     "joint_escort_correct": lambda q: ep.joint_escort_correct(_R, q),
-    "conditional_escort": lambda q: ep.conditional_escort(_R, q),
     "escort_ratio": lambda q: ep.escort_ratio(_R, q),
     "is_escort_consistent": lambda q: ep.is_escort_consistent(_R, q),
     "chain_rule_report": lambda q: ep.chain_rule_report(_R, q),
@@ -249,25 +247,6 @@ def test_mutual_information_nonnegative_and_zero_iff_product():
         assert mutual_information(r) > -1e-12
 
 
-def test_random_distribution_deterministic():
-    a = random_distribution(6, 42)
-    b = random_distribution(6, 42)
-    assert np.array_equal(a.weights, b.weights)
-    c = random_distribution(6, 43)
-    assert not np.array_equal(a.weights, c.weights)
-
-
-def test_random_distribution_point_simplex():
-    assert random_distribution(1, 0).weights.tolist() == [1.0]
-
-
-def test_random_distribution_always_valid():
-    for seed in range(10_000):
-        d = random_distribution(5, seed)
-        assert np.all(d.weights >= 0)
-        assert abs(d.weights.sum() - 1.0) < 1e-12
-
-
 def test_finish_is_numpys_all_ones_dirichlet():
     # Pins numpy's algorithm: each coordinate is a standard gamma of shape 1,
     # a standard exponential, and the sum is taken in order. Each draw of the
@@ -304,15 +283,12 @@ def test_random_draws_are_the_seeded_dirichlet_draws():
         flat = np.random.default_rng(seed).dirichlet(np.ones(n_b * n_a))
         expected = JointDistribution(flat.reshape(n_b, n_a)).weights
         assert random_joint(n_b, n_a, seed).weights.tobytes() == expected.tobytes()
-        row = Distribution(np.random.default_rng(seed).dirichlet(np.ones(n_a)))
-        assert random_distribution(n_a, seed).weights.tobytes() == row.weights.tobytes()
 
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: random_joint(2, 2, -1), lambda: random_joints(2, 2, [0, -3]),
-     lambda: random_distribution(3, -1)],
-    ids=["random_joint", "random_joints", "random_distribution"],
+    [lambda: random_joint(2, 2, -1), lambda: random_joints(2, 2, [0, -3])],
+    ids=["random_joint", "random_joints"],
 )
 def test_negative_seed_is_refused_by_name(call):
     with pytest.raises(ValueError, match="^seed must be non-negative, got -"):
@@ -323,6 +299,8 @@ def test_random_joint_shape_and_determinism():
     r = random_joint(3, 4, 9)
     assert r.weights.shape == (3, 4)
     assert np.array_equal(r.weights, random_joint(3, 4, 9).weights)
+    assert not np.array_equal(r.weights, random_joint(3, 4, 10).weights)
+    assert random_joint(1, 1, 0).weights.tolist() == [[1.0]]
 
 
 def test_random_joints_are_the_random_joint_draws():
