@@ -303,9 +303,11 @@ def test_chain_rule_report_fields_are_consistent():
 NO_OBJECT_CASES = {
     "chain_rule_report": lambda r, p, q: chain_rule_report(r, q),
     "escort": lambda r, p, q: escort(p, q),
+    "joint_escort_naive": lambda r, p, q: joint_escort_naive(r, q),
     "joint_escort_correct": lambda r, p, q: joint_escort_correct(r, q),
     "escort_ratio": lambda r, p, q: escort_ratio(r, q),
     "is_escort_consistent": lambda r, p, q: is_escort_consistent(r, q),
+    "corrected_conditional": lambda r, p, q: corrected_conditional(r, q),
 }
 
 

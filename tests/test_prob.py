@@ -283,6 +283,8 @@ def test_random_draws_are_the_seeded_dirichlet_draws():
         flat = np.random.default_rng(seed).dirichlet(np.ones(n_b * n_a))
         expected = JointDistribution(flat.reshape(n_b, n_a)).weights
         assert random_joint(n_b, n_a, seed).weights.tobytes() == expected.tobytes()
+        row = Distribution(np.random.default_rng(seed).dirichlet(np.ones(n_a)))
+        assert random_joint(1, n_a, seed).weights[0].tobytes() == row.weights.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -299,8 +301,25 @@ def test_random_joint_shape_and_determinism():
     r = random_joint(3, 4, 9)
     assert r.weights.shape == (3, 4)
     assert np.array_equal(r.weights, random_joint(3, 4, 9).weights)
-    assert not np.array_equal(r.weights, random_joint(3, 4, 10).weights)
+
+
+# A one-row joint is a seeded draw on the n_a-simplex: its row 0 is the
+# distribution to use wherever a single random distribution is wanted.
+def test_random_single_row_deterministic():
+    a = random_joint(1, 6, 42).weights[0]
+    assert np.array_equal(a, random_joint(1, 6, 42).weights[0])
+    assert not np.array_equal(a, random_joint(1, 6, 43).weights[0])
+
+
+def test_random_single_row_point_simplex():
     assert random_joint(1, 1, 0).weights.tolist() == [[1.0]]
+
+
+def test_random_single_row_always_valid():
+    for seed in range(10_000):
+        w = random_joint(1, 5, seed).weights[0]
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_random_joints_are_the_random_joint_draws():
