@@ -64,6 +64,7 @@ MAXIMALITY_GRID = 1000    # t-grid cells per two-value maximality family
 GOLDEN_REFINEMENTS = 40   # golden-section steps inside each family's best cell
 CONTINUITY_PROBES = 64    # random perturbations per continuity check
 MI_FLOOR = 0.05           # default mutual-information floor of the dependent ensemble
+SUITES = ("qcalc", "escort", "axioms", "all")  # the suites run_suite runs, and "all"
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -364,8 +365,8 @@ def _trials(trials: int) -> int:
 
 
 def _floor(mi_floor: float) -> float:
-    """mi_floor, refused when negative as ``verify --mi-floor`` refuses it:
-    below 0 every first draw passes, so nothing is filtered for dependence.
+    """mi_floor, refused when negative: below 0 every first draw passes, so
+    nothing is filtered for dependence.
     NaN and +inf pass here and are refused as unreachable by the sampler."""
     if mi_floor < 0.0:
         raise ValueError(f"mi_floor must be non-negative, got {mi_floor!r}")
@@ -571,7 +572,7 @@ def _suite_escort(seed: int, trials: int, rows: list, dependent: list[list[np.nd
 
 
 def _suite_axioms(seed: int, trials: int, rows: list, dependent: list[np.ndarray]) -> list[CheckResult]:
-    # rows: at least 2 * trials. dependent: the mi_floor ensemble of seed,
+    # rows: at least 2 * trials. dependent: the MI_FLOOR ensemble of seed,
     # evaluated with the products.
     results = []
     for verdict in _continuity([0.6, 2.0], n=8, seed=seed, delta=1e-4):
@@ -592,26 +593,24 @@ def _suite_axioms(seed: int, trials: int, rows: list, dependent: list[np.ndarray
     return results
 
 
-def run_suite(name: str, seed: int, trials: int, mi_floor: float = MI_FLOOR) -> list[CheckResult]:
+def run_suite(name: str, seed: int, trials: int) -> list[CheckResult]:
     """Run one verification suite (or all of them) and collect the results.
 
-    mi_floor is the floor of the axioms suite's dependent ensemble; the
-    escort suite's three ensembles keep their fixed floor of 0.01. The
-    dependent ensembles of the suites run are drawn first, in one sampler
-    pass, and then the rows of seed's own stream once: the escort suite
-    takes 4 * trials and the axioms suite the first 2 * trials. Raises
-    ValueError for an unknown suite name, fewer than one trial, a negative
-    seed or a negative mi_floor, as ``verify`` refuses them.
+    The dependent ensembles of the suites run are drawn first, in one
+    sampler pass: the escort suite's three at floor 0.01, the axioms
+    suite's one at MI_FLOOR (``check_additivity_dependent`` takes any
+    other floor). Then the rows of seed's own stream are drawn once: the
+    escort suite takes 4 * trials and the axioms suite the first
+    2 * trials. Raises ValueError for a name not in SUITES, fewer than one
+    trial or a negative seed, as ``verify`` refuses them.
     """
     _trials(trials)
     _non_negative(seed, "seed")
-    _floor(mi_floor)
-    suites = ("qcalc", "escort", "axioms")
-    if name not in (*suites, "all"):
-        raise ValueError(f"invalid suite {name!r} (choose from 'qcalc', 'escort', 'axioms', 'all')")
-    chosen = suites if name == "all" else (name,)
+    if name not in SUITES:
+        raise ValueError(f"invalid suite {name!r} (choose from {', '.join(map(repr, SUITES))})")
+    chosen = SUITES[:-1] if name == "all" else (name,)
     requests = [(seed + offset, 0.01) for offset in (0, 10_000, 20_000)] * ("escort" in chosen)
-    requests += [(seed, mi_floor)] * ("axioms" in chosen)
+    requests += [(seed, MI_FLOOR)] * ("axioms" in chosen)
     ensembles = _sample_dependent(requests, range(trials))
     rows_per_trial = 4 if "escort" in chosen else 2 if "axioms" in chosen else 0
     rows = _finish(_random_rows(_rng(seed), rows_per_trial * trials))

@@ -11,9 +11,8 @@ to the double that was read, and ``--json`` reports hold the parsed values.
 All numbers are printed with 12 significant digits and a '.' decimal
 separator, so identical invocations produce byte-identical output.
 
-The default seed comes from the ESCORTROPY_SEED environment variable when
---seed is not given, and is 0 when that is unset or empty; any other value
-that is not an integer is bad input (exit 2), as a negative seed is.
+The seed of ``verify`` and ``sweep`` is --seed, 0 when it is not given; no
+environment variable is read. A negative seed is bad input (exit 2).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 
@@ -40,7 +38,7 @@ from .prob import (
 )
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
 from .chain_rules import PASS_CELLS, ChainRuleReport, chain_rule_grid
-from .axioms import MI_FLOOR, run_suite
+from .axioms import SUITES, run_suite
 
 # Every number is printed in FMT: 12 significant digits, locale-independent.
 FMT = "%.12g"
@@ -85,14 +83,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _mi_floor(text: str) -> float:
+def _open(path: str, mode: str, **kwargs):
+    """The UTF-8 file at path, opened in mode. A path that holds a NUL names
+    no file, and is refused as bad input rather than as open's ValueError."""
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
-    if not math.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return value
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except ValueError as exc:  # embedded null byte
+        raise EscortropyError(f"cannot open {path!r}: {exc}") from exc
 
 
 def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -> tuple:
@@ -113,7 +110,7 @@ def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -
     interpreter's digit limit, is refused here as EscortropyError. Only the
     read and the decode are guarded: ``validate``'s refusals are ValueErrors
     too."""
-    with open(args.input, "r", encoding="utf-8") as handle:
+    with _open(args.input, "r") as handle:
         try:
             text = handle.read()
             data = json.loads(text)
@@ -154,7 +151,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        with _open(out, "w", newline="\n") as handle:
             handle.write(text)
 
 
@@ -211,7 +208,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite, args.seed, args.trials, args.mi_floor)
+    results = run_suite(args.suite, args.seed, args.trials)
     all_passed = all(r.passed for r in results)
     if args.json:
         payload = [
@@ -296,13 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", default="all", choices=["qcalc", "escort", "axioms", "all"])
-    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--suite", default="all", choices=SUITES)
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=_positive_int, default=200)
-    verify.add_argument(
-        "--mi-floor", type=_mi_floor, default=MI_FLOOR,
-        help="mutual-information floor of the axioms:additivity_dependent_q2 ensemble only",
-    )
     verify.add_argument("--out", default=None)
     verify.add_argument("--json", action="store_true")
 
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--na", type=_positive_int, required=True, help="A outcomes per joint")
     sweep.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated q grid")
     sweep.add_argument("--trials", type=_positive_int, default=100)
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     return parser
 
@@ -319,15 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "seed" in args:  # verify and sweep
-        if args.seed is None:
-            raw = os.environ.get("ESCORTROPY_SEED", "")
-            try:
-                args.seed = int(raw) if raw else 0
-            except ValueError:
-                parser.error(f"ESCORTROPY_SEED must be an integer, got {raw!r}")
-        if args.seed < 0:
-            parser.error(f"seed must be non-negative, got {args.seed}")
+    if "seed" in args and args.seed < 0:  # verify and sweep
+        parser.error(f"seed must be non-negative, got {args.seed}")
     # Looked up at every call rather than stored in the shared parser, so
     # rebinding a cmd_* function of this module (as a tracer does) takes
     # effect on the next call.

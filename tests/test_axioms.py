@@ -282,11 +282,11 @@ def test_dependent_sampler_rejects_unreachable_floor(floor):
         sample_dependent_joint(0, 0, mi_floor=floor)
 
 
-# Each entry point refuses, in the words of ``verify``, what the CLI refuses.
+# Each entry point that takes a mutual-information floor refuses a negative
+# one in the same words.
 NEGATIVE_FLOOR_CALLS = {
     "check_additivity_dependent": lambda: check_additivity_dependent(2.0, 0, 3, mi_floor=-1.0),
     "sample_dependent_joint": lambda: sample_dependent_joint(0, 0, mi_floor=-1.0),
-    "run_suite": lambda: run_suite("axioms", 0, 3, mi_floor=-1.0),
 }
 
 
@@ -299,9 +299,9 @@ def test_negative_mi_floor_is_refused(call):
 
 
 def test_unknown_suite_is_refused_with_the_suite_names():
-    with pytest.raises(ValueError, match="invalid suite 'bogus'") as info:
+    with pytest.raises(ValueError) as info:
         run_suite("bogus", 0, 10)
-    assert all(name in str(info.value) for name in ("qcalc", "escort", "axioms", "all"))
+    assert str(info.value) == "invalid suite 'bogus' (choose from 'qcalc', 'escort', 'axioms', 'all')"
 
 
 NEGATIVE_SEED_CALLS = {
@@ -491,14 +491,23 @@ def test_a_suite_request_builds_the_seeds_own_generator_three_times(monkeypatch)
 @pytest.mark.parametrize("trials", [1, 200])
 @pytest.mark.parametrize("seed", [0, 8000019])
 def test_all_suites_are_each_suite_alone(seed, trials):
-    # At mi_floor 0.01 the axioms suite's dependent ensemble is the escort
-    # suite's first one, drawn once for both, and its rows are the first
-    # 2 * trials of the escort suite's 4 * trials.
+    # Under "all" every dependent ensemble is drawn in one sampler pass, and
+    # the axioms suite's rows are the first 2 * trials of the escort suite's
+    # 4 * trials.
     def margins(results):
         return [(r.suite, r.check, r.margin.hex()) for r in results]
 
-    alone = [r for name in ("qcalc", "escort", "axioms") for r in run_suite(name, seed, trials, 0.01)]
-    assert margins(run_suite("all", seed, trials, mi_floor=0.01)) == margins(alone)
+    alone = [r for name in ("qcalc", "escort", "axioms") for r in run_suite(name, seed, trials)]
+    assert margins(run_suite("all", seed, trials)) == margins(alone)
+
+
+@pytest.mark.parametrize("trials", [1, 40])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_dependent_row_is_check_additivity_dependent_at_mi_floor(seed, trials):
+    # The suite's floor is fixed; the library check takes any other.
+    [row] = [r for r in run_suite("axioms", seed, trials) if r.check == "additivity_dependent_q2"]
+    verdict = check_additivity_dependent(2.0, seed, trials, mi_floor=axioms.MI_FLOOR)
+    assert row.margin.hex() == verdict.margin.hex()
 
 
 @pytest.mark.parametrize("seed", [0, 5])

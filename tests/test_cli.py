@@ -225,8 +225,6 @@ beyond_digit_limit = pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no integer
         ({"r": [[0.2, 0.1], [0.3, 0.4]]}, ["chain", "--q", "-1"]),
         (None, ["sweep", "--nb", "0", "--na", "2", "--q", "2"]),
         (None, ["verify", "--suite", "axioms", "--trials", "0"]),
-        (None, ["verify", "--suite", "axioms", "--trials", "1", "--mi-floor", "nan"]),
-        (None, ["verify", "--suite", "axioms", "--trials", "1", "--mi-floor", "3"]),
         (None, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--seed", "-1"]),
         (b'\xff{"p": [1.0]}', ["entropy", "--q", "2"]),
         ({"p": [0.25, 0.25, 0.25, 0.25]}, ["entropy", "--q", "1000"]),
@@ -247,6 +245,9 @@ beyond_digit_limit = pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no integer
         pytest.param(
             b'{"r": [[' + TOO_MANY_DIGITS + b", 0.1], [0.3, 0.4]]}", ["chain", "--q", "2"], marks=beyond_digit_limit
         ),
+        (None, ["entropy", "--input", "a\x00b", "--q", "2"]),
+        ({"p": [0.5, 0.5]}, ["entropy", "--q", "2", "--out", "o\x00t"]),
+        (None, ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "1", "--out", "x\x00y"]),
     ],
     ids=[
         "nan-weight",
@@ -255,8 +256,6 @@ beyond_digit_limit = pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no integer
         "q-negative",
         "sweep-nb-zero",
         "verify-trials-zero",
-        "verify-mi-floor-nan",
-        "verify-mi-floor-unreachable",
         "negative-seed",
         "not-utf8",
         "entropy-powers-underflow",
@@ -275,6 +274,9 @@ beyond_digit_limit = pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no integer
         "nested-5000-deep",
         "integer-beyond-the-digit-limit",
         "integer-beyond-the-digit-limit-joint",
+        "nul-in-input-path",
+        "nul-in-output-path",
+        "nul-in-sweep-output-path",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv):
@@ -321,13 +323,15 @@ def test_verify_each_suite_exits_zero(capsys):
         assert "FAIL" not in out
 
 
-def test_verify_mi_floor_flag(capsys):
-    code, out, _ = run(
-        capsys,
-        ["verify", "--suite", "axioms", "--seed", "2", "--trials", "40", "--mi-floor", "0.2"],
-    )
-    assert code == 0
-    assert "additivity_dependent_q2" in out
+def test_verify_has_no_mi_floor_option(capsys):
+    # The axioms suite's floor is MI_FLOOR; check_additivity_dependent takes
+    # any other.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "axioms", "--trials", "1", "--mi-floor", "0.05"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --mi-floor 0.05")
 
 
 def test_verify_json_output(capsys):
@@ -432,33 +436,24 @@ def test_sweep_deterministic_files(tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
-def test_seed_env_var_is_default(tmp_path, capsys, monkeypatch):
-    args = ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "3"]
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "3"],
+        ["verify", "--suite", "qcalc", "--trials", "5", "--json"],
+    ],
+    ids=["sweep", "verify"],
+)
+def test_the_seed_is_zero_unless_given_and_the_environment_is_not_read(capsys, monkeypatch, args):
+    monkeypatch.delenv("ESCORTROPY_SEED", raising=False)
+    seeded = run(capsys, args + ["--seed", "0"])
+    assert seeded[0] == 0
     monkeypatch.setenv("ESCORTROPY_SEED", "77")
-    _, out_env, _ = run(capsys, args)
-    monkeypatch.delenv("ESCORTROPY_SEED")
-    _, out_flag, _ = run(capsys, args + ["--seed", "77"])
-    assert out_env == out_flag
-    _, out_default, _ = run(capsys, args)
-    _, out_zero, _ = run(capsys, args + ["--seed", "0"])
-    assert out_default == out_zero
-
-
-@pytest.mark.parametrize("raw", ["abc", "1.5", " "], ids=["letters", "decimal", "blank"])
-def test_seed_env_var_that_is_not_an_integer_exits_two(capsys, monkeypatch, raw):
-    args = ["sweep", "--nb", "2", "--na", "2", "--q", "2", "--trials", "1"]
-    monkeypatch.setenv("ESCORTROPY_SEED", raw)
-    with pytest.raises(SystemExit) as info:
-        main(args)
-    captured = capsys.readouterr()
-    assert info.value.code == 2
-    assert captured.out == ""
-    assert sum("error:" in line for line in captured.err.splitlines()) == 1
-    assert "ESCORTROPY_SEED" in captured.err
-    # --seed wins over the environment, and an empty value means seed 0.
-    _, out_flag, _ = run(capsys, args + ["--seed", "0"])
-    monkeypatch.setenv("ESCORTROPY_SEED", "")
-    assert run(capsys, args) == (0, out_flag, "")
+    assert run(capsys, args) == seeded
+    assert run(capsys, args + ["--seed", "0"]) == seeded
+    # A value that is not a seed is not read either.
+    monkeypatch.setenv("ESCORTROPY_SEED", "abc")
+    assert run(capsys, args) == seeded
 
 
 def test_out_files_end_with_newline(tmp_path, capsys):
@@ -525,7 +520,6 @@ def test_shared_parser_leaks_no_state_between_calls(capsys, tmp_path, monkeypatc
     # The parser is built once per process; each call must still answer as
     # the first call of a new process does.
     monkeypatch.setenv("COLUMNS", "80")  # the width of --help
-    monkeypatch.delenv("ESCORTROPY_SEED", raising=False)
     assert cli.build_parser() is cli.build_parser()
     joint = write_json(tmp_path, "r.json", {"r": [[0.2, 0.1], [0.3, 0.4]]})
     dist = write_json(tmp_path, "p.json", {"p": [0.5, 0.3, 0.2]})
@@ -549,15 +543,11 @@ def test_shared_parser_leaks_no_state_between_calls(capsys, tmp_path, monkeypatc
     codes = [fresh[tuple(argv)][0] for argv in calls]
     assert codes == [0, 0, 0, 0, 2, 0, 0]
 
+    # A call without a seed, after a --seed 3 call, gets seed 0.
     unseeded = sweep[:-2]
-    by_seed = {}
-    for seed in ("3", "8"):
-        monkeypatch.setenv("ESCORTROPY_SEED", seed)
-        by_seed[seed] = same_process_call(capsys, unseeded)
-        monkeypatch.delenv("ESCORTROPY_SEED")
-        assert by_seed[seed] == same_process_call(capsys, unseeded + ["--seed", seed])
-    assert by_seed["3"] == fresh[tuple(sweep)]
-    assert by_seed["3"] != by_seed["8"]
+    assert same_process_call(capsys, sweep) == fresh[tuple(sweep)]
+    assert same_process_call(capsys, unseeded) == same_process_call(capsys, unseeded + ["--seed", "0"])
+    assert same_process_call(capsys, unseeded) != fresh[tuple(sweep)]
 
 
 def test_rebinding_a_command_function_takes_effect_on_the_shared_parser(monkeypatch):
