@@ -1,5 +1,16 @@
 """Hybrid entropy, escort distributions, q-deformed calculus, and numerical
-verification of the q-additive entropic chain rule for finite distributions."""
+verification of the q-additive entropic chain rule for finite distributions.
+
+The verifiers of ``escortropy.axioms`` load on first use: the submodule,
+and its names exported here, are imported when one of them is first looked
+up (PEP 562), so importing the package, or running any command but
+``verify``, never loads them. ``SUITES`` is defined here, before any
+submodule loads, so ``run_suite`` and ``verify --suite`` read one tuple
+without the command line importing the verifiers.
+"""
+
+# The suites run_suite runs, and "all".
+SUITES = ("qcalc", "escort", "axioms", "all")
 
 from .errors import (
     DomainCutoffError,
@@ -46,16 +57,6 @@ from .chain_rules import (
     chain_rule_grid,
     chain_rule_report,
     corrected_conditional,
-)
-from .axioms import (
-    AxiomVerdict,
-    check_additivity_dependent,
-    check_additivity_independent,
-    check_continuity,
-    check_expansibility,
-    check_maximality,
-    project_to_simplex,
-    sample_dependent_joint,
 )
 
 __version__ = "0.1.0"
@@ -110,3 +111,33 @@ __all__ = [
     "shannon",
     "tsallis",
 ]
+
+# The names of escortropy.axioms exported here, loaded by __getattr__.
+_AXIOMS_NAMES = (
+    "AxiomVerdict",
+    "check_additivity_dependent",
+    "check_additivity_independent",
+    "check_continuity",
+    "check_expansibility",
+    "check_maximality",
+    "project_to_simplex",
+    "sample_dependent_joint",
+)
+
+
+def __getattr__(name: str):
+    """The axioms submodule, or one of its exported names, imported on first
+    use; each name is then bound here, so later lookups skip this call."""
+    if name != "axioms" and name not in _AXIOMS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    axioms = importlib.import_module(".axioms", __name__)
+    if name == "axioms":
+        return axioms
+    value = globals()[name] = getattr(axioms, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_AXIOMS_NAMES, "axioms"})

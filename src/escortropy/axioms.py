@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import SUITES
 from .prob import (
     Distribution,
     DistributionStack,
@@ -62,9 +63,9 @@ SAMPLER_ATTEMPTS = 10_000  # rejection-sampler draws per joint before giving up
 MAX_SIDE = 8              # sampled joints have 2..MAX_SIDE outcomes per side
 MAXIMALITY_GRID = 1000    # t-grid cells per two-value maximality family
 GOLDEN_REFINEMENTS = 40   # golden-section steps inside each family's best cell
+MAXIMALITY_BLOCK = 128    # two-value families per block of the maximality scan and scoring
 CONTINUITY_PROBES = 64    # random perturbations per continuity check
 MI_FLOOR = 0.05           # default mutual-information floor of the dependent ensemble
-SUITES = ("qcalc", "escort", "axioms", "all")  # the suites run_suite runs, and "all"
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -129,9 +130,11 @@ def check_maximality(q: float, n: int) -> AxiomVerdict:
     1 <= m < k: m coordinates at t/m, k - m at (1 - t)/(k - m), the rest 0.
     Each family's closed form is scanned on MAXIMALITY_GRID points of t and
     its best cell refined by GOLDEN_REFINEMENTS golden-section steps; the
-    refined points and the uniform point are then scored together by
-    ``hybrid_rows``. Passes when no point exceeds the uniform value by more
-    than MAXIMALITY_SLACK; the best point is always attached as the witness.
+    refined points and the uniform point are then scored by ``hybrid_rows``.
+    Scan and scoring take MAXIMALITY_BLOCK families at a time, so outside a
+    block no array holds more than one t per family. Passes when no point
+    exceeds the uniform value by more than MAXIMALITY_SLACK; the best point
+    is always attached as the witness.
     """
     return _maximality(q, [n])[0]
 
@@ -140,7 +143,13 @@ def _maximality(q: float, ns) -> list[AxiomVerdict]:
     """``check_maximality`` at each size of ns. The families run with k
     outermost, so the n(n - 1)/2 families of size n are the first families of
     any larger size, and no family's scan depends on n: the families of the
-    largest size are refined once, and each size scores its own."""
+    largest size are refined once, and each size scores its own.
+
+    The scan and the scoring take MAXIMALITY_BLOCK families at a time; the
+    refinement holds one t per family. Each block is scored behind the best
+    point so far, the uniform one at first, and argmax keeps the first best,
+    so the uniform point wins ties as in one stack. Each row's value is that
+    of the row alone, so the blocks move no bit."""
     q = _order(q)
     ns = list(ns)
     if min(ns) < 2:
@@ -150,7 +159,8 @@ def _maximality(q: float, ns) -> list[AxiomVerdict]:
         [(k, m) for k in range(2, top + 1) for m in range(1, k)], dtype=float
     ).T[:, :, None]
     grid = np.arange(1, MAXIMALITY_GRID) / MAXIMALITY_GRID
-    cell = np.argmax(_two_value_ad(k, m, grid, q), axis=1, keepdims=True)
+    blocks = [slice(b, b + MAXIMALITY_BLOCK) for b in range(0, len(k), MAXIMALITY_BLOCK)]
+    cell = np.concatenate([np.argmax(_two_value_ad(k[s], m[s], grid, q), axis=1, keepdims=True) for s in blocks])
     lo, hi = cell / MAXIMALITY_GRID, (cell + 2) / MAXIMALITY_GRID
     for _ in range(GOLDEN_REFINEMENTS):
         left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
@@ -160,15 +170,20 @@ def _maximality(q: float, ns) -> list[AxiomVerdict]:
     verdicts = []
     for n in ns:
         families = n * (n - 1) // 2
-        kn, mn, tn = k[:families], m[:families], t[:families]
         index = np.arange(n)
-        rows = np.where(index < mn, tn / mn, np.where(index < kn, (1.0 - tn) / (kn - mn), 0.0))
-        points = np.vstack([np.full(n, 1.0 / n), rows])
-        values = hybrid_rows(points, q)
-        best = int(np.argmax(values))  # the uniform row wins ties
-        margin = float(values[0]) + MAXIMALITY_SLACK - float(values[best])
-        witness = Distribution(points[best])
-        verdicts.append(AxiomVerdict(axiom="maximality", q=q, n=n, margin=margin, witness=witness))
+        best = np.full(n, 1.0 / n)
+        for b in range(0, families, MAXIMALITY_BLOCK):
+            block = slice(b, min(b + MAXIMALITY_BLOCK, families))
+            kn, mn, tn = k[block], m[block], t[block]
+            rows = np.where(index < mn, tn / mn, np.where(index < kn, (1.0 - tn) / (kn - mn), 0.0))
+            points = np.vstack([best, rows])
+            values = hybrid_rows(points, q)
+            if b == 0:
+                uniform = float(values[0])
+            winner = int(np.argmax(values))  # the best point so far wins ties
+            best, value = points[winner], float(values[winner])
+        margin = uniform + MAXIMALITY_SLACK - value
+        verdicts.append(AxiomVerdict(axiom="maximality", q=q, n=n, margin=margin, witness=Distribution(best)))
     return verdicts
 
 

@@ -1,6 +1,8 @@
 """Command-line front door: entropy tables, chain-rule reports, verification
 suites, and deterministic CSV sweeps. This module parses, calls and formats;
-the suites themselves are ``axioms.run_suite``.
+the suites themselves are ``axioms.run_suite``, which ``cmd_verify`` imports
+when it runs, so no other command loads ``axioms``. ``verify --suite`` takes
+the package's ``SUITES``.
 
 Input files are JSON: ``{"p": [..]}`` for a distribution, ``{"r": [[..], ..]}``
 for a joint (rows are B outcomes, columns A outcomes). Text reports echo the
@@ -27,6 +29,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import SUITES
 from .errors import EscortropyError, MalformedWeightsError
 from .prob import (
     Distribution,
@@ -38,7 +41,6 @@ from .prob import (
 )
 from .entropies import aczel_daroczy, hybrid, renyi, shannon, tsallis
 from .chain_rules import PASS_CELLS, ChainRuleReport, chain_rule_grid
-from .axioms import SUITES, run_suite
 
 # Every number is printed in FMT: 12 significant digits, locale-independent.
 FMT = "%.12g"
@@ -208,6 +210,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .axioms import run_suite  # only verify loads the verifiers
+
     results = run_suite(args.suite, args.seed, args.trials)
     all_passed = all(r.passed for r in results)
     if args.json:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -618,6 +619,32 @@ def test_maximality_over_sizes_is_each_size_alone(q):
         alone = check_maximality(q, verdict.n)
         assert (verdict.passed, repr(verdict.margin)) == (alone.passed, repr(alone.margin))
         assert verdict.witness.weights.tobytes() == alone.witness.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, margin, heavy, light",
+    [
+        (40, "-0x1.57b47bc4b664cp+1", "0x1.bdab872c6b744p-1", "0x1.b3658f45732b6p-9"),
+        (100, "-0x1.1877583492c6ep+3", "0x1.d6de921d1a6a7p-1", "0x1.a96e75c60b359p-11"),
+    ],
+)
+def test_maximality_at_many_families_is_pinned(n, margin, heavy, light):
+    # Sizes whose families span several scan blocks: one heavy coordinate,
+    # n - 1 light ones, bit for bit as one stack of all families gives them.
+    verdict = check_maximality(0.5, n)
+    assert verdict.margin.hex() == margin
+    assert [w.hex() for w in verdict.witness.weights.tolist()] == [heavy] + [light] * (n - 1)
+
+
+def test_maximality_memory_is_bounded():
+    # One stack of all 4,950 families of n = 100 traced a 238 MB peak.
+    tracemalloc.start()
+    try:
+        check_maximality(0.5, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def _escort_dependent_gaps(seed, trials):

@@ -1,6 +1,7 @@
 """The documented entry points stay runnable: README's python quickstart
-executes as written, every name the package exports resolves, and so does
-every name the benchmark's tracer looks up."""
+executes as written, every name the package exports resolves, so does
+every name the benchmark's tracer looks up, and ``verify`` prints the rows
+the benchmark checks."""
 
 import ast
 import re
@@ -8,10 +9,24 @@ from pathlib import Path
 
 import escortropy
 import escortropy.prob
+from escortropy.axioms import run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 TRACER = ROOT / "benchmarks" / "tracing.py"
+WORKLOADS = ROOT / "benchmarks" / "workloads.py"
+
+
+def benchmark_value(path, name):
+    """The value the module at path assigns to name, read from its source,
+    not imported. The expression may use comprehensions but no other name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [value] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
+    ]
+    return eval(compile(ast.Expression(value), str(path), "eval"), {})
 
 
 def test_readme_python_blocks_execute():
@@ -31,11 +46,13 @@ def test_every_object_the_benchmark_tracer_wraps_is_in_prob():
     # The tracer looks its PROB_OBJECTS up in escortropy.prob by name. They
     # are read from its source, not imported, so a removed name fails here
     # and not only in a traced benchmark run.
-    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
-    [names] = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PROB_OBJECTS" for t in node.targets)
-    ]
+    names = benchmark_value(TRACER, "PROB_OBJECTS")
     assert names
     assert [name for name in names if not hasattr(escortropy.prob, name)] == []
+
+
+def test_verify_prints_the_rows_the_benchmark_checks():
+    # The verify-all workload marks every request malformed when a row is
+    # renamed, added or dropped; this names the difference.
+    expected = benchmark_value(WORKLOADS, "VERIFY_CHECKS")
+    assert [f"{r.suite}:{r.check}" for r in run_suite("all", 0, 1)] == expected
