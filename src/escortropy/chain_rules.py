@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .escort import _CELLS, _power_escort, _power_sums, _powers
-from .prob import JointDistribution, JointStack, _marginal_and_conditional, _masked_log, _order
+from .prob import JointDistribution, JointStack, _marginal_and_conditional, _order
 from .qcalc import kn_map_inv, q_add
 
 
@@ -127,7 +127,13 @@ def _order_free(w: np.ndarray) -> tuple:
     top = cond.max(axis=-2, keepdims=True)
     extremes = np.concatenate([cond.min(axis=-1)[:, None], cond.max(axis=-1)[:, None]], axis=-2)
     lead = (Ellipsis, np.arange(len(w))[:, None, None], 0, p.argmax(axis=-1, keepdims=True))
-    return p, -np.log(p), cond, _masked_log(cond / top), top, -np.log(top), lead, extremes
+    # _masked_log(cond / top), taken in the quotient itself: a cell that is
+    # not positive, -0.0 included, gives +0.0.
+    log_rel = cond / top
+    zero = log_rel <= 0.0
+    np.log(log_rel, out=log_rel, where=~zero)
+    log_rel[zero] = 0.0
+    return p, -np.log(p), cond, log_rel, top, -np.log(top), lead, extremes
 
 
 def _evaluate(passes: tuple, orders: list[float]) -> tuple:
@@ -145,7 +151,9 @@ def _evaluate(passes: tuple, orders: list[float]) -> tuple:
     p_escort = _power_escort(p, orders, -1)
     # Escort means of ln(r_{k|l} / m_l), of -ln r_{k|l} and of -ln r_{kl} over
     # column l (-mu_l): each adds terms of one sign, so no digits cancel.
-    rel_mean = (cond_q * log_rel).sum(axis=-2, keepdims=True) / col_sums
+    # cond_q is spent once its column sums are taken: the product overwrites it.
+    cond_q *= log_rel
+    rel_mean = cond_q.sum(axis=-2, keepdims=True) / col_sums
     cond_entropy = neg_log_top - rel_mean
     col_entropy = cond_entropy + neg_log_p
     # N_l = P_l S_l / S-bar, S-bar = sum_j P_j S_j, is the naive escort's A-marginal.

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import fields
 
 import numpy as np
@@ -97,7 +98,8 @@ def _open(path: str, mode: str, **kwargs):
 def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -> tuple:
     """(validate(weights), echo) for the JSON object of args.input, which must
     hold weights under key. echo is the input as the table shows it: the
-    object {key: weights} under --json, else the text line of its echo.
+    object {key: weights} under --json, else the parts of its echo line,
+    which ``_emit`` writes one after another.
 
     That line spells the weights as the file does when they are all it
     holds, so no number is encoded again: key is the object's only key, so
@@ -106,7 +108,9 @@ def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -
     pair, a duplicate key's included, puts its key's quotes there. The span
     is echoed without JSON whitespace and with ", " after each comma, as
     ``json.dumps`` separates items. Any other file echoes ``json.dumps`` of
-    the decoded weights.
+    the decoded weights. Text mode holds at most two input-sized copies at
+    once: the text and its decoded lists while they are read, then the span
+    and one edited copy of it.
 
     A file that is not UTF-8 JSON, or holds an integer longer than the
     interpreter's digit limit, is refused here as EscortropyError. Only the
@@ -127,13 +131,14 @@ def _load_weights(args: argparse.Namespace, key: str, expected: str, validate) -
         return weights, {key: data[key]}
     first, end = text.find("["), text.rfind("]") + 1
     if len(data) > 1 or text.find('"', first, end) != -1:
-        return weights, "# input " + json.dumps({key: data[key]})
+        return weights, ["# input ", json.dumps({key: data[key]})]
+    # The decoded lists go before the slice copies the span, and the text
+    # right after it; each later pass holds the span and one copy of it.
+    del data
     span = text[first:end]
-    # Free the text and the decoded lists, each about the span's size, before
-    # the two passes below copy the span.
-    del text, data
-    span = span.translate(_JSON_SPACE).replace(",", ", ")
-    return weights, f'# input {{"{key}": {span}}}'
+    del text
+    span = span.translate(_JSON_SPACE)
+    return weights, [f'# input {{"{key}": ', span.replace(",", ", "), "}"]
 
 
 def _finite(orders: list[float], names: list[str], values: np.ndarray) -> None:
@@ -149,16 +154,30 @@ def _finite(orders: list[float], names: list[str], values: np.ndarray) -> None:
             )
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: Iterable[str], out: str | None) -> None:
+    """Write the parts one after another to the file at out, or to stdout
+    when out is None. No part is joined to another, so an output is never
+    held whole beside its parts."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with _open(out, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(parts)
+
+
+def _json_parts(payload) -> Iterator[str]:
+    """The chunks of ``json.dumps(payload, indent=2) + "\n"``, as the encoder
+    yields them."""
+    return itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
 
 
 def _table(
-    args: argparse.Namespace, echo: dict | str, columns: list[str], values: np.ndarray, extra: dict, notes: list[str]
+    args: argparse.Namespace,
+    echo: dict | list[str],
+    columns: list[str],
+    values: np.ndarray,
+    extra: dict,
+    notes: list[str],
 ) -> None:
     """Write the table of ``entropy`` or ``chain``: row g is order args.q[g],
     then row g of the (G, F) values, one per column after "q". JSON holds
@@ -169,10 +188,11 @@ def _table(
     table = np.column_stack([args.q, values])
     if args.json:
         rows = [dict(zip(columns, row)) for row in table.tolist()]
-        text = json.dumps({"input": echo, **extra, "rows": rows}, indent=2) + "\n"
+        parts = _json_parts({"input": echo, **extra, "rows": rows})
     else:
-        text = "\n".join([echo, *notes, "\t".join(columns), *_lines(table, "\t"), ""])
-    _emit(text, args.out)
+        # The echo line's parts, then the rest from the newline that ends it.
+        parts = [*echo, "\n".join(["", *notes, "\t".join(columns), *_lines(table, "\t"), ""])]
+    _emit(parts, args.out)
 
 
 # Where the q-th powers underflow or overflow, _finite refuses the order in
@@ -219,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {"suite": r.suite, "check": r.check, "passed": bool(r.passed), "margin": float(r.margin)}
             for r in results
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        parts = _json_parts(payload)
     else:
         lines = [
             f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}:{r.check} margin={fmt(r.margin)}"
@@ -228,8 +248,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(
             f"{sum(r.passed for r in results)}/{len(results)} checks passed"
         )
-        text = "\n".join([*lines, ""])
-    _emit(text, args.out)
+        parts = ["\n".join([*lines, ""])]
+    _emit(parts, args.out)
     return 0 if all_passed else 1
 
 
@@ -263,8 +283,7 @@ def sweep_rows(n_b: int, n_a: int, q_grid: list[float], trials: int, seed: int) 
 @np.errstate(all="ignore")
 def cmd_sweep(args: argparse.Namespace) -> int:
     body = sweep_rows(args.nb, args.na, args.q, args.trials, args.seed)
-    text = "\n".join([SWEEP_HEADER, *body, ""])
-    _emit(text, args.out)
+    _emit(["\n".join([SWEEP_HEADER, *body, ""])], args.out)
     return 0
 
 

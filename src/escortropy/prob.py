@@ -36,10 +36,13 @@ def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
     lists nested deeper than its array dimensions before that scan recurses
     into them, and integers beyond the double range.
     The array is made C-contiguous first, so an item's sum is the pairwise
-    sum of its flat cells in any layout, alone as in a stack."""
+    sum of its flat cells in any layout, alone as in a stack. A list or
+    tuple becomes a new array, divided in place; an array is never written
+    to, and the result shares no memory with it."""
+    listed = isinstance(values, (list, tuple))
     try:
         w = np.asarray(values)
-        if isinstance(values, (list, tuple)) and _holds_boolean(values):
+        if listed and _holds_boolean(values):
             raise TypeError("booleans are not numbers")
         if w.dtype.kind in "bUS":
             raise TypeError("booleans and strings are not numbers")
@@ -57,7 +60,10 @@ def _checked(values, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
     off = np.abs(sums - 1.0) > EPS_NORM
     if off.any():
         raise NotNormalizedError(float(sums[off][0] - 1.0))
-    w = w / sums
+    if listed:
+        w /= sums
+    else:
+        w = w / sums
     w.setflags(write=False)
     return w
 

@@ -40,6 +40,7 @@ from escortropy import (
     shannon,
 )
 from escortropy import chain_rules
+from escortropy.prob import _masked_log
 
 import oracles
 
@@ -69,6 +70,14 @@ def random_product(seed):
 
 def shannon_conditional(r):
     return oracles.nat_entropy(r.weights) - oracles.nat_entropy(r.weights.sum(axis=0))
+
+
+def test_the_kernels_log_ratio_is_the_masked_log_with_plus_zero_at_a_minus_zero_cell():
+    w = JointDistribution([[0.5, -0.0], [0.25, 0.25], [0.0, 0.0]]).weights
+    _, _, cond, log_rel, top, *_ = chain_rules._order_free(w[None])
+    assert np.signbit(cond[cond == 0.0]).any()
+    assert log_rel.tobytes() == _masked_log(cond / top).tobytes()
+    assert not np.signbit(log_rel[log_rel == 0.0]).any()
 
 
 def test_conditional_chain_on_products_reduces_to_marginal():

@@ -64,6 +64,35 @@ def test_weights_are_renormalized_exactly_and_frozen():
         d.weights[0] = 0.9
 
 
+# Each weight type and the shape of an input for it.
+WEIGHT_SHAPES = {
+    Distribution: (7,),
+    DistributionStack: (3, 7),
+    JointDistribution: (4, 5),
+    JointStack: (3, 4, 5),
+    ConditionalDistribution: (4, 5),
+}
+
+
+@pytest.mark.parametrize("make, shape", WEIGHT_SHAPES.items(), ids=lambda x: getattr(x, "__name__", ""))
+def test_validation_never_writes_an_input_array_and_divides_a_list_as_an_array(make, shape):
+    axes = make._rule[1]
+    raw = np.random.default_rng(4).random(shape)
+    # Off its sums within EPS_NORM, so the division changes bits.
+    raw *= (1.0 + 3e-10) / raw.sum(axis=axes, keepdims=True)
+    for writeable in (True, False):
+        values = raw.copy()
+        values.setflags(write=writeable)
+        weights = make(values).weights
+        assert values.tobytes() == raw.tobytes()
+        assert not np.shares_memory(weights, values)
+        assert weights.tobytes() != raw.tobytes()
+    values = raw.tolist()
+    expected = np.asarray(values, dtype=float) / np.asarray(values, dtype=float).sum(axis=axes, keepdims=True)
+    assert make(values).weights.tobytes() == expected.tobytes()
+    assert make(tuple(values)).weights.tobytes() == expected.tobytes()
+
+
 _P = Distribution([0.5, 0.3, 0.2])
 _R = JointDistribution([[0.2, 0.1], [0.3, 0.4]])
 
