@@ -38,7 +38,7 @@ from .prob import (
     _finish,
     _non_negative,
     _order,
-    _rng,
+    _rngs,
     mutual_information,
     product_joint,
 )
@@ -264,32 +264,32 @@ def _continuity(qs, n: int, seed: int, delta: float) -> list[AxiomVerdict]:
     if n < 2:
         raise ValueError("continuity needs n >= 2")
     orders = [_order(q) for q in qs]
-    rng = _rng(seed)
     moduli = _calibrate_moduli(orders, n, delta)
     bases, moved_rows = [], []
     drawn = 0
-    while len(bases) < CONTINUITY_PROBES:
-        # Each round draws the missing candidates, base then direction, and
-        # works on them as one stack. One with a flat direction, or whose
-        # projection is its base, is dropped and a later round replaces it.
-        missing = range(CONTINUITY_PROBES - len(bases))
-        draws = [(rng.standard_exponential(n), rng.normal(size=n)) for _ in missing]
-        base = np.array(_finish([raw for raw, _ in draws]))
-        direction = np.array([normal for _, normal in draws])
-        index = drawn + np.arange(len(draws))
-        drawn += len(draws)
-        if n >= 3:
-            rows = np.flatnonzero(index % 4 == 3)
-            base[rows, (index[rows] // 4) % n] = 0.0
-            base[rows] /= base[rows].sum(axis=1, keepdims=True)
-        direction -= direction.mean(axis=1, keepdims=True)
-        norm = np.abs(direction).sum(axis=1)
-        steep = norm != 0.0
-        base = base[steep]
-        moved = project_to_simplex(base + direction[steep] * (delta / norm[steep])[:, None])
-        kept = np.abs(moved - base).sum(axis=1) != 0.0
-        bases += list(base[kept])
-        moved_rows += list(moved[kept])
+    for rng in _rngs([seed]):
+        while len(bases) < CONTINUITY_PROBES:
+            # Each round draws the missing candidates, base then direction, and
+            # works on them as one stack. One with a flat direction, or whose
+            # projection is its base, is dropped and a later round replaces it.
+            missing = range(CONTINUITY_PROBES - len(bases))
+            draws = [(rng.standard_exponential(n), rng.normal(size=n)) for _ in missing]
+            base = np.array(_finish([raw for raw, _ in draws]))
+            direction = np.array([normal for _, normal in draws])
+            index = drawn + np.arange(len(draws))
+            drawn += len(draws)
+            if n >= 3:
+                rows = np.flatnonzero(index % 4 == 3)
+                base[rows, (index[rows] // 4) % n] = 0.0
+                base[rows] /= base[rows].sum(axis=1, keepdims=True)
+            direction -= direction.mean(axis=1, keepdims=True)
+            norm = np.abs(direction).sum(axis=1)
+            steep = norm != 0.0
+            base = base[steep]
+            moved = project_to_simplex(base + direction[steep] * (delta / norm[steep])[:, None])
+            kept = np.abs(moved - base).sum(axis=1) != 0.0
+            bases += list(base[kept])
+            moved_rows += list(moved[kept])
     points = np.vstack(moved_rows + bases)
     verdicts = []
     for order, modulus in zip(orders, moduli):
@@ -324,10 +324,11 @@ def _product_joints(marginals: list[np.ndarray]) -> list[np.ndarray]:
 
 def _product_marginals(seed: int, trials: int) -> list[np.ndarray]:
     """The (p_a, q_b) marginals of each trial's product joint, in one list:
-    trial t draws its sizes, then p_a and q_b, from ``default_rng(seed + t)``."""
+    trial t draws its sizes, then p_a and q_b, from the stream of seed + t,
+    which is ``default_rng(seed + t)`` bit for bit. One ``_rngs`` call
+    builds the streams of all trials."""
     raws = []
-    for t in range(trials):
-        rng = _rng(seed + t)
+    for rng in _rngs(range(seed, seed + trials)):
         n_b, n_a = _random_sizes(rng)
         raws += [rng.standard_exponential(n_a), rng.standard_exponential(n_b)]
     return _finish(raws)
@@ -392,7 +393,9 @@ def _sample_dependent(requests, indices) -> list[list[np.ndarray]]:
     """For each (seed, mi_floor) request, the (n_b, n_a) draw that
     ``sample_dependent_joint`` accepts at each index, as drawn: the caller
     validates it. Each round draws attempt a of each (seed, index) some
-    request still rejects, once for all of them, and judges the draws with
+    request still rejects, once for all of them, from the stream of
+    (seed, index, a), which is ``default_rng((seed, index, a))`` bit for bit;
+    one ``_rngs`` call builds the round's streams. It judges the draws with
     ``mutual_information`` of one JointStack per shape, each joint's value
     alone bit for bit. The caller checks each mi_floor with ``_floor``."""
     for seed, mi_floor in requests:
@@ -408,8 +411,7 @@ def _sample_dependent(requests, indices) -> list[list[np.ndarray]]:
         if not streams:
             break
         raws = []
-        for seed, index in streams:
-            rng = _rng(seed, index, attempt)
+        for rng in _rngs([(seed, index, attempt) for seed, index in streams]):
             n_b, n_a = _random_sizes(rng)
             raws.append(rng.standard_exponential(n_b * n_a).reshape(n_b, n_a))
         draws = _finish(raws)
@@ -504,23 +506,29 @@ class CheckResult:
 
 def _suite_qcalc(seed: int, trials: int) -> list[CheckResult]:
     # Each order's draws come from one call, which gives the stream of one
-    # draw at a time. The checks stay scalar: this suite checks the scalar
+    # draw at a time; all of them are drawn first, in the order the checks
+    # use them. The checks stay scalar: this suite checks the scalar
     # functions, on Python floats.
-    rng = _rng(seed)
+    orders = (0.3, 0.5, 1.0, 1.5, 2.0)
+    spans = []
+    for q in orders:
+        bound = 1.0 / abs(1.0 - q) if q != 1.0 else 10.0
+        spans.append((-0.9 * bound, 10.0) if q < 1 else (-10.0, 0.9 * bound))
+    for rng in _rngs([seed]):
+        pairs = [rng.uniform(lo, hi, size=(trials, 2)).tolist() for lo, hi in spans]
+        points = [rng.uniform(-2.0, 2.0, size=trials).tolist() for _ in orders]
     results = []
 
     worst = 0.0
-    for q in (0.3, 0.5, 1.0, 1.5, 2.0):
-        bound = 1.0 / abs(1.0 - q) if q != 1.0 else 10.0
-        lo, hi = (-0.9 * bound, 10.0) if q < 1 else (-10.0, 0.9 * bound)
-        for a, b in rng.uniform(lo, hi, size=(trials, 2)).tolist():
+    for q, drawn in zip(orders, pairs):
+        for a, b in drawn:
             err = abs(kn_map(q_add(a, b, q), q) - kn_map(a, q) - kn_map(b, q))
             worst = max(worst, err)
     results.append(CheckResult("qcalc", "kn_map_homomorphism", 1e-10 - worst))
 
     worst = 0.0
-    for q in (0.3, 0.5, 1.0, 1.5, 2.0):
-        for x in rng.uniform(-2.0, 2.0, size=trials).tolist():
+    for q, drawn in zip(orders, points):
+        for x in drawn:
             if 1.0 + (1.0 - q) * x > 1e-6:
                 worst = max(worst, abs(q_log(q_exp(x, q), q) - x))
             worst = max(worst, abs(kn_map(kn_map_inv(x, q), q) - x))
@@ -550,7 +558,7 @@ def _suite_escort(seed: int, trials: int, rows: list, dependent: list[list[np.nd
         )
     results.append(CheckResult("escort", "inverse_round_trip", 1e-10 - float(np.max(errors))))
 
-    marginals = _finish([row for t in range(trials) for row in _random_rows(_rng(seed + t), 2)])
+    marginals = _finish([row for rng in _rngs(range(seed, seed + trials)) for row in _random_rows(rng, 2)])
     joints = _product_joints(marginals) + dependent[0]
     gaps = np.array(_by_shape(JointStack, joints, lambda stack: _construction_gap(stack, 2.0)))
     results.append(CheckResult("escort", "product_joints_consistent", 1e-9 - float(np.max(gaps[:trials]))))
@@ -628,7 +636,7 @@ def run_suite(name: str, seed: int, trials: int) -> list[CheckResult]:
     requests += [(seed, MI_FLOOR)] * ("axioms" in chosen)
     ensembles = _sample_dependent(requests, range(trials))
     rows_per_trial = 4 if "escort" in chosen else 2 if "axioms" in chosen else 0
-    rows = _finish(_random_rows(_rng(seed), rows_per_trial * trials))
+    rows = _finish([row for rng in _rngs([seed]) for row in _random_rows(rng, rows_per_trial * trials)])
     results = _suite_qcalc(seed, trials) if "qcalc" in chosen else []
     if "escort" in chosen:
         results += _suite_escort(seed, trials, rows, ensembles[:3])

@@ -174,12 +174,149 @@ def _non_negative(value: int, name: str) -> int:
     return value
 
 
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    """``default_rng(seed)``, or ``default_rng((seed, *stream))`` when stream
-    is given: every generator of the package is built here, so a negative
-    seed is refused by name wherever one is drawn from."""
-    _non_negative(seed, "seed")
-    return np.random.default_rng((seed, *stream) if stream else seed)
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding step.
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The hash rows of each entropy width, and generators no call is using.
+_HASH_ROWS: dict[int, np.ndarray] = {}
+_IDLE: list = []
+_PAD = [0, 0, 0, 0]
+
+
+def _rngs(entropies):
+    """For each entropy in order, a generator in the state of
+    ``np.random.default_rng(entropy)``, bit for bit. An entropy is a
+    non-negative integer seed, or a tuple of them such as the sampler's
+    (seed, index, attempt); a negative one is refused by name, and one that
+    is not an integer with TypeError, before anything is drawn. Every
+    generator of the package is built here.
+
+    The states of all entropies come from one vectorized derivation (see
+    ``_pcg64_states``) and are set on one generator in turn: use each
+    generator in the step that yields it and never keep it, since the next
+    step resets it. Each iteration takes a generator that no other iteration
+    holds, so iterations may nest or run in threads."""
+    states = _pcg64_states(entropies)
+    try:
+        rng, bits = _IDLE.pop()
+    except IndexError:
+        rng = np.random.Generator(np.random.PCG64(0))
+        bits = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    try:
+        for pcg["state"], pcg["inc"] in states:
+            bits.state = state
+            yield rng
+    finally:
+        _IDLE.append((rng, bits))
+
+
+def _pcg64_states(entropies) -> list[tuple[int, int]]:
+    """The 128-bit (state, inc) of PCG64 seeded by ``SeedSequence(entropy)``
+    for each entropy, as Python ints. Entropies of one hash width are hashed
+    together: a width is the entropy's uint32 word count, and every count up
+    to 4, the pool size, hashes as 4 words zero-padded. The words run
+    through numpy's hash as columns of uint32 arrays, which wrap without a
+    warning, and ``generate_state(4, uint64)`` gives seed and sequence words
+    for PCG64's ``srandom`` step, taken in Python ints."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for t, entropy in enumerate(entropies):
+        words = _words(entropy)
+        members, pool = groups.setdefault(max(len(words), 4), ([], []))
+        members.append(t)
+        pool += words
+        pool += _PAD[len(words):]
+    states = [None] * sum(len(members) for members, _ in groups.values())
+    for width, (members, pool) in groups.items():
+        pools = np.array(pool, dtype=np.uint32).reshape(len(members), width)
+        seeds = _hashed_pools(pools).astype("<u4", copy=False).view("<u8")
+        for t, (s_high, s_low, i_high, i_low) in zip(members, seeds.tolist()):
+            inc = ((i_high << 65) | (i_low << 1) | 1) & _MASK128
+            states[t] = (((inc + ((s_high << 64) | s_low)) * _PCG64_MULT + inc) & _MASK128, inc)
+    return states
+
+
+def _words(entropy) -> list[int]:
+    """The uint32 words, least significant first, of each integer of an
+    entropy in turn, as ``SeedSequence`` splits them: 0 is one word."""
+    words = []
+    for k, part in enumerate(entropy if type(entropy) is tuple else (entropy,)):
+        if type(part) is not int:
+            if not isinstance(part, (int, np.integer)):
+                raise TypeError(f"seed must be an integer, got {part!r}")
+            part = int(part)
+        if part < 0:
+            _non_negative(part, "stream" if k else "seed")
+        words.append(part & _MASK32)
+        while part > _MASK32:
+            part >>= 32
+            words.append(part & _MASK32)
+    return words
+
+
+def _hashed_pools(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(8, uint32)`` of ``SeedSequence`` for each row of a
+    (N, width) uint32 array of entropy words, as (N, 8) words. The pool is
+    filled, each pool word is mixed into the other three, then each word past
+    the fourth into all four. Every row of ``_hash_rows(width)`` is repeated
+    to (N, 4) first: numpy takes an operation on two arrays of one shape
+    several times faster than a broadcast one."""
+    width = pool.shape[1]
+    rows = np.repeat(_hash_rows(width)[:, None, :], len(pool), axis=1)
+    left, right, shift = rows[:3]
+
+    def hashmix(values: np.ndarray, step: int) -> np.ndarray:
+        h = values ^ rows[3 + 2 * step]
+        h *= rows[4 + 2 * step]
+        h ^= h >> shift
+        return h
+
+    def mix(mixer: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+        h = mixer * left
+        hashed *= right
+        h -= hashed
+        h ^= h >> shift
+        return h
+
+    mixer = hashmix(pool[:, :4], 0)
+    for s in range(4):
+        mixed = mix(mixer, hashmix(mixer[:, s:s + 1], 1 + s))
+        mixed[:, s] = mixer[:, s]
+        mixer = mixed
+    for i in range(4, width):
+        mixer = mix(mixer, hashmix(pool[:, i:i + 1], 1 + i))
+    return np.concatenate([hashmix(mixer, width + 1), hashmix(mixer, width + 2)], axis=1)
+
+
+def _hash_rows(width: int) -> np.ndarray:
+    """The uint32 constant rows of ``SeedSequence``'s hash of an entropy of
+    width words, built once per width: the mix's two multipliers and the
+    shift 16, then the xor and multiplier rows of each step. The steps fill
+    the pool, run the four mixing rounds, mix in each word past the fourth,
+    and give words 0-3 and 4-7 of ``generate_state``. Hash call j xors the
+    j-th power of its constant and multiplies by the next. A mixing round's
+    own source column takes an unused call, since the caller keeps that
+    column."""
+    if width not in _HASH_ROWS:
+        a, b = _powers(_INIT_A, _MULT_A, 4 * width + 2), _powers(_INIT_B, _MULT_B, 9)
+        calls = [range(4)]
+        calls += [[4 + 3 * s + d - (d > s) for d in range(4)] for s in range(4)]
+        calls += [range(4 * i, 4 * i + 4) for i in range(4, width)]
+        rows = [[0xCA01F9DD] * 4, [0x4973F715] * 4, [16] * 4]
+        rows += [[a[j + k] for j in js] for js in calls for k in (0, 1)]
+        rows += [b[0:4], b[1:5], b[4:8], b[5:9]]
+        _HASH_ROWS[width] = np.array(rows, dtype=np.uint32)
+    return _HASH_ROWS[width]
+
+
+def _powers(first: int, factor: int, count: int) -> list[int]:
+    """first times each power 0..count - 1 of factor, modulo 2**32."""
+    powers = [first]
+    while len(powers) < count:
+        powers.append(powers[-1] * factor & _MASK32)
+    return powers
 
 
 def marginal_a(r: JointDistribution) -> Distribution:
@@ -296,4 +433,4 @@ def _joint_draws(n_b: int, n_a: int, seeds) -> list[np.ndarray]:
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must hold at least one seed")
-    return _finish([_rng(s).standard_exponential(n_b * n_a).reshape(n_b, n_a) for s in seeds])
+    return _finish([rng.standard_exponential(n_b * n_a).reshape(n_b, n_a) for rng in _rngs(seeds)])

@@ -453,20 +453,27 @@ def test_requests_sharing_a_sampler_pass_draw_their_lone_draws():
         assert [draw.tobytes() for draw in draws] == [draw.tobytes() for draw in alone]
 
 
+def _recorded_entropies(monkeypatch) -> list:
+    """The entropies that axioms passes to ``_rngs``, in order."""
+    entropies = []
+    rngs = axioms._rngs
+
+    def recorded(batch):
+        batch = list(batch)
+        entropies.extend(batch)
+        return rngs(batch)
+
+    monkeypatch.setattr(axioms, "_rngs", recorded)
+    return entropies
+
+
 def test_a_suite_request_builds_each_sampler_stream_once(monkeypatch):
     # The escort suite's first ensemble and the axioms suite's ensemble both
     # draw from the request seed; each (seed, index, attempt) stream is built
     # once and judged against both floors.
-    streams = []
-    rng = axioms._rng
-
-    def recorded(seed, *stream):
-        if stream:
-            streams.append((seed, *stream))
-        return rng(seed, *stream)
-
-    monkeypatch.setattr(axioms, "_rng", recorded)
+    entropies = _recorded_entropies(monkeypatch)
     run_suite("all", 0, 50)
+    streams = [entropy for entropy in entropies if type(entropy) is tuple]
     assert {seed for seed, _, _ in streams} == {0, 10_000, 20_000}
     assert len(set(streams)) == len(streams)
 
@@ -476,16 +483,9 @@ def test_a_suite_request_builds_the_seeds_own_generator_three_times(monkeypatch)
     # Beside trial 0 of each, the request seed's own generator is built by
     # the qcalc suite, by continuity, and once for the row stream that the
     # escort suite takes whole and the axioms suite takes a prefix of.
-    seeds = []
-    rng = axioms._rng
-
-    def recorded(seed, *stream):
-        if not stream:
-            seeds.append(seed)
-        return rng(seed, *stream)
-
-    monkeypatch.setattr(axioms, "_rng", recorded)
+    entropies = _recorded_entropies(monkeypatch)
     run_suite("all", 0, 50)
+    seeds = [entropy for entropy in entropies if type(entropy) is not tuple]
     assert sorted(seeds) == sorted([0] * 3 + [*range(50)] * 2)
 
 
@@ -589,11 +589,12 @@ class _FlatEveryFifthNormal:
 @pytest.mark.parametrize("n", [3, 8])
 def test_continuity_drops_a_probe_with_a_flat_direction(monkeypatch, n):
     # No sampled direction centres to zero, so every fifth one is made
-    # constant. The package and the oracle both build their generator with
-    # numpy's default_rng. Those candidates are dropped and replaced by later
-    # draws, as the one-at-a-time loop does.
+    # constant, in the package's generator and in the oracle's default_rng.
+    # Those candidates are dropped and replaced by later draws, as the
+    # one-at-a-time loop does.
     seed, delta, flat, scored = 6, 1e-4, [], []
-    default_rng = np.random.default_rng
+    rngs, default_rng = axioms._rngs, np.random.default_rng
+    monkeypatch.setattr(axioms, "_rngs", lambda batch: (_FlatEveryFifthNormal(rng, flat) for rng in rngs(batch)))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _FlatEveryFifthNormal(default_rng(seed), flat))
     monkeypatch.setattr(axioms, "hybrid_rows", lambda points, q: scored.append(points) or hybrid_rows(points, q))
     axioms._continuity([0.6], n, seed, delta)

@@ -1,7 +1,8 @@
 """The documented entry points stay runnable: README's python quickstart
 executes as written, every name the package exports resolves, so does
-every name the benchmark's tracer looks up, and ``verify`` prints the rows
-the benchmark checks."""
+every name the benchmark's tracer looks up, ``verify`` prints the rows
+the benchmark checks, and only ``prob`` names numpy's generator
+constructors."""
 
 import ast
 import re
@@ -49,6 +50,19 @@ def test_every_object_the_benchmark_tracer_wraps_is_in_prob():
     names = benchmark_value(TRACER, "PROB_OBJECTS")
     assert names
     assert [name for name in names if not hasattr(escortropy.prob, name)] == []
+
+
+def test_only_prob_builds_generators():
+    # One build site: prob._rngs derives every generator's state, so no
+    # other module names numpy's generator constructors.
+    constructors = {"default_rng", "SeedSequence", "PCG64"}
+    named = {}
+    for path in sorted((ROOT / "src" / "escortropy").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, attr, None) for node in ast.walk(tree) for attr in ("id", "attr", "name")}
+        named[path.name] = sorted(names & constructors)
+    assert named.pop("prob.py") == ["PCG64"]
+    assert {name: found for name, found in named.items() if found} == {}
 
 
 def test_verify_prints_the_rows_the_benchmark_checks():

@@ -24,7 +24,8 @@ from escortropy import (
 )
 import escortropy as ep
 from escortropy.entropies import aczel_daroczy_rows, hybrid_rows
-from escortropy.prob import _finish, _marginal_and_conditional
+from escortropy.axioms import MAX_SIDE
+from escortropy.prob import _finish, _marginal_and_conditional, _rngs
 
 import oracles
 
@@ -324,6 +325,75 @@ def test_random_draws_are_the_seeded_dirichlet_draws():
 def test_negative_seed_is_refused_by_name(call):
     with pytest.raises(ValueError, match="^seed must be non-negative, got -"):
         call()
+
+
+# Each kind of draw the package makes from a generator.
+DRAWS = [
+    lambda rng: rng.standard_exponential(7),
+    lambda rng: rng.integers(2, MAX_SIDE + 1),
+    lambda rng: rng.normal(size=3),
+    lambda rng: rng.uniform(-2.0, 2.0, size=(2, 2)),
+]
+
+
+def assert_streams_are_default_rngs(entropies):
+    # One call builds every stream; after each kind of draw, both
+    # generators give the same random().
+    built = 0
+    for entropy, rng in zip(entropies, _rngs(entropies)):
+        reference = np.random.default_rng(entropy)
+        for draw in DRAWS:
+            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(reference)).tobytes(), entropy
+            assert rng.random() == reference.random(), entropy
+        built += 1
+    assert built == len(entropies)
+
+
+SEEDING_TABLE = [
+    0, 1, 2**32 - 1, 2**32, 2**64, 2**100, np.int64(7), np.uint64(2**64 - 1), True,
+    (2**32, 2**32 + 1, 2**40), (5, 2**33, 2**64), (2**64, 3, 1), (1, 2, 3, 4, 5, 6, 7),
+    (2**100, 2**70, 0), (0, 0, 0), (12345, 199, 9999),
+]
+
+
+def test_every_generator_is_default_rngs_bit_for_bit():
+    # Entropies of one to seven uint32 words, in one call and each alone.
+    assert_streams_are_default_rngs(SEEDING_TABLE)
+    for entropy in SEEDING_TABLE:
+        assert_streams_are_default_rngs([entropy])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**130),
+            st.lists(st.integers(0, 2**70), min_size=1, max_size=6).map(tuple),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_generators_are_default_rngs_for_any_entropies(entropies):
+    assert_streams_are_default_rngs(entropies)
+
+
+@pytest.mark.parametrize(
+    "entropies, error, message",
+    [
+        ([3, -1], ValueError, "^seed must be non-negative, got -1$"),
+        ([(-2, 0, 0)], ValueError, "^seed must be non-negative, got -2$"),
+        ([(2, -1, 0)], ValueError, "^stream must be non-negative, got -1$"),
+        ([(2**32, 0, -2**40)], ValueError, "^stream must be non-negative, got -1099511627776$"),
+        ([np.int64(-3)], ValueError, "^seed must be non-negative, got -3$"),
+        ([0, 1.5], TypeError, "^seed must be an integer, got 1.5$"),
+        ([(1, 2.0, 3)], TypeError, "^seed must be an integer, got 2.0$"),
+    ],
+)
+def test_an_entropy_that_numpy_refuses_is_refused_before_any_draw(entropies, error, message):
+    # A negative word would otherwise wrap to a uint32 silently.
+    with pytest.raises(error, match=message):
+        next(_rngs(entropies))
 
 
 def test_random_joint_shape_and_determinism():
