@@ -13,11 +13,12 @@ draw it, and ``prob._finish`` normalizes it in one pass per shape; each
 round of continuity probes is then marked, centred and projected as one
 stack. ``_by_shape`` validates the items as one DistributionStack or
 JointStack per shape and evaluates each stack in one call, shared by the
-ensembles that run the same evaluation. ``run_suite`` draws each stream of
-a request once: seed's rows, shared by the escort and axioms suites, and
-every dependent ensemble in one rejection-sampler pass. Each row of a stack
-has the bits of its item alone, so every margin and witness is that of the
-one-at-a-time loop.
+ensembles that run the same evaluation. ``run_suite`` draws each ensemble
+of a request once, from the request seed, and shares it between the escort
+and axioms suites: seed's rows, one product ensemble, and one dependent
+ensemble per floor, every floor in one rejection-sampler pass. Each row of a
+stack has the bits of its item alone, so every margin and witness is that of
+the one-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .prob import (
     _order,
     _rngs,
     mutual_information,
-    product_joint,
 )
 from .qcalc import kn_map, kn_map_inv, q_add, q_exp, q_log
 from .escort import (
@@ -315,23 +315,17 @@ def _random_rows(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     return [rng.standard_exponential(int(rng.integers(2, MAX_SIDE + 1))) for _ in range(count)]
 
 
-def _product_joints(marginals: list[np.ndarray]) -> list[np.ndarray]:
-    """The outer product q_b p_a of each pair (p_a, q_b) of consecutive
-    marginals, validated as ``product_joint`` does."""
-    rows = _by_shape(DistributionStack, marginals, lambda p: p.weights)
-    return [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])]
-
-
-def _product_marginals(seed: int, trials: int) -> list[np.ndarray]:
-    """The (p_a, q_b) marginals of each trial's product joint, in one list:
-    trial t draws its sizes, then p_a and q_b, from the stream of seed + t,
-    which is ``default_rng(seed + t)`` bit for bit. One ``_rngs`` call
-    builds the streams of all trials."""
+def _product_joints(seed: int, trials: int) -> list[np.ndarray]:
+    """Each trial's product joint q_b p_a, validated as ``product_joint``
+    validates it: trial t draws its sizes (n_b, n_a), then p_a and q_b, from
+    the stream of seed + t, which is ``default_rng(seed + t)`` bit for bit.
+    One ``_rngs`` call builds the streams of all trials."""
     raws = []
     for rng in _rngs(range(seed, seed + trials)):
         n_b, n_a = _random_sizes(rng)
         raws += [rng.standard_exponential(n_a), rng.standard_exponential(n_b)]
-    return _finish(raws)
+    rows = _by_shape(DistributionStack, _finish(raws), lambda p: p.weights)
+    return [np.outer(q_b, p_a) for p_a, q_b in zip(rows[::2], rows[1::2])]
 
 
 def _residuals(joints: list[np.ndarray], orders: list[float]) -> np.ndarray:
@@ -340,9 +334,9 @@ def _residuals(joints: list[np.ndarray], orders: list[float]) -> np.ndarray:
     return np.array(_by_shape(JointStack, joints, lambda stack: chain_rule_grid(stack, orders).residual.T))
 
 
-def _independent_verdicts(orders: list[float], marginals: list, residuals: np.ndarray) -> list[AxiomVerdict]:
+def _independent_verdicts(orders: list[float], joints: list, residuals: np.ndarray) -> list[AxiomVerdict]:
     """``check_additivity_independent`` at each order, from the product
-    ensemble's marginals and its (T, G) residuals."""
+    ensemble and its (T, G) residuals."""
     verdicts = []
     for order, column in zip(orders, np.abs(np.transpose(residuals))):
         undefined = np.flatnonzero(~np.isfinite(column))
@@ -351,7 +345,7 @@ def _independent_verdicts(orders: list[float], marginals: list, residuals: np.nd
         witness = None
         if margin < 0.0:
             t = undefined[0] if undefined.size else np.argmax(column)
-            witness = product_joint(Distribution(marginals[2 * t]), Distribution(marginals[2 * t + 1]))
+            witness = JointDistribution(joints[t])
         verdicts.append(
             AxiomVerdict(
                 axiom="additivity_independent", q=order, n=MAX_SIDE, margin=margin, witness=witness
@@ -369,8 +363,8 @@ def check_additivity_independent(q: float, seed: int, trials: int) -> AxiomVerdi
     trial or a negative seed.
     """
     q, trials = _order(q), _trials(trials)
-    marginals = _product_marginals(seed, trials)
-    return _independent_verdicts([q], marginals, _residuals(_product_joints(marginals), [q]))[0]
+    joints = _product_joints(seed, trials)
+    return _independent_verdicts([q], joints, _residuals(joints, [q]))[0]
 
 
 def _trials(trials: int) -> int:
@@ -389,37 +383,37 @@ def _floor(mi_floor: float) -> float:
     return mi_floor
 
 
-def _sample_dependent(requests, indices) -> list[list[np.ndarray]]:
-    """For each (seed, mi_floor) request, the (n_b, n_a) draw that
-    ``sample_dependent_joint`` accepts at each index, as drawn: the caller
-    validates it. Each round draws attempt a of each (seed, index) some
-    request still rejects, once for all of them, from the stream of
-    (seed, index, a), which is ``default_rng((seed, index, a))`` bit for bit;
-    one ``_rngs`` call builds the round's streams. It judges the draws with
+def _sample_dependent(seed: int, floors, indices) -> list[list[np.ndarray]]:
+    """For each mi_floor of floors, the (n_b, n_a) draw that
+    ``sample_dependent_joint`` accepts at each index of seed, as drawn: the
+    caller validates it. Each round draws attempt a of each index some floor
+    still rejects, once for all of them, from the stream of (seed, index, a),
+    which is ``default_rng((seed, index, a))`` bit for bit; one ``_rngs``
+    call builds the round's streams. It judges the draws with
     ``mutual_information`` of one JointStack per shape, each joint's value
     alone bit for bit. The caller checks each mi_floor with ``_floor``."""
-    for seed, mi_floor in requests:
+    for mi_floor in floors:
         if math.isnan(mi_floor) or mi_floor >= math.log(MAX_SIDE):
             raise UnreachableFloorError(
                 mi_floor, f"is unreachable: no joint of at most {MAX_SIDE} outcomes a side "
                 f"has mutual information above ln {MAX_SIDE}"
             )
-    accepted = [{} for _ in requests]
-    pending = [list(indices) for _ in requests]
+    accepted = [{} for _ in floors]
+    pending = [list(indices) for _ in floors]
     for attempt in range(SAMPLER_ATTEMPTS):
-        streams = list(dict.fromkeys((s, i) for (s, _), waiting in zip(requests, pending) for i in waiting))
+        streams = list(dict.fromkeys(i for waiting in pending for i in waiting))
         if not streams:
             break
         raws = []
-        for rng in _rngs([(seed, index, attempt) for seed, index in streams]):
+        for rng in _rngs([(seed, index, attempt) for index in streams]):
             n_b, n_a = _random_sizes(rng)
             raws.append(rng.standard_exponential(n_b * n_a).reshape(n_b, n_a))
         draws = _finish(raws)
         judged = dict(zip(streams, zip(draws, _by_shape(JointStack, draws, mutual_information))))
-        for (seed, mi_floor), done, waiting in zip(requests, accepted, pending):
-            done.update((i, judged[seed, i][0]) for i in waiting if judged[seed, i][1] > mi_floor)
+        for mi_floor, done, waiting in zip(floors, accepted, pending):
+            done.update((i, judged[i][0]) for i in waiting if judged[i][1] > mi_floor)
             waiting[:] = [i for i in waiting if i not in done]
-    for (seed, mi_floor), waiting in zip(requests, pending):
+    for mi_floor, waiting in zip(floors, pending):
         if waiting:
             raise UnreachableFloorError(
                 mi_floor, f"was not exceeded in {SAMPLER_ATTEMPTS} draws (seed {seed}, index {waiting[0]})"
@@ -441,7 +435,7 @@ def sample_dependent_joint(seed: int, index: int, mi_floor: float) -> JointDistr
     exceed, and when SAMPLER_ATTEMPTS draws all fall at or below the floor.
     """
     index = _non_negative(index, "index")
-    return JointDistribution(_sample_dependent([(seed, _floor(mi_floor))], [index])[0][0])
+    return JointDistribution(_sample_dependent(seed, [_floor(mi_floor)], [index])[0][0])
 
 
 def _rate_verdict(
@@ -474,7 +468,7 @@ def check_additivity_dependent(
     mi_floor.
     """
     q, trials = _order(q), _trials(trials)
-    draws = _sample_dependent([(seed, _floor(mi_floor))], range(trials))[0]
+    draws = _sample_dependent(seed, [_floor(mi_floor)], range(trials))[0]
     return _dependent_verdict(q, draws, _residuals(draws, [q])[:, 0])
 
 
@@ -544,9 +538,9 @@ def _suite_qcalc(seed: int, trials: int) -> list[CheckResult]:
     return results
 
 
-def _suite_escort(seed: int, trials: int, rows: list, dependent: list[list[np.ndarray]]) -> list[CheckResult]:
-    # rows: 4 * trials. dependent: the floor-0.01 ensembles of seed, seed + 10_000
-    # and seed + 20_000; the products share their one call per shape with the first.
+def _suite_escort(trials: int, rows: list, products: list, dependent: list) -> list[CheckResult]:
+    # rows: 4 * trials. products and dependent: the product ensemble and the
+    # floor-0.01 ensemble of the request seed, which share one call per shape.
     results = []
 
     errors = []
@@ -558,45 +552,38 @@ def _suite_escort(seed: int, trials: int, rows: list, dependent: list[list[np.nd
         )
     results.append(CheckResult("escort", "inverse_round_trip", 1e-10 - float(np.max(errors))))
 
-    marginals = _finish([row for rng in _rngs(range(seed, seed + trials)) for row in _random_rows(rng, 2)])
-    joints = _product_joints(marginals) + dependent[0]
-    gaps = np.array(_by_shape(JointStack, joints, lambda stack: _construction_gap(stack, 2.0)))
+    gaps = np.array(_by_shape(JointStack, products + dependent, lambda stack: _construction_gap(stack, 2.0)))
     results.append(CheckResult("escort", "product_joints_consistent", 1e-9 - float(np.max(gaps[:trials]))))
 
     # The escort-consistent joints form a thin set that runs through the
     # dependent region, so a rare sampled joint lies within 1e-6 of it.
     margin, _ = _rate_verdict(
-        gaps[trials:], 1e-6, dependent[0],
+        gaps[trials:], 1e-6, dependent,
         "dependent joint with consistent escorts (gap=%.3e, trial %d): %r",
     )
     results.append(CheckResult("escort", "dependent_joints_inconsistent", margin))
 
-    # Each joint's largest error over both orders.
-    def marginal_errors(r: JointStack) -> np.ndarray:
+    # Each joint's largest error over both orders of each identity: the
+    # A-marginal of the correct construction, and the ratio times the naive one.
+    def identity_errors(r: JointStack) -> np.ndarray:
         marginal = DistributionStack(r.weights.sum(axis=-2))
         errors = []
         for q in (0.5, 2.0):
-            correct = joint_escort_correct(r, q)
-            errors.append(np.abs(correct.sum(axis=-2) - escort(marginal, q)))
-        return np.max(errors, axis=(0, 2))
-
-    def ratio_errors(r: JointStack) -> np.ndarray:
-        errors = []
-        for q in (0.5, 2.0):
             naive, correct = joint_escort_naive(r, q), joint_escort_correct(r, q)
-            errors.append(np.where(naive > 0, np.abs(escort_ratio(r, q) * naive - correct), 0.0))
-        return np.max(errors, axis=(0, 2, 3))
+            marginal_error = np.abs(correct.sum(axis=-2) - escort(marginal, q)).max(-1)
+            ratio_error = np.where(naive > 0, np.abs(escort_ratio(r, q) * naive - correct), 0.0).max((-2, -1))
+            errors.append(np.stack([marginal_error, ratio_error], axis=-1))
+        return np.maximum(*errors)
 
-    worst = float(np.max(_by_shape(JointStack, dependent[1], marginal_errors)))
-    results.append(CheckResult("escort", "correct_marginal_identity", 1e-12 - worst))
-    worst = float(np.max(_by_shape(JointStack, dependent[2], ratio_errors)))
-    results.append(CheckResult("escort", "ratio_cross_check", 1e-10 - worst))
+    worst_marginal, worst_ratio = np.max(_by_shape(JointStack, dependent, identity_errors), axis=0).tolist()
+    results.append(CheckResult("escort", "correct_marginal_identity", 1e-12 - worst_marginal))
+    results.append(CheckResult("escort", "ratio_cross_check", 1e-10 - worst_ratio))
     return results
 
 
-def _suite_axioms(seed: int, trials: int, rows: list, dependent: list[np.ndarray]) -> list[CheckResult]:
-    # rows: at least 2 * trials. dependent: the MI_FLOOR ensemble of seed,
-    # evaluated with the products.
+def _suite_axioms(seed: int, trials: int, rows: list, products: list, dependent: list) -> list[CheckResult]:
+    # rows: at least 2 * trials. products and dependent: the product ensemble
+    # and the MI_FLOOR ensemble of seed, evaluated together.
     results = []
     for verdict in _continuity([0.6, 2.0], n=8, seed=seed, delta=1e-4):
         results.append(CheckResult("axioms", f"continuity_q{verdict.q}", verdict.margin))
@@ -606,9 +593,8 @@ def _suite_axioms(seed: int, trials: int, rows: list, dependent: list[np.ndarray
     for q, part in zip((0.5, 2.0), (rows[:trials], rows[trials:2 * trials])):
         margins = _by_shape(DistributionStack, part, lambda p: _expansibility_margins(q, p.weights))
         results.append(CheckResult("axioms", f"expansibility_q{q}", float(np.min(margins))))
-    marginals = _product_marginals(seed, trials)
-    residuals = _residuals(_product_joints(marginals) + dependent, [0.5, 2.0])
-    for verdict in _independent_verdicts([0.5, 2.0], marginals, residuals[:trials]):
+    residuals = _residuals(products + dependent, [0.5, 2.0])
+    for verdict in _independent_verdicts([0.5, 2.0], products, residuals[:trials]):
         name = f"additivity_independent_q{verdict.q}"
         results.append(CheckResult("axioms", name, verdict.margin))
     verdict = _dependent_verdict(2.0, dependent, residuals[trials:, 1])
@@ -619,27 +605,29 @@ def _suite_axioms(seed: int, trials: int, rows: list, dependent: list[np.ndarray
 def run_suite(name: str, seed: int, trials: int) -> list[CheckResult]:
     """Run one verification suite (or all of them) and collect the results.
 
-    The dependent ensembles of the suites run are drawn first, in one
-    sampler pass: the escort suite's three at floor 0.01, the axioms
-    suite's one at MI_FLOOR (``check_additivity_dependent`` takes any
-    other floor). Then the rows of seed's own stream are drawn once: the
-    escort suite takes 4 * trials and the axioms suite the first
-    2 * trials. Raises ValueError for a name not in SUITES, fewer than one
-    trial or a negative seed, as ``verify`` refuses them.
+    Every ensemble of the suites run is drawn once, from seed, and shared.
+    The dependent ones come first, in one sampler pass: the escort suite's
+    at floor 0.01 and the axioms suite's at MI_FLOOR
+    (``check_additivity_dependent`` takes any other floor). Then the rows
+    of seed's own stream: the escort suite takes 4 * trials and the axioms
+    suite the first 2 * trials. Then the product ensemble of
+    ``check_additivity_independent``, which both suites take. Raises
+    ValueError for a name not in SUITES, fewer than one trial or a negative
+    seed, as ``verify`` refuses them.
     """
     _trials(trials)
     _non_negative(seed, "seed")
     if name not in SUITES:
         raise ValueError(f"invalid suite {name!r} (choose from {', '.join(map(repr, SUITES))})")
     chosen = SUITES[:-1] if name == "all" else (name,)
-    requests = [(seed + offset, 0.01) for offset in (0, 10_000, 20_000)] * ("escort" in chosen)
-    requests += [(seed, MI_FLOOR)] * ("axioms" in chosen)
-    ensembles = _sample_dependent(requests, range(trials))
+    floors = [0.01] * ("escort" in chosen) + [MI_FLOOR] * ("axioms" in chosen)
+    dependent = _sample_dependent(seed, floors, range(trials))
     rows_per_trial = 4 if "escort" in chosen else 2 if "axioms" in chosen else 0
     rows = _finish([row for rng in _rngs([seed]) for row in _random_rows(rng, rows_per_trial * trials)])
+    products = _product_joints(seed, trials) if floors else []
     results = _suite_qcalc(seed, trials) if "qcalc" in chosen else []
     if "escort" in chosen:
-        results += _suite_escort(seed, trials, rows, ensembles[:3])
+        results += _suite_escort(trials, rows, products, dependent[0])
     if "axioms" in chosen:
-        results += _suite_axioms(seed, trials, rows, ensembles[-1])
+        results += _suite_axioms(seed, trials, rows, products, dependent[-1])
     return results

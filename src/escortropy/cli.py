@@ -76,14 +76,18 @@ def _parse_q_list(text: str) -> list[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+# The argparse types of counts and sizes, and of --seed.
+_positive_int, _non_negative_int = functools.partial(_int_at_least, 1), functools.partial(_int_at_least, 0)
 
 
 def _open(path: str, mode: str, **kwargs):
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all", choices=SUITES)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_non_negative_int, default=0)
     verify.add_argument("--trials", type=_positive_int, default=200)
     verify.add_argument("--out", default=None)
     verify.add_argument("--json", action="store_true")
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--na", type=_positive_int, required=True, help="A outcomes per joint")
     sweep.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated q grid")
     sweep.add_argument("--trials", type=_positive_int, default=100)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_non_negative_int, default=0)
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     return parser
 
@@ -335,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "seed" in args and args.seed < 0:  # verify and sweep
-        parser.error(f"seed must be non-negative, got {args.seed}")
     # Looked up at every call rather than stored in the shared parser, so
     # rebinding a cmd_* function of this module (as a tracer does) takes
     # effect on the next call.

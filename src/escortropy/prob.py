@@ -427,10 +427,13 @@ def random_joints(n_b: int, n_a: int, seeds) -> JointStack:
 
 
 def _joint_draws(n_b: int, n_a: int, seeds) -> list[np.ndarray]:
-    """The finished (n_b, n_a) draw of each seed, sizes then seeds checked first."""
+    """The finished (n_b, n_a) draw of each seed, sizes then seeds checked
+    first: a tuple, a stream entropy of ``_rngs``, is no seed here."""
     if n_b < 1 or n_a < 1:
         raise ValueError("sizes must be at least 1")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must hold at least one seed")
+    if tuple in set(map(type, seeds)):
+        raise TypeError(f"seed must be an integer, got {next(s for s in seeds if type(s) is tuple)!r}")
     return _finish([rng.standard_exponential(n_b * n_a).reshape(n_b, n_a) for rng in _rngs(seeds)])

@@ -393,13 +393,26 @@ def sample_dependent_joint(seed, index, mi_floor):
     raise ValueError("floor not reached")
 
 
+def seeded_product_joint(seed):
+    """The product joint that the stream of seed draws: its sizes n_b and
+    n_a, then p_a, then q_b."""
+    rng = np.random.default_rng(seed)
+    n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    return ep.product_joint(
+        ep.Distribution(rng.dirichlet(np.ones(n_a))),
+        ep.Distribution(rng.dirichlet(np.ones(n_b))),
+    )
+
+
 def construction_gap(joint, q):
     return float(np.abs(ep.joint_escort_naive(joint, q) - ep.joint_escort_correct(joint, q)).max())
 
 
 def suite_escort(seed, trials):
     """The escort suite one draw at a time: {check: (passed, margin)} and the
-    construction gap of each joint of the dependent ensemble. Its
+    construction gap of each joint of the dependent ensemble. Its product
+    joints are those of additivity_independent, and its three dependent
+    checks read the one floor-0.01 ensemble of seed. Its
     dependent_joints_inconsistent entry is the minimum-gap form of that check,
     which required every gap to exceed 1e-6."""
     rng = np.random.default_rng(seed)
@@ -416,12 +429,7 @@ def suite_escort(seed, trials):
 
     worst = 0.0
     for t in range(trials):
-        sub = np.random.default_rng(seed + t)
-        joint = ep.product_joint(
-            ep.Distribution(sub.dirichlet(np.ones(int(sub.integers(2, 9))))),
-            ep.Distribution(sub.dirichlet(np.ones(int(sub.integers(2, 9))))),
-        )
-        worst = max(worst, construction_gap(joint, 2.0))
+        worst = max(worst, construction_gap(seeded_product_joint(seed + t), 2.0))
     results["product_joints_consistent"] = (worst < 1e-9, 1e-9 - worst)
 
     gaps = [
@@ -431,7 +439,7 @@ def suite_escort(seed, trials):
 
     worst = 0.0
     for t in range(trials):
-        joint, _ = sample_dependent_joint(seed + 10_000, t, 0.01)
+        joint, _ = sample_dependent_joint(seed, t, 0.01)
         for q in (0.5, 2.0):
             correct = ep.joint_escort_correct(joint, q)
             target = ep.escort(ep.Distribution(joint.weights.sum(axis=0)), q)
@@ -440,7 +448,7 @@ def suite_escort(seed, trials):
 
     worst = 0.0
     for t in range(trials):
-        joint, _ = sample_dependent_joint(seed + 20_000, t, 0.01)
+        joint, _ = sample_dependent_joint(seed, t, 0.01)
         for q in (0.5, 2.0):
             naive = ep.joint_escort_naive(joint, q)
             correct = ep.joint_escort_correct(joint, q)
@@ -510,12 +518,7 @@ def additivity_independent(q, seed, trials):
     (margin, witness), the witness being the first worst joint."""
     worst, witness = 0.0, None
     for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        n_b, n_a = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        joint = ep.product_joint(
-            ep.Distribution(rng.dirichlet(np.ones(n_a))),
-            ep.Distribution(rng.dirichlet(np.ones(n_b))),
-        )
+        joint = seeded_product_joint(seed + t)
         residual = abs(ep.chain_rule_report(joint, q).residual)
         if not math.isfinite(residual):
             return -math.inf, joint

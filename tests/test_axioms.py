@@ -426,7 +426,7 @@ def test_dependent_sampler_validates_only_the_accepted_draw(monkeypatch):
 @pytest.mark.parametrize("floor", [0.01, 0.05])
 def test_batched_sampler_is_the_lone_index_sampler(floor):
     seed, count = 1, 60
-    [draws] = axioms._sample_dependent([(seed, floor)], range(count))
+    [draws] = axioms._sample_dependent(seed, [floor], range(count))
     attempts = []
     for index, draw in enumerate(draws):
         expected, attempt = oracles.sample_dependent_joint(seed, index, floor)
@@ -438,18 +438,17 @@ def test_batched_sampler_is_the_lone_index_sampler(floor):
     assert max(attempts) > 0
     # An index's draw does not depend on which other indices share its rounds.
     picked = [attempts.index(max(attempts)), 0, attempts.index(max(attempts))]
-    [again] = axioms._sample_dependent([(seed, floor)], picked)
+    [again] = axioms._sample_dependent(seed, [floor], picked)
     for index, draw in zip(picked, again):
         assert draw.tobytes() == draws[index].tobytes()
 
 
 def test_requests_sharing_a_sampler_pass_draw_their_lone_draws():
-    # Two floors on one seed share each stream their rounds both reach; a
-    # third request on another seed shares the rounds only.
-    requests, count = [(1, 0.01), (1, 0.05), (2, 0.01)], 60
-    shared = axioms._sample_dependent(requests, range(count))
-    for request, draws in zip(requests, shared):
-        [alone] = axioms._sample_dependent([request], range(count))
+    # Two floors on one seed share each stream their rounds both reach.
+    floors, count = [0.01, 0.05], 60
+    shared = axioms._sample_dependent(1, floors, range(count))
+    for floor, draws in zip(floors, shared):
+        [alone] = axioms._sample_dependent(1, [floor], range(count))
         assert [draw.tobytes() for draw in draws] == [draw.tobytes() for draw in alone]
 
 
@@ -468,25 +467,25 @@ def _recorded_entropies(monkeypatch) -> list:
 
 
 def test_a_suite_request_builds_each_sampler_stream_once(monkeypatch):
-    # The escort suite's first ensemble and the axioms suite's ensemble both
-    # draw from the request seed; each (seed, index, attempt) stream is built
+    # The escort suite's ensemble and the axioms suite's ensemble both draw
+    # from the request seed; each (seed, index, attempt) stream is built
     # once and judged against both floors.
     entropies = _recorded_entropies(monkeypatch)
     run_suite("all", 0, 50)
     streams = [entropy for entropy in entropies if type(entropy) is tuple]
-    assert {seed for seed, _, _ in streams} == {0, 10_000, 20_000}
+    assert {seed for seed, _, _ in streams} == {0}
     assert len(set(streams)) == len(streams)
 
 
 def test_a_suite_request_builds_the_seeds_own_generator_three_times(monkeypatch):
-    # Both product ensembles build default_rng(seed + t) for each trial t.
-    # Beside trial 0 of each, the request seed's own generator is built by
-    # the qcalc suite, by continuity, and once for the row stream that the
+    # The one product ensemble builds default_rng(seed + t) for each trial t.
+    # Beside its trial 0, the request seed's own generator is built by the
+    # qcalc suite, by continuity, and once for the row stream that the
     # escort suite takes whole and the axioms suite takes a prefix of.
     entropies = _recorded_entropies(monkeypatch)
     run_suite("all", 0, 50)
     seeds = [entropy for entropy in entropies if type(entropy) is not tuple]
-    assert sorted(seeds) == sorted([0] * 3 + [*range(50)] * 2)
+    assert sorted(seeds) == sorted([0] * 3 + [*range(50)])
 
 
 @pytest.mark.parametrize("trials", [1, 200])
@@ -649,9 +648,9 @@ def test_maximality_memory_is_bounded():
 
 
 def _escort_dependent_gaps(seed, trials):
-    """The escort suite's first dependent ensemble, as drawn, and the
+    """The escort suite's dependent ensemble, as drawn, and the
     construction gap at q = 2 of each joint, one JointStack per shape."""
-    [joints] = axioms._sample_dependent([(seed, 0.01)], range(trials))
+    [joints] = axioms._sample_dependent(seed, [0.01], range(trials))
     gaps = axioms._by_shape(JointStack, joints, lambda stack: _construction_gap(stack, 2.0))
     return joints, np.array(gaps)
 

@@ -344,6 +344,20 @@ def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, payload, argv
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["sweep", "--nb", "2", "--na", "2", "--q", "2"]], ids=["verify", "sweep"]
+)
+def test_a_negative_seed_is_refused_by_the_subcommand_parser(capsys, argv):
+    # As --trials is: the subcommand's usage, then an error line naming the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"escortropy {argv[0]}: error: argument --seed: must be at least 0, got -1"
+    ]
+
+
 @pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
 def test_a_point_mass_has_entropy_zero_not_minus_zero(capsys, tmp_path, flag):
     path = write_json(tmp_path, "point.json", {"p": [1.0]})

@@ -327,6 +327,19 @@ def test_negative_seed_is_refused_by_name(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: random_joint(2, 2, (1, 2)), lambda: random_joints(2, 2, [0, (1, 2), 3])],
+    ids=["random_joint", "random_joints"],
+)
+def test_a_tuple_seed_is_refused_before_any_draw(monkeypatch, call):
+    # A tuple seeds a generator in _rngs, as the sampler's streams do, but a
+    # seed of random_joint is one integer.
+    monkeypatch.setattr(ep.prob, "_rngs", lambda entropies: pytest.fail("a generator was built"))
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got \(1, 2\)$"):
+        call()
+
+
 # Each kind of draw the package makes from a generator.
 DRAWS = [
     lambda rng: rng.standard_exponential(7),
