@@ -174,53 +174,51 @@ def _non_negative(value: int, name: str) -> int:
     return value
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding step.
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+# numpy's SeedSequence hash (pool of 4 uint32 words).
+_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The hash rows of each entropy width, and generators no call is using.
+# The hash rows of each entropy width.
 _HASH_ROWS: dict[int, np.ndarray] = {}
-_IDLE: list = []
 _PAD = [0, 0, 0, 0]
 
 
 def _rngs(entropies):
-    """For each entropy in order, a generator in the state of
+    """For each entropy in order, a new generator in the state of
     ``np.random.default_rng(entropy)``, bit for bit. An entropy is a
     non-negative integer seed, or a tuple of them such as the sampler's
     (seed, index, attempt); a negative one is refused by name, and one that
     is not an integer with TypeError, before anything is drawn. Every
     generator of the package is built here.
 
-    The states of all entropies come from one vectorized derivation (see
-    ``_pcg64_states``) and are set on one generator in turn: use each
-    generator in the step that yields it and never keep it, since the next
-    step resets it. Each iteration takes a generator that no other iteration
-    holds, so iterations may nest or run in threads."""
-    states = _pcg64_states(entropies)
-    try:
-        rng, bits = _IDLE.pop()
-    except IndexError:
-        rng = np.random.Generator(np.random.PCG64(0))
-        bits = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    try:
-        for pcg["state"], pcg["inc"] in states:
-            bits.state = state
-            yield rng
-    finally:
-        _IDLE.append((rng, bits))
+    The seed words of all entropies come from one vectorized hash (see
+    ``_seed_words``), and numpy's own ``PCG64`` constructor takes each row
+    through its seeding step. ``_Hashed`` is registered as numpy's seed
+    sequence interface here, not at import, so importing the package loads
+    no ``numpy.random``."""
+    words = _seed_words(entropies)
+    np.random.bit_generator.ISeedSequence.register(_Hashed)
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(_Hashed(row)))
 
 
-def _pcg64_states(entropies) -> list[tuple[int, int]]:
-    """The 128-bit (state, inc) of PCG64 seeded by ``SeedSequence(entropy)``
-    for each entropy, as Python ints. Entropies of one hash width are hashed
-    together: a width is the entropy's uint32 word count, and every count up
-    to 4, the pool size, hashes as 4 words zero-padded. The words run
-    through numpy's hash as columns of uint32 arrays, which wrap without a
-    warning, and ``generate_state(4, uint64)`` gives seed and sequence words
-    for PCG64's ``srandom`` step, taken in Python ints."""
+class _Hashed:
+    """A seed sequence whose ``generate_state(4, uint64)`` is a row of
+    ``_seed_words``, already hashed: the one call ``PCG64`` makes of it."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype):
+        return self.row
+
+
+def _seed_words(entropies) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` for each entropy,
+    as the rows of one native-endian (N, 4) uint64 array. Entropies of one
+    hash width are hashed together: a width is the entropy's uint32 word
+    count, and every count up to 4, the pool size, hashes as 4 words
+    zero-padded. The words run through numpy's hash as columns of uint32
+    arrays, which wrap without a warning."""
     groups: dict[int, tuple[list[int], list[int]]] = {}
     for t, entropy in enumerate(entropies):
         words = _words(entropy)
@@ -228,14 +226,11 @@ def _pcg64_states(entropies) -> list[tuple[int, int]]:
         members.append(t)
         pool += words
         pool += _PAD[len(words):]
-    states = [None] * sum(len(members) for members, _ in groups.values())
+    seeds = np.empty((sum(len(members) for members, _ in groups.values()), 4), dtype=np.uint64)
     for width, (members, pool) in groups.items():
         pools = np.array(pool, dtype=np.uint32).reshape(len(members), width)
-        seeds = _hashed_pools(pools).astype("<u4", copy=False).view("<u8")
-        for t, (s_high, s_low, i_high, i_low) in zip(members, seeds.tolist()):
-            inc = ((i_high << 65) | (i_low << 1) | 1) & _MASK128
-            states[t] = (((inc + ((s_high << 64) | s_low)) * _PCG64_MULT + inc) & _MASK128, inc)
-    return states
+        seeds[members] = _hashed_pools(pools).astype("<u4", copy=False).view("<u8")
+    return seeds
 
 
 def _words(entropy) -> list[int]:

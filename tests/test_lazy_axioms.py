@@ -97,3 +97,11 @@ def test_dir_lists_every_exported_name_without_loading_them():
         "print(dir(escortropy) == listed)",
     ])
     assert fresh(script) == ["[]", "True True True", "True"]
+
+
+def test_the_package_import_loads_numpy_random_only_as_numpy_does():
+    # numpy 2 loads numpy.random on first use and numpy 1 at its own import;
+    # the package must add no load of its own (prob registers its seed
+    # sequence class when it first builds a generator).
+    loaded = 'print("numpy.random" in sys.modules)'
+    assert fresh("import escortropy, escortropy.cli\n" + loaded) == fresh("import numpy\n" + loaded)

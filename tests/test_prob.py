@@ -360,6 +360,15 @@ def assert_streams_are_default_rngs(entropies):
             assert rng.random() == reference.random(), entropy
         built += 1
     assert built == len(entropies)
+    # Generators held past their step, while another call runs, and drawn
+    # from out of order, keep their own streams.
+    held = list(_rngs(entropies))
+    for rng in _rngs(entropies):
+        rng.standard_exponential(3)
+    for entropy, rng in reversed(list(zip(entropies, held))):
+        reference = np.random.default_rng(entropy)
+        for draw in DRAWS:
+            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(reference)).tobytes(), entropy
 
 
 SEEDING_TABLE = [
