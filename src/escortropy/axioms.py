@@ -2,7 +2,9 @@
 verification suites that the ``verify`` command runs.
 
 Each checker returns a deterministic AxiomVerdict for its (q, n, seed,
-parameters) inputs; it passes iff its margin is >= 0. Continuity is an
+parameters) inputs; it passes iff its margin is >= 0. The ensemble checks
+and ``run_suite`` refuse fewer than one trial, where a rate has no
+denominator and a pass no evidence. Continuity is an
 empirical Lipschitz estimate, not a proof. Maximality reduces the simplex to
 one-parameter families of two-valued points, where the maximum must lie, and
 searches each family on a grid refined by golden section. ``run_suite``

@@ -13,6 +13,11 @@ to the double that was read, and ``--json`` reports hold the parsed values.
 All numbers are printed with 12 significant digits and a '.' decimal
 separator, so identical invocations produce byte-identical output.
 
+``chain`` reports a joint's support: an A outcome of probability zero
+changes no hybrid entropy (expansibility), so ``prob.drop_zero_columns``
+drops its column and the report names it, in a text note and in the JSON
+``dropped_columns``. A joint without such a column is reported as read.
+
 The seed of ``verify`` and ``sweep`` is --seed, 0 when it is not given; no
 environment variable is read. A negative seed is bad input (exit 2).
 """
@@ -217,18 +222,15 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 @np.errstate(all="ignore")
 def cmd_chain(args: argparse.Namespace) -> int:
-    joint, echo = _load_weights(args, "r", 'an "r" matrix', JointDistribution)
-    dropped: tuple[int, ...] = ()
-    if args.lenient_zero_columns:
-        reduced, kept = drop_zero_columns(joint)
-        dropped = tuple(i for i in range(joint.n_a) if i not in kept)
-        joint = reduced
+    given, echo = _load_weights(args, "r", 'an "r" matrix', JointDistribution)
+    joint, kept = drop_zero_columns(given)
+    dropped = sorted(set(range(given.n_a)).difference(kept))
     mi = mutual_information(joint)
     grid = chain_rule_grid(joint, args.q)
     values = np.column_stack([getattr(grid, c)[:, 0] for c in CHAIN_COLUMNS[1:]])
     notes = ["# dropped zero-marginal columns: " + ",".join(map(str, dropped))] if dropped else []
     notes.append("# mutual_information " + fmt(mi))
-    extra = {"mutual_information": mi, "dropped_columns": list(dropped)}
+    extra = {"mutual_information": mi, "dropped_columns": dropped}
     _table(args, echo, CHAIN_COLUMNS, values, extra, notes)
     return 0
 
@@ -313,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--q", type=_parse_q_list, required=True, help="comma-separated orders")
     chain.add_argument("--out", default=None, help="output path (default stdout)")
     chain.add_argument("--json", action="store_true", help="machine-readable output")
-    chain.add_argument(
-        "--lenient-zero-columns",
-        action="store_true",
-        help="drop zero-marginal A columns instead of erroring",
-    )
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all", choices=SUITES)

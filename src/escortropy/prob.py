@@ -2,8 +2,12 @@
 
 Distributions are stored as double-precision weight vectors, renormalized
 exactly (divided by their sum) on construction so that downstream identities
-never inherit input noise. All objects are immutable and all operations are
-pure functions; randomness enters only through explicitly seeded generators.
+never inherit input noise; wrapping validated weights again divides them
+again, which can move their last bit. All objects are immutable and all
+operations are pure functions; randomness enters only through explicitly
+seeded generators. Every function of ``escort``, ``entropies``,
+``chain_rules`` and ``axioms`` that takes an entropic order q raises
+ValueError unless q is a positive finite real (``_order``).
 
 Joint distributions follow a fixed orientation: rows index the outcomes of
 the second variable B, columns index the outcomes of the first variable A,

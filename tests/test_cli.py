@@ -204,35 +204,54 @@ def test_chain_order_one_conditionals_match(capsys, tmp_path):
     )
 
 
-def test_chain_zero_column_is_surfaced_with_index(capsys, tmp_path):
-    path = write_json(tmp_path, "r.json", {"r": [[0.5, 0.0], [0.5, 0.0]]})
-    code, _, err = run(capsys, ["chain", "--input", path, "--q", "2"])
-    assert code == 2
-    assert "column 1" in err
-
-
-def test_chain_lenient_drops_zero_columns(capsys, tmp_path):
-    path = write_json(tmp_path, "r.json", {"r": [[0.5, 0.0], [0.5, 0.0]]})
-    code, out, _ = run(
-        capsys,
-        ["chain", "--input", path, "--q", "2", "--lenient-zero-columns", "--json"],
-    )
+@pytest.mark.parametrize(
+    "weights, dropped",
+    [
+        ([[0.5, 0.0], [0.5, 0.0]], [1]),
+        ([[0.0, 0.3, 0.2, 0.0], [0.0, 0.1, 0.4, 0.0]], [0, 3]),
+        (np.insert(escortropy.random_joint(4, 3, 7).weights, 2, 0.0, axis=1).tolist(), [2]),
+    ],
+    ids=["last", "first-and-last", "seeded-4x3"],
+)
+def test_chain_zero_column_is_surfaced_with_index(capsys, tmp_path, weights, dropped):
+    # An A outcome of probability zero changes no entropy, so chain reports
+    # the support and names the columns it dropped.
+    path = write_json(tmp_path, "r.json", {"r": weights})
+    code, out, err = run(capsys, ["chain", "--input", path, "--q", "2"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "# dropped zero-marginal columns: " + ",".join(map(str, dropped))
+    code, out, _ = run(capsys, ["chain", "--input", path, "--q", "2", "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["dropped_columns"] == [1]
-    assert abs(payload["rows"][0]["residual"]) < 1e-12
+    assert payload["dropped_columns"] == dropped
+    support = np.delete(np.array(weights), dropped, axis=1)
+    report = escortropy.chain_rule_report(escortropy.JointDistribution(support), 2.0)
+    for name, value in payload["rows"][0].items():
+        assert value == pytest.approx(getattr(report, name), rel=1e-12, abs=1e-12), name
+    if dropped == [1]:  # the support is a product joint
+        assert abs(payload["rows"][0]["residual"]) < 1e-12
 
 
-@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
-def test_chain_lenient_keeps_the_bytes_of_a_joint_without_a_zero_column(capsys, tmp_path, flag):
+def test_chain_keeps_the_bytes_of_a_joint_without_a_zero_column(capsys, tmp_path):
     # Dividing the validated weights by their sum again would move
     # corrected_residual at q = 2 from -1.11e-16 to 0 on this joint.
     weights = np.random.default_rng((5, 2)).dirichlet(np.ones(63)).reshape(7, 9)
+    joint = escortropy.JointDistribution(weights)
+    assert escortropy.drop_zero_columns(joint)[0] is joint
     path = write_json(tmp_path, "r.json", {"r": weights.tolist()})
-    argv = ["chain", "--input", path, "--q", "0.5,1,2,5"] + flag
-    code, plain, _ = run(capsys, argv)
+    code, out, _ = run(capsys, ["chain", "--input", path, "--q", "2"])
     assert code == 0
-    assert run(capsys, argv + ["--lenient-zero-columns"]) == (0, plain, "")
+    assert out.splitlines()[-1].split("\t")[-1] == "-1.11022302463e-16"
+
+
+def test_chain_has_no_lenient_zero_columns_option(capsys, tmp_path):
+    path = write_json(tmp_path, "r.json", {"r": [[0.5, 0.0], [0.5, 0.0]]})
+    with pytest.raises(SystemExit) as info:
+        main(["chain", "--input", path, "--q", "2", "--lenient-zero-columns"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --lenient-zero-columns")
 
 
 def test_parse_error_reports_position(capsys, tmp_path):

@@ -1,16 +1,20 @@
 """The documented entry points stay runnable: README's python quickstart
-executes as written, every name the package exports resolves, so does
+executes as written, its command lines parse and name only options the
+command line tool has, every name the package exports resolves, so does
 every name the benchmark's tracer looks up, ``verify`` prints the rows
 the benchmark checks, and only ``prob`` names numpy's generator
 constructors."""
 
+import argparse
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import escortropy
 import escortropy.prob
 from escortropy.axioms import run_suite
+from escortropy.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,6 +39,29 @@ def test_readme_python_blocks_execute():
     assert blocks, "README has no python block"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_lines_parse_and_name_only_real_options():
+    # parse_args reads no file, so the example paths need not exist. Options
+    # named in the blocks' comments must exist too.
+    blocks = [
+        block
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        if re.search(r"^escortropy ", block, re.M)
+    ]
+    assert blocks, "README has no escortropy command line"
+    parser = build_parser()
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        option
+        for command in commands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+    }
+    for block in blocks:
+        for line in re.findall(r"^escortropy (.*)$", block, re.M):
+            parser.parse_args(shlex.split(line, comments=True))
+        assert set(re.findall(r"(?<![\w-])--[\w-]+", block)) - options == set()
 
 
 def test_every_exported_name_resolves():
