@@ -19,8 +19,8 @@ from escortropy import (
     chain_rule_report,
     product_joint,
     random_joint,
-    sample_dependent_joint,
 )
+from escortropy.axioms import sample_dependent_joint
 
 
 def show(name, joint, q):

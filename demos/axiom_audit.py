@@ -8,14 +8,13 @@ a verdict passes iff its margin is nonnegative.
 
 import numpy as np
 
-from escortropy import (
-    Distribution,
+from escortropy import Distribution, hybrid
+from escortropy.axioms import (
     check_additivity_dependent,
     check_additivity_independent,
     check_continuity,
     check_expansibility,
     check_maximality,
-    hybrid,
 )
 
 

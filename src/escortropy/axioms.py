@@ -1,5 +1,8 @@
 """Executable verifiers for the entropy axioms over seeded ensembles, and the
-verification suites that the ``verify`` command runs.
+verification suites that the ``verify`` command runs. Their names are
+imported from here, not from the package: ``import escortropy``,
+``from escortropy import *`` and every command but ``verify`` leave this
+module unloaded.
 
 Each checker returns a deterministic AxiomVerdict for its (q, n, seed,
 parameters) inputs; it passes iff its margin is >= 0. The ensemble checks

@@ -40,6 +40,17 @@ any position of any grid. Read the fields you need from one
 ``chain_rule_report``, and call ``chain_rule_grid`` once for many joints or
 many orders.
 
+With N the A-marginal of the naive joint escort and P the escort of the
+A-marginal, gap = sum_l (N_l - P_l) mu_l and s_gap = sum_l (N_l - P_l)
+(ln N_l - H_l), where mu_l is the escort mean of ln r over column l and H_l
+the Shannon entropy of escorted conditional column l. Since no cell is
+raised to the q-th power, the fields stay finite as long as the largest
+marginal power and the largest power in each conditional column do not
+underflow ([[0.2, 0.1], [0.3, 0.4]] is finite up to q = 1000). Where a
+column's largest naive escort cell underflows to 0, its log is taken as
+that of the least positive double, so the column's weight in every sum
+stays 0 or next to it.
+
 All intermediate arithmetic is done in the additive scale and converted to the
 deformed scale only at the boundary, which avoids compounding exponentials.
 """

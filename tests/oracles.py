@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 import escortropy as ep
-from escortropy import axioms, project_to_simplex
+from escortropy import axioms
+from escortropy.axioms import project_to_simplex
 from escortropy.entropies import hybrid_rows
 
 
@@ -535,7 +536,7 @@ def suite_axioms(seed, trials, mi_floor=0.05):
         results[f"continuity_q{q}"] = (passed, margin)
     for q in (1.0, 2.0):
         for n in (2, 3, 4, 5):
-            verdict = ep.check_maximality(q, n=n)
+            verdict = axioms.check_maximality(q, n=n)
             results[f"maximality_q{q}_n{n}"] = (verdict.passed, verdict.margin)
     rng = np.random.default_rng(seed)
     for q in (0.5, 2.0):

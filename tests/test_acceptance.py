@@ -37,8 +37,6 @@ from escortropy import (
     JointStack,
     chain_rule_grid,
     chain_rule_report,
-    check_expansibility,
-    check_maximality,
     corrected_conditional,
     escort,
     hybrid,
@@ -51,10 +49,10 @@ from escortropy import (
     q_add,
     q_log,
     renyi,
-    sample_dependent_joint,
     shannon,
     tsallis,
 )
+from escortropy.axioms import check_expansibility, check_maximality, sample_dependent_joint
 from escortropy.cli import main
 from escortropy.escort import _construction_gap
 

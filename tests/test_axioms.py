@@ -6,26 +6,29 @@ import numpy as np
 import pytest
 
 from escortropy import (
-    AxiomVerdict,
     Distribution,
     JointDistribution,
     JointStack,
     UnreachableFloorError,
     chain_rule_report,
+    hybrid,
+    mutual_information,
+    product_joint,
+)
+from escortropy import axioms
+from escortropy.escort import _construction_gap
+from escortropy.axioms import (
+    AxiomVerdict,
+    CheckResult,
     check_additivity_dependent,
     check_additivity_independent,
     check_continuity,
     check_expansibility,
     check_maximality,
-    hybrid,
-    mutual_information,
-    product_joint,
     project_to_simplex,
+    run_suite,
     sample_dependent_joint,
 )
-from escortropy import axioms
-from escortropy.escort import _construction_gap
-from escortropy.axioms import CheckResult, run_suite
 from escortropy.entropies import hybrid_rows
 
 import oracles

@@ -28,8 +28,8 @@ from escortropy import (
     marginal_a,
     mutual_information,
     product_joint,
-    sample_dependent_joint,
 )
+from escortropy.axioms import sample_dependent_joint
 
 import oracles
 
